@@ -20,7 +20,7 @@ from . import rewrite as RW
 from . import syntax as S
 from . import checker as TC
 from . import veccodec as VC
-from .semiring import SEMIRINGS, format_scalar, get_semiring
+from .semiring import SEMIRINGS, LiteralError, format_scalar, get_semiring
 
 
 class CliError(Exception):
@@ -136,7 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_scalar_text(text: str, sr):
     from fractions import Fraction
 
-    return sr.from_literal(Fraction(str(text).strip()))
+    try:
+        return sr.from_literal(Fraction(str(text).strip()))
+    except (ValueError, ZeroDivisionError):
+        raise CliError(f"bad scalar {text!r}", code=2) from None
+    except LiteralError as exc:
+        raise CliError(str(exc), code=2) from None
 
 
 def _cmd_parse(args, sr) -> int:
@@ -253,6 +258,8 @@ def _cmd_soundness(args, sr) -> int:
 
 def _cmd_encode(args, sr) -> int:
     rows = json.loads(args.matrix)
+    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+        raise CliError("--matrix must be a JSON list of rows", code=2)
     mat = [[_parse_scalar_text(v, sr) for v in row] for row in rows]
     a = S.parse_prop(args.from_, sr)
     b = S.parse_prop(args.to, sr)
@@ -297,6 +304,9 @@ def _cmd_apply(args, sr) -> int:
 
 
 def _cmd_laws(args, sr) -> int:
+    for flag, value in (("--trials", args.trials), ("--max-dim", args.max_dim)):
+        if value < 1:
+            raise CliError(f"{flag} must be at least 1, got {value}", code=2)
     report = M.check_laws(seed=args.seed, trials=args.trials,
                           max_dim=args.max_dim, semiring=sr)
     if args.json:

@@ -9,6 +9,18 @@ The base strategy everywhere is leftmost-outermost: the first redex in a
 preorder traversal.  Strong normalization of well-typed terms makes
 exhaustive branch exploration terminating, so ``distribution`` enumerates
 the full multiset of (probability, normal form) leaves.
+
+One loop, ``_reduce``, runs every reduction: ``normalize``,
+``normalize_random``, ``paths`` and ``distribution`` call it, and
+``is_normal`` asks its leftmost search.  Its redex choice is either the
+leftmost-outermost redex or a uniformly random one of the full preorder
+redex list.  The leftmost search does not rescan from the root after a
+contraction at ``pos``.  ``contract`` looks only at a node and the classes
+of its direct children, so the parent of ``pos`` is the only node whose
+redex status can change; every node before the parent in preorder is
+unchanged and stays a non-redex.  The search therefore checks the parent
+first, then continues the preorder from ``pos`` (the contractum) and then
+through the right siblings of each ancestor, innermost first.
 """
 
 from __future__ import annotations
@@ -184,63 +196,111 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
     return []
 
 
+def _redexes(t: Term, semiring: Semiring) -> list:
+    """(position, contract entries) of every redex of t, in preorder."""
+    return [(pos, entries) for pos, sub in S.subterms(t)
+            if (entries := contract(sub, semiring))]
+
+
 def step_all(t: Term, semiring: Semiring = QNN) -> list[tuple[Step, Term]]:
     """Every redex at every position, paired with the rewritten whole term."""
-    out = []
-    for pos, sub in S.subterms(t):
-        for rule, weight, contractum in contract(sub, semiring):
-            out.append((Step(pos, rule, weight),
-                        S.replace_at(t, pos, contractum)))
-    return out
+    return [(Step(pos, rule, weight), S.replace_at(t, pos, contractum))
+            for pos, entries in _redexes(t, semiring)
+            for rule, weight, contractum in entries]
 
 
-def _leftmost(t: Term, semiring: Semiring):
-    for pos, sub in S.subterms(t):
-        entries = contract(sub, semiring)
+def _leftmost(t: Term, pos: tuple[int, ...], semiring: Semiring):
+    """The leftmost-outermost redex of t as (position, contract entries),
+    or None, given that no redex precedes the parent of pos in preorder."""
+    spine = []
+    for i in pos:
+        spine.append(t)
+        t = getattr(t, S.subterm_fields(t)[i])
+    if spine:
+        entries = contract(spine[-1], semiring)
         if entries:
-            return pos, entries
+            return pos[:-1], entries
+
+    def rest():
+        yield pos, t
+        for d in range(len(pos) - 1, -1, -1):
+            siblings = S.children(spine[d])
+            for j in range(pos[d] + 1, len(siblings)):
+                yield pos[:d] + (j,), siblings[j]
+
+    for base, sub in rest():
+        for q, u in S.subterms(sub):
+            entries = contract(u, semiring)
+            if entries:
+                return base + q, entries
     return None
 
 
+def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
+            forks: bool = False, trails: bool = False) -> list:
+    """The one reduction loop: a (weight, normal form, steps) triple per
+    leaf of t's reduction tree, left branch first.
+
+    The redex is the leftmost-outermost one, or with rng a uniformly random
+    one of the preorder redex list.  With forks both branches of a
+    sup-elimination are explored; without, a fork raises
+    SupBranchEncountered.  Steps are recorded only with trails.
+    """
+    if forks:
+        limit, message = budget, f"reduction tree larger than {budget} steps"
+    else:
+        limit, message = budget - 1, f"no normal form within {budget} steps"
+    leaves = []
+    stack = [(t, (), semiring.one, None)]
+    used = 0
+    while stack:
+        term, pos, weight, trail = stack.pop()
+        if used > limit:
+            raise BudgetExceeded(message)
+        if rng is None:
+            found = _leftmost(term, pos, semiring)
+        else:
+            redexes = _redexes(term, semiring)
+            found = rng.choice(redexes) if redexes else None
+        if found is None:
+            steps = []
+            while trail is not None:
+                trail, step = trail
+                steps.append(step)
+            leaves.append((weight, term, tuple(reversed(steps))))
+            continue
+        pos, entries = found
+        if len(entries) > 1 and not forks:
+            raise SupBranchEncountered(
+                f"probabilistic fork at position {pos}; use distribution()")
+        used += len(entries)
+        # push right branch first so the left branch is explored first; a
+        # step that is no fork has weight one, which leaves the weight as is
+        for rule, w, contractum in reversed(entries):
+            nxt = S.replace_at(term, pos, contractum)
+            stack.append((nxt, pos, semiring.mul(weight, w)
+                          if len(entries) > 1 else weight,
+                          (trail, (Step(pos, rule, w), nxt)) if trails
+                          else None))
+    return leaves
+
+
 def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
-    return _leftmost(t, semiring) is None
+    return _leftmost(t, (), semiring) is None
 
 
 def normalize(t: Term, semiring: Semiring = QNN,
               budget: int = DEFAULT_BUDGET) -> Term:
     """Leftmost-outermost normal form of a term without reachable
     probabilistic forks."""
-    for _ in range(budget):
-        found = _leftmost(t, semiring)
-        if found is None:
-            return t
-        pos, entries = found
-        if len(entries) > 1:
-            raise SupBranchEncountered(
-                f"probabilistic fork at position {pos}; use distribution()")
-        _, _, contractum = entries[0]
-        t = S.replace_at(t, pos, contractum)
-    raise BudgetExceeded(f"no normal form within {budget} steps")
+    return _reduce(t, semiring, budget)[0][1]
 
 
 def normalize_random(t: Term, rng: random.Random, semiring: Semiring = QNN,
                      budget: int = DEFAULT_BUDGET) -> Term:
     """Normalize picking a uniformly random redex at each step (forks are
     refused, as in normalize)."""
-    for _ in range(budget):
-        redexes = []
-        for pos, sub in S.subterms(t):
-            entries = contract(sub, semiring)
-            if entries:
-                redexes.append((pos, entries))
-        if not redexes:
-            return t
-        pos, entries = rng.choice(redexes)
-        if len(entries) > 1:
-            raise SupBranchEncountered(
-                f"probabilistic fork at position {pos}; use distribution()")
-        t = S.replace_at(t, pos, entries[0][2])
-    raise BudgetExceeded(f"no normal form within {budget} steps")
+    return _reduce(t, semiring, budget, rng=rng)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -279,40 +339,24 @@ class Distribution:
                 buckets[key][0] = semiring.add(buckets[key][0], w)
             else:
                 buckets[key] = [w, v]
-        return sorted(((w, v) for w, v in buckets.values()),
-                      key=lambda it: S.print_term(S.canonical(it[1])))
+        return [(w, v) for _, (w, v) in sorted(buckets.items())]
 
 
 def paths(t: Term, semiring: Semiring = QNN,
           budget: int = DEFAULT_BUDGET) -> list[Path]:
     """All maximal leftmost-outermost reduction paths, left branch first."""
-    out: list[Path] = []
-    stack = [(t, (), semiring.one)]
-    steps_used = 0
-    while stack:
-        term, trail, weight = stack.pop()
-        found = _leftmost(term, semiring)
-        if found is None:
-            out.append(Path(source=t, steps=trail, weight=weight))
-            continue
-        pos, entries = found
-        steps_used += len(entries)
-        if steps_used > budget:
-            raise BudgetExceeded(f"reduction tree larger than {budget} steps")
-        # push right branch first so the left branch is explored first
-        for rule, w, contractum in reversed(entries):
-            nxt = S.replace_at(term, pos, contractum)
-            stack.append((nxt, trail + ((Step(pos, rule, w), nxt),),
-                          semiring.mul(weight, w)))
-    return out
+    return [Path(source=t, steps=steps, weight=w)
+            for w, _, steps in _reduce(t, semiring, budget, forks=True,
+                                       trails=True)]
 
 
 def distribution(t: Term, semiring: Semiring = QNN,
                  budget: int = DEFAULT_BUDGET) -> Distribution:
     """Exhaustively enumerate spdv(t): reduce leftmost-outermost, forking
-    at each sup-elimination with the two branch weights."""
-    items = [(p.weight, p.value) for p in paths(t, semiring, budget)]
-    return Distribution(tuple(items))
+    at each sup-elimination with the two branch weights.  Unlike paths,
+    no steps are recorded."""
+    return Distribution(tuple(
+        (w, v) for w, v, _ in _reduce(t, semiring, budget, forks=True)))
 
 
 def sum_of_distribution(d: Distribution, semiring: Semiring = QNN) -> Term:

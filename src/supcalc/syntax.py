@@ -10,8 +10,9 @@ cannot be synthesized from the term alone.
 
 from __future__ import annotations
 
+import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -230,8 +231,14 @@ def sup_elim(p, q, scrutinee, left_var, left_body, right_var, right_body,
     return SupElim(p, q, scrutinee, left_var, left_body, right_var, right_body)
 
 
-# Child accessors: (field names of subterms, binder structure). Binders maps
-# each subterm field to the names bound inside it.
+# Per-class syntax tables, built once from the class definitions: the
+# constructor's field order, and the names of the subterm fields.
+_FIELDS = {cls: tuple(f.name for f in fields(cls))
+           for cls in Term.__subclasses__()}
+_CHILDREN = {cls: tuple(f.name for f in fields(cls) if f.type == "Term")
+             for cls in Term.__subclasses__()}
+
+# Binders maps each subterm field to the names bound inside it.
 _BINDERS = {
     Lam: {"body": ("var",)},
     TensElim: {"body": ("left_var", "right_var")},
@@ -240,12 +247,12 @@ _BINDERS = {
 }
 
 
-def subterm_fields(t: Term) -> list[str]:
-    return [f.name for f in fields(t) if isinstance(getattr(t, f.name), Term)]
+def subterm_fields(t: Term) -> tuple[str, ...]:
+    return _CHILDREN[type(t)]
 
 
 def children(t: Term) -> list[Term]:
-    return [getattr(t, name) for name in subterm_fields(t)]
+    return [getattr(t, name) for name in _CHILDREN[type(t)]]
 
 
 def bound_names(t: Term, field: str) -> tuple[str, ...]:
@@ -253,22 +260,32 @@ def bound_names(t: Term, field: str) -> tuple[str, ...]:
     return tuple(getattr(t, v) for v in spec.get(field, ()))
 
 
+def _rebuild(t: Term, updates: dict[str, object]) -> Term:
+    """t with some fields replaced, built by its constructor."""
+    return type(t)(*[updates[n] if n in updates else getattr(t, n)
+                     for n in _FIELDS[type(t)]])
+
+
 def subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
     """All subterms with their positions, outermost first, left to right."""
     stack = [((), t)]
     while stack:
-        pos, u = stack.pop(0)
+        pos, u = stack.pop()
         yield pos, u
-        stack[0:0] = [(pos + (i,), c) for i, c in enumerate(children(u))]
+        names = _CHILDREN[type(u)]
+        for i in range(len(names) - 1, -1, -1):
+            stack.append((pos + (i,), getattr(u, names[i])))
 
 
 def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
-    if not pos:
-        return new
-    names = subterm_fields(t)
-    name = names[pos[0]]
-    child = getattr(t, name)
-    return replace(t, **{name: replace_at(child, pos[1:], new)})
+    spine = []
+    for i in pos:
+        name = _CHILDREN[type(t)][i]
+        spine.append((t, name))
+        t = getattr(t, name)
+    for node, name in reversed(spine):
+        new = _rebuild(node, {name: new})
+    return new
 
 
 def free_vars(t: Term) -> frozenset[str]:
@@ -330,7 +347,7 @@ def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
             updates[field] = new_body
     for b, new_name in renames.items():
         updates[b] = new_name
-    return replace(t, **updates) if updates else t
+    return _rebuild(t, updates) if updates else t
 
 
 def substitute(v: Term, x: str, t: Term) -> Term:
@@ -358,7 +375,7 @@ def fill(context: Term, t: Term) -> Term:
         child = getattr(context, field)
         if hole_count(child):
             updates[field] = fill(child, t)
-    return replace(context, **updates) if updates else context
+    return _rebuild(context, updates) if updates else context
 
 
 def compose_contexts(outer: Term, inner: Term) -> Term:
@@ -379,11 +396,11 @@ def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
         return False
     if isinstance(t, Var):
         return envt.get(t.name, t.name) == envu.get(u.name, u.name)
-    for f in fields(t):
-        a, b = getattr(t, f.name), getattr(u, f.name)
+    for name in _FIELDS[type(t)]:
+        a, b = getattr(t, name), getattr(u, name)
         if isinstance(a, Term):
-            bt = bound_names(t, f.name)
-            bu = bound_names(u, f.name)
+            bt = bound_names(t, name)
+            bu = bound_names(u, name)
             et, eu = envt, envu
             d = depth
             for x, y in zip(bt, bu):
@@ -392,7 +409,7 @@ def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
                 d += 1
             if not _alpha(a, b, et, eu, d):
                 return False
-        elif isinstance(a, str) and f.name in _binder_fields(t):
+        elif isinstance(a, str) and name in _binder_fields(t):
             continue  # binder names are compared via the environment
         else:
             if a != b:
@@ -427,7 +444,7 @@ def canonical(t: Term) -> Term:
                 local[getattr(u, b)] = new
                 updates[b] = new
             updates[field] = go(body, local)
-        return replace(u, **updates) if updates else u
+        return _rebuild(u, updates) if updates else u
 
     return go(t, {})
 
@@ -444,14 +461,6 @@ class ParseError(Exception):
         hint = f" (expected one of: {', '.join(self.expected)})" if expected else ""
         super().__init__(f"{line}:{col}: {message}{hint}")
 
-
-TERM_KEYWORDS = {
-    "sum", "scal", "star", "unit_elim", "lam", "app", "tens", "let_tens",
-    "unit", "zero_elim", "pair", "fst", "snd", "inl", "inr", "case",
-    "sup", "supfst", "supsnd", "sup_elim",
-}
-PROP_KEYWORDS = {"one", "top", "zero"}
-KEYWORDS = TERM_KEYWORDS | PROP_KEYWORDS
 
 _PUNCT = {"(", ")", "{", "}", ",", ".", ":", "/", "&", "-o", "(*)", "(+)", "(o)"}
 
@@ -515,6 +524,43 @@ def tokenize(text: str) -> list[Token]:
         raise ParseError(f"unexpected character {c!r}", line, col)
     toks.append(Token("eof", "", line, col))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Concrete syntax of the term forms, read by both the parser and the printer:
+# the keyword, then punctuation and the constructor fields in written order.
+# "{ann}" is an optional type annotation; every other field is parsed and
+# printed as a term, a name or a scalar, according to its declared type.
+
+_TEMPLATES = {
+    Sum: "sum(left,right)", Scal: "scal(scalar,body)", Star: "star(scalar)",
+    UnitElim: "unit_elim(unit,body)", Lam: "lam{ann}(var,body)",
+    App: "app(fn,arg)", Tens: "tens(left,right)",
+    TensElim: "let_tens(pair,left_var,right_var,body)", Unit: "unit",
+    ZeroElim: "zero_elim{ann}(absurd)", Pair: "pair(left,right)",
+    Fst: "fst(pair)", Snd: "snd(pair)", Inl: "inl{ann}(body)",
+    Inr: "inr{ann}(body)",
+    Case: "case(scrutinee,left_var.left_body,right_var.right_body)",
+    SupPair: "sup(left,right)", SupFst: "supfst(pair)", SupSnd: "supsnd(pair)",
+    SupElim: "sup_elim{p,q}(scrutinee,left_var.left_body,"
+             "right_var.right_body)",
+}
+
+
+def _form(cls, template: str) -> list[tuple[str, str]]:
+    """(kind, text) pieces; kind is "lit" for the keyword and punctuation."""
+    kinds = {f.name: "term" if f.name in _CHILDREN[cls] else
+             "name" if f.type == "str" else "scalar"
+             for f in fields(cls)}
+    return [("ann", "ann") if tok == "{ann}" else (kinds.get(tok, "lit"), tok)
+            for tok in re.findall(r"\{ann\}|\w+|\S", template)]
+
+
+_FORMS = {cls: _form(cls, template) for cls, template in _TEMPLATES.items()}
+_KEYWORD_CLASS = {form[0][1]: cls for cls, form in _FORMS.items()}
+TERM_KEYWORDS = set(_KEYWORD_CLASS)
+PROP_KEYWORDS = {"one", "top", "zero"}
+KEYWORDS = TERM_KEYWORDS | PROP_KEYWORDS
 
 
 # ---------------------------------------------------------------------------
@@ -640,11 +686,25 @@ class _Parser:
         if word not in KEYWORDS:
             self.next()
             return Var(word)
-        handler = getattr(self, f"_kw_{word}", None)
-        if handler is None:
+        if word not in _KEYWORD_CLASS:
             raise self.fail(("term keyword",))
         self.next()
-        return handler()
+        cls, at = _KEYWORD_CLASS[word], self.peek()
+        values = {}
+        for kind, text in _FORMS[cls][1:]:
+            if kind == "lit":
+                self.expect(text)
+            elif kind == "ann":
+                values[text] = self._ann()
+            else:
+                values[text] = getattr(self, kind)()
+        args = [values[name] for name in _FIELDS[cls]]
+        if cls is not SupElim:
+            return cls(*args)
+        try:
+            return sup_elim(*args, self.sr)
+        except Exception as exc:
+            raise ParseError(str(exc), at.line, at.col) from None
 
     def _ann(self) -> Optional[Prop]:
         if self.at("{"):
@@ -653,125 +713,6 @@ class _Parser:
             self.expect("}")
             return ann
         return None
-
-    def _args(self, *parsers):
-        self.expect("(")
-        out = []
-        for i, p in enumerate(parsers):
-            if i:
-                self.expect(",")
-            out.append(p())
-        self.expect(")")
-        return out
-
-    def _binder_clause(self):
-        x = self.name()
-        self.expect(".")
-        return x, self.term()
-
-    def _kw_sum(self):
-        t, u = self._args(self.term, self.term)
-        return Sum(t, u)
-
-    def _kw_scal(self):
-        s, t = self._args(self.scalar, self.term)
-        return Scal(s, t)
-
-    def _kw_star(self):
-        (s,) = self._args(self.scalar)
-        return Star(s)
-
-    def _kw_unit_elim(self):
-        t, u = self._args(self.term, self.term)
-        return UnitElim(t, u)
-
-    def _kw_lam(self):
-        ann = self._ann()
-        x, t = self._args(self.name, self.term)
-        return Lam(x, t, ann)
-
-    def _kw_app(self):
-        t, u = self._args(self.term, self.term)
-        return App(t, u)
-
-    def _kw_tens(self):
-        t, u = self._args(self.term, self.term)
-        return Tens(t, u)
-
-    def _kw_let_tens(self):
-        t, x, y, u = self._args(self.term, self.name, self.name, self.term)
-        return TensElim(t, x, y, u)
-
-    def _kw_unit(self):
-        return Unit()
-
-    def _kw_zero_elim(self):
-        ann = self._ann()
-        (t,) = self._args(self.term)
-        return ZeroElim(t, ann)
-
-    def _kw_pair(self):
-        t, u = self._args(self.term, self.term)
-        return Pair(t, u)
-
-    def _kw_fst(self):
-        (t,) = self._args(self.term)
-        return Fst(t)
-
-    def _kw_snd(self):
-        (t,) = self._args(self.term)
-        return Snd(t)
-
-    def _kw_inl(self):
-        ann = self._ann()
-        (t,) = self._args(self.term)
-        return Inl(t, ann)
-
-    def _kw_inr(self):
-        ann = self._ann()
-        (t,) = self._args(self.term)
-        return Inr(t, ann)
-
-    def _kw_case(self):
-        self.expect("(")
-        t = self.term()
-        self.expect(",")
-        x, u = self._binder_clause()
-        self.expect(",")
-        y, v = self._binder_clause()
-        self.expect(")")
-        return Case(t, x, u, y, v)
-
-    def _kw_sup(self):
-        t, u = self._args(self.term, self.term)
-        return SupPair(t, u)
-
-    def _kw_supfst(self):
-        (t,) = self._args(self.term)
-        return SupFst(t)
-
-    def _kw_supsnd(self):
-        (t,) = self._args(self.term)
-        return SupSnd(t)
-
-    def _kw_sup_elim(self):
-        tok = self.peek()
-        self.expect("{")
-        p = self.scalar()
-        self.expect(",")
-        q = self.scalar()
-        self.expect("}")
-        self.expect("(")
-        t = self.term()
-        self.expect(",")
-        x, u = self._binder_clause()
-        self.expect(",")
-        y, v = self._binder_clause()
-        self.expect(")")
-        try:
-            return sup_elim(p, q, t, x, u, y, v, self.sr)
-        except Exception as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
 
     def done(self):
         tok = self.peek()
@@ -842,56 +783,35 @@ def _pp(a: Prop, level: int) -> str:
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
-    if isinstance(t, Hole):
-        return "[.]"
-    if isinstance(t, Sum):
-        return f"sum({print_term(t.left)},{print_term(t.right)})"
-    if isinstance(t, Scal):
-        return f"scal({format_scalar(t.scalar)},{print_term(t.body)})"
-    if isinstance(t, Star):
-        return f"star({format_scalar(t.scalar)})"
-    if isinstance(t, UnitElim):
-        return f"unit_elim({print_term(t.unit)},{print_term(t.body)})"
-    if isinstance(t, Lam):
-        ann = "{" + print_prop(t.ann) + "}" if t.ann is not None else ""
-        return f"lam{ann}({t.var},{print_term(t.body)})"
-    if isinstance(t, App):
-        return f"app({print_term(t.fn)},{print_term(t.arg)})"
-    if isinstance(t, Tens):
-        return f"tens({print_term(t.left)},{print_term(t.right)})"
-    if isinstance(t, TensElim):
-        return (f"let_tens({print_term(t.pair)},{t.left_var},{t.right_var},"
-                f"{print_term(t.body)})")
-    if isinstance(t, Unit):
-        return "unit"
-    if isinstance(t, ZeroElim):
-        ann = "{" + print_prop(t.ann) + "}" if t.ann is not None else ""
-        return f"zero_elim{ann}({print_term(t.absurd)})"
-    if isinstance(t, Pair):
-        return f"pair({print_term(t.left)},{print_term(t.right)})"
-    if isinstance(t, Fst):
-        return f"fst({print_term(t.pair)})"
-    if isinstance(t, Snd):
-        return f"snd({print_term(t.pair)})"
-    if isinstance(t, Inl):
-        ann = "{" + print_prop(t.ann) + "}" if t.ann is not None else ""
-        return f"inl{ann}({print_term(t.body)})"
-    if isinstance(t, Inr):
-        ann = "{" + print_prop(t.ann) + "}" if t.ann is not None else ""
-        return f"inr{ann}({print_term(t.body)})"
-    if isinstance(t, Case):
-        return (f"case({print_term(t.scrutinee)},{t.left_var}."
-                f"{print_term(t.left_body)},{t.right_var}."
-                f"{print_term(t.right_body)})")
-    if isinstance(t, SupPair):
-        return f"sup({print_term(t.left)},{print_term(t.right)})"
-    if isinstance(t, SupFst):
-        return f"supfst({print_term(t.pair)})"
-    if isinstance(t, SupSnd):
-        return f"supsnd({print_term(t.pair)})"
-    if isinstance(t, SupElim):
-        return (f"sup_elim{{{format_scalar(t.p)},{format_scalar(t.q)}}}"
-                f"({print_term(t.scrutinee)},{t.left_var}."
-                f"{print_term(t.left_body)},{t.right_var}."
-                f"{print_term(t.right_body)})")
-    raise TypeError(f"not a term: {t!r}")
+    if type(t) not in _PRINT_FORMS:
+        raise TypeError(f"not a term: {t!r}")
+    pieces, tail = _PRINT_FORMS[type(t)]
+    out = ""
+    for lit, name, show in pieces:
+        out += lit + show(getattr(t, name))
+    return out + tail
+
+
+def _print_ann(a: Optional[Prop]) -> str:
+    return "" if a is None else "{" + print_prop(a) + "}"
+
+
+_SHOW = {"term": print_term, "name": str, "scalar": format_scalar,
+         "ann": _print_ann}
+
+
+def _print_form(form: list[tuple[str, str]]):
+    """((literal text before a field, the field, its printer), ...) and the
+    literal text after the last field."""
+    pieces, lit = [], ""
+    for kind, text in form:
+        if kind == "lit":
+            lit += text
+        else:
+            pieces.append((lit, text, _SHOW[kind]))
+            lit = ""
+    return tuple(pieces), lit
+
+
+_PRINT_FORMS = {cls: _print_form(form) for cls, form in _FORMS.items()}
+_PRINT_FORMS[Hole] = ((), "[.]")

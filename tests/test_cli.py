@@ -167,3 +167,27 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     p.write_text("pair(star(1) star(2))\n")
     assert main(["check", str(p)]) == 1
     assert "syntax error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["laws", "--max-dim", "0"],
+    ["laws", "--trials", "0"],
+])
+def test_laws_rejects_counts_below_one(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.strip().count("\n") == 0
+    assert "must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ('[["a"]]', "bad scalar 'a'"),
+    ("[[-1]]", "no negative scalar"),
+    ("5", "JSON list of rows"),
+])
+def test_encode_rejects_bad_entries(matrix, message, capsys):
+    assert main(["encode", "--matrix", matrix, "--from", "one",
+                 "--to", "one"]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().count("\n") == 0 and message in err

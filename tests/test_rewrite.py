@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -322,3 +323,140 @@ def test_elim_contexts_separate_the_adequacy_pair_targets():
         du = sc.distribution(sc.fill(k, su)).aggregate(SR)
         assert [(w, sc.print_term(v)) for w, v in dt] == \
             [(w, sc.print_term(v)) for w, v in du]
+
+
+# ---------------------------------------------------------------------------
+# differential check of the reduction loop against a naive reference that
+# rescans the whole term from the root on every step
+
+
+def _ref_subterms(t):
+    """Preorder by reflection: the reference order of positions."""
+    stack = [((), t)]
+    while stack:
+        pos, u = stack.pop(0)
+        yield pos, u
+        kids = [getattr(u, f.name) for f in dataclasses.fields(u)
+                if isinstance(getattr(u, f.name), S.Term)]
+        stack[0:0] = [(pos + (i,), c) for i, c in enumerate(kids)]
+
+
+def _ref_replace_at(t, pos, new):
+    if not pos:
+        return new
+    names = [f.name for f in dataclasses.fields(t)
+             if isinstance(getattr(t, f.name), S.Term)]
+    name = names[pos[0]]
+    return dataclasses.replace(
+        t, **{name: _ref_replace_at(getattr(t, name), pos[1:], new)})
+
+
+def _ref_redexes(t):
+    return [(p, e) for p, u in _ref_subterms(t) if (e := R.contract(u, SR))]
+
+
+def _ref_leftmost(t):
+    return next(((p, e) for p, u in _ref_subterms(t)
+                 if (e := R.contract(u, SR))), None)
+
+
+def _ref_normalize(t, rng=None, budget=R.DEFAULT_BUDGET):
+    for _ in range(budget):
+        if rng is None:
+            found = _ref_leftmost(t)
+        else:
+            redexes = _ref_redexes(t)
+            found = rng.choice(redexes) if redexes else None
+        if found is None:
+            return t
+        pos, entries = found
+        if len(entries) > 1:
+            raise R.SupBranchEncountered(
+                f"probabilistic fork at position {pos}; use distribution()")
+        t = _ref_replace_at(t, pos, entries[0][2])
+    raise R.BudgetExceeded(f"no normal form within {budget} steps")
+
+
+def _ref_paths(t, budget=R.DEFAULT_BUDGET):
+    out, stack, used = [], [(t, (), F(1))], 0
+    while stack:
+        u, trail, w = stack.pop()
+        found = _ref_leftmost(u)
+        if found is None:
+            out.append(R.Path(source=t, steps=trail, weight=w))
+            continue
+        pos, entries = found
+        used += len(entries)
+        if used > budget:
+            raise R.BudgetExceeded(f"reduction tree larger than {budget} steps")
+        for rule, sw, c in reversed(entries):
+            nxt = _ref_replace_at(u, pos, c)
+            stack.append((nxt, trail + ((R.Step(pos, rule, sw), nxt),), w * sw))
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except R.ReductionError as exc:
+        return type(exc), str(exc)
+
+
+_FORK = "sup_elim{{1/3,2/3}}(sup(star({a}),star({b})),x.x,y.y)"
+
+
+def _fork_terms():
+    """Right- and left-nested fork chains and balanced fork trees of 1..8
+    forks, with distinct leaf scalars."""
+    def fork(i):
+        return _FORK.format(a=2 * i + 1, b=2 * i + 2)
+
+    def tree(lo, hi):
+        if hi - lo == 1:
+            return fork(lo)
+        mid = (lo + hi) // 2
+        return f"unit_elim({tree(lo, mid)},{tree(mid, hi)})"
+
+    out = []
+    for n in range(1, 9):
+        right = left = fork(0)
+        for i in range(1, n):
+            right = f"unit_elim({fork(i)},{right})"
+            left = f"unit_elim({left},{fork(i)})"
+        out += [term(right), term(left), term(tree(0, n))]
+    return out
+
+
+def _differential_terms(corpus_entries):
+    gen = TermGenerator(seed=11, allow_sup_elim=True, max_depth=4)
+    return ([e.term for e in corpus_entries]
+            + [gen.closed()[0] for _ in range(300)] + _fork_terms())
+
+
+def test_reduction_matches_naive_reference(corpus_entries):
+    for i, t in enumerate(_differential_terms(corpus_entries)):
+        assert list(S.subterms(t)) == list(_ref_subterms(t))
+        got = sc.paths(t)
+        assert got == _ref_paths(t), sc.print_term(t)
+        assert sc.distribution(t).items == tuple((p.weight, p.value)
+                                                 for p in got)
+        for p in got:
+            for _, u in p.steps[-3:]:
+                assert sc.is_normal(u) == (_ref_leftmost(u) is None)
+        assert sc.is_normal(t) == (_ref_leftmost(t) is None)
+        assert _outcome(sc.normalize, t) == _outcome(_ref_normalize, t)
+        assert (_outcome(sc.normalize_random, t, random.Random(i))
+                == _outcome(_ref_normalize, t, random.Random(i)))
+
+
+def test_budget_errors_match_naive_reference(corpus_entries):
+    terms = [e.term for e in corpus_entries[:20]] + _fork_terms()[:9]
+    for t in terms:
+        for budget in range(0, 30):
+            assert (_outcome(sc.paths, t, budget=budget)
+                    == _outcome(_ref_paths, t, budget=budget))
+            assert (_outcome(sc.normalize, t, budget=budget)
+                    == _outcome(_ref_normalize, t, budget=budget))
+            rng_a, rng_b = random.Random(budget), random.Random(budget)
+            assert (_outcome(sc.normalize_random, t, rng_a, budget=budget)
+                    == _outcome(_ref_normalize, t, rng_b, budget=budget))
