@@ -62,13 +62,6 @@ def _matrix_json(mat: M.Mat) -> dict:
             "entries": [format_scalar(v) for v in mat.entries]}
 
 
-def _common(sub):
-    sub.add_argument("--semiring", default="qnn", choices=sorted(SEMIRINGS),
-                     help="scalar algebra (default qnn)")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--seed", type=int, default=0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="supcalc",
@@ -76,59 +69,57 @@ def build_parser() -> argparse.ArgumentParser:
                     "semantics for a linear proof calculus")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="parse a term file and echo it")
-    p.add_argument("file")
+    def command(name, summary, file=True, with_json=True):
+        """A subcommand with --semiring, and --json where it is read."""
+        p = sub.add_parser(name, help=summary)
+        if file:
+            p.add_argument("file")
+        p.add_argument("--semiring", default="qnn", choices=sorted(SEMIRINGS),
+                       help="scalar algebra (default qnn)")
+        if with_json:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
+        return p
+
+    p = command("parse", "parse a term file and echo it", with_json=False)
     p.add_argument("--prop", action="store_true",
                    help="parse the file as a proposition instead")
-    _common(p)
 
-    p = sub.add_parser("check", help="type-check a term file")
-    p.add_argument("file")
+    p = command("check", "type-check a term file")
     p.add_argument("--ctx", default=None, help='context, e.g. "x:one, y:one&one"')
     p.add_argument("--type", dest="type_", default=None,
                    help="expected proposition")
     p.add_argument("--emit-derivation", action="store_true",
                    help="dump the derivation tree as JSON")
-    _common(p)
 
-    p = sub.add_parser("run", help="print the normal form")
-    p.add_argument("file")
-    _common(p)
+    command("run", "print the normal form", with_json=False)
+    command("distro", "print the distribution of results")
 
-    p = sub.add_parser("distro", help="print the distribution of results")
-    p.add_argument("file")
-    _common(p)
-
-    p = sub.add_parser("denote", help="print the interpretation matrix")
-    p.add_argument("file")
+    p = command("denote", "print the interpretation matrix")
     p.add_argument("--ctx", default=None)
     p.add_argument("--type", dest="type_", default=None)
-    _common(p)
 
-    p = sub.add_parser("soundness", help="per-step and whole-run soundness checks")
-    p.add_argument("file")
+    p = command("soundness", "per-step and whole-run soundness checks")
     p.add_argument("--type", dest="type_", default=None)
-    _common(p)
 
-    p = sub.add_parser("encode", help="encode a matrix as a function term")
+    p = command("encode", "encode a matrix as a function term", file=False,
+                with_json=False)
     p.add_argument("--matrix", required=True,
                    help='JSON rows, e.g. "[[1,2],[3,4]]" or entries as strings')
     p.add_argument("--from", dest="from_", required=True)
     p.add_argument("--to", dest="to", required=True)
-    _common(p)
 
-    p = sub.add_parser("apply", help="apply a function term file to a vector")
-    p.add_argument("file")
+    p = command("apply", "apply a function term file to a vector")
     p.add_argument("--vec", required=True, help='vector literal, e.g. "(5,6)"')
     p.add_argument("--from", dest="from_", default=None,
-                   help="domain proposition (default: inferred from the term)")
+                   help="domain proposition (default: inferred from the term); "
+                        "give both --from and --to, or neither")
     p.add_argument("--to", dest="to", default=None)
-    _common(p)
 
-    p = sub.add_parser("laws", help="randomized structural law suite")
+    p = command("laws", "randomized structural law suite", file=False)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--max-dim", type=int, default=4)
-    _common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     return ap
 
@@ -169,15 +160,23 @@ def _derivation_json(d: TC.Derivation) -> dict:
     return out
 
 
-def _cmd_check(args, sr) -> int:
+def _typecheck_file(args, sr):
+    """The derivation of the file's term, with --ctx and --type overriding
+    its headers; None, after printing the type error, if there is none."""
     term, ctx, declared = load_term_file(args.file, sr)
     if args.ctx is not None:
         ctx = S.parse_context(args.ctx, sr)
     expected = S.parse_prop(args.type_, sr) if args.type_ else declared
     try:
-        d = TC.typecheck(ctx, term, expected, sr)
+        return TC.typecheck(ctx, term, expected, sr)
     except TC.TypingError as exc:
         print(f"type error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_check(args, sr) -> int:
+    d = _typecheck_file(args, sr)
+    if d is None:
         return 1
     if args.emit_derivation:
         print(json.dumps(_derivation_json(d), indent=2))
@@ -215,14 +214,8 @@ def _cmd_distro(args, sr) -> int:
 
 
 def _cmd_denote(args, sr) -> int:
-    term, ctx, declared = load_term_file(args.file, sr)
-    if args.ctx is not None:
-        ctx = S.parse_context(args.ctx, sr)
-    expected = S.parse_prop(args.type_, sr) if args.type_ else declared
-    try:
-        d = TC.typecheck(ctx, term, expected, sr)
-    except TC.TypingError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
+    d = _typecheck_file(args, sr)
+    if d is None:
         return 1
     mat = _denote(d, sr).matrix
     if args.json:
@@ -282,7 +275,9 @@ def _cmd_apply(args, sr) -> int:
     term, ctx, declared = load_term_file(args.file, sr)
     if ctx:
         raise CliError("apply expects a closed term", code=2)
-    if args.from_ and args.to:
+    if bool(args.from_) != bool(args.to):
+        raise CliError("apply needs both --from and --to, or neither", code=2)
+    if args.from_:
         a = S.parse_prop(args.from_, sr)
         b = S.parse_prop(args.to, sr)
     else:

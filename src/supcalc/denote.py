@@ -106,11 +106,7 @@ class _Denoter:
             body = self.go(kids[0])
             return M.compose(M.scalar_map(d.term.scalar, body.rows, sr), body)
 
-        if rule == "one_e":
-            t, u = self.go(kids[0]), self.go(kids[1])
-            return M.compose(M.tensor_mat(t, u), self.perm(d))
-
-        if rule == "tens_i":
+        if rule in ("one_e", "tens_i"):
             t, u = self.go(kids[0]), self.go(kids[1])
             return M.compose(M.tensor_mat(t, u), self.perm(d))
 
@@ -149,27 +145,18 @@ class _Denoter:
             g = denote_ctx(d.ctx)
             return M.compose(M.biproduct_mat(t, u), M.diag(g, sr))
 
-        if rule in ("with_e1", "sup_e1"):
+        if rule in ("with_e1", "sup_e1", "with_e2", "sup_e2"):
             t = self.go(kids[0])
             pairtype = kids[0].prop
             a, b = denote_prop(pairtype.left), denote_prop(pairtype.right)
-            return M.compose(M.proj1(a, b, sr), t)
+            proj = M.proj1 if rule.endswith("1") else M.proj2
+            return M.compose(proj(a, b, sr), t)
 
-        if rule in ("with_e2", "sup_e2"):
-            t = self.go(kids[0])
-            pairtype = kids[0].prop
-            a, b = denote_prop(pairtype.left), denote_prop(pairtype.right)
-            return M.compose(M.proj2(a, b, sr), t)
-
-        if rule == "plus_i1":
+        if rule in ("plus_i1", "plus_i2"):
             t = self.go(kids[0])
             a, b = denote_prop(d.prop.left), denote_prop(d.prop.right)
-            return M.compose(M.inj1(a, b, sr), t)
-
-        if rule == "plus_i2":
-            t = self.go(kids[0])
-            a, b = denote_prop(d.prop.left), denote_prop(d.prop.right)
-            return M.compose(M.inj2(a, b, sr), t)
+            inj = M.inj1 if rule == "plus_i1" else M.inj2
+            return M.compose(inj(a, b, sr), t)
 
         if rule in ("plus_e", "sup_e"):
             t, u, v = (self.go(k) for k in kids)

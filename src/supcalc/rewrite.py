@@ -75,6 +75,11 @@ class Step:
     weight: object
 
 
+# the rule contracting each projection of a pair
+_PROJECTION_RULES = {S.Fst: "fst", S.Snd: "snd",
+                     S.SupFst: "supfst", S.SupSnd: "supsnd"}
+
+
 def _merge_lams(a: S.Lam, b: S.Lam, make) -> Term:
     """Combine two abstractions under a shared binder, renaming apart."""
     ann = a.ann if a.ann is not None else b.ann
@@ -121,10 +126,11 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
     if isinstance(t, S.App) and isinstance(t.fn, S.Lam):
         return [("apply", one, S.substitute(t.arg, t.fn.var, t.fn.body))]
 
-    if isinstance(t, S.Fst) and isinstance(t.pair, S.Pair):
-        return [("fst", one, t.pair.left)]
-    if isinstance(t, S.Snd) and isinstance(t.pair, S.Pair):
-        return [("snd", one, t.pair.right)]
+    if type(t) in S._PROJECTION:
+        pair, side = S._PROJECTION[type(t)]
+        if not isinstance(t.pair, pair):
+            return []
+        return [(_PROJECTION_RULES[type(t)], one, getattr(t.pair, side))]
 
     if isinstance(t, S.Case):
         scrut = t.scrutinee
@@ -147,11 +153,6 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
                        t.right_var, t.right_body)))]
         return []
 
-    if isinstance(t, S.SupFst) and isinstance(t.pair, S.SupPair):
-        return [("supfst", one, t.pair.left)]
-    if isinstance(t, S.SupSnd) and isinstance(t.pair, S.SupPair):
-        return [("supsnd", one, t.pair.right)]
-
     if isinstance(t, S.SupElim) and isinstance(t.scrutinee, S.SupPair):
         scrut = t.scrutinee
         return [
@@ -169,12 +170,10 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
             return [("sum_lam", one, _merge_lams(a, b, S.Sum))]
         if isinstance(a, S.Unit) and isinstance(b, S.Unit):
             return [("sum_unit", one, S.Unit())]
-        if isinstance(a, S.Pair) and isinstance(b, S.Pair):
-            return [("sum_pair", one, S.Pair(S.Sum(a.left, b.left),
-                                             S.Sum(a.right, b.right)))]
-        if isinstance(a, S.SupPair) and isinstance(b, S.SupPair):
-            return [("sum_sup", one, S.SupPair(S.Sum(a.left, b.left),
-                                               S.Sum(a.right, b.right)))]
+        if type(a) in S._PAIR_PROP and type(b) is type(a):
+            rule = "sum_pair" if type(a) is S.Pair else "sum_sup"
+            return [(rule, one, type(a)(S.Sum(a.left, b.left),
+                                        S.Sum(a.right, b.right)))]
         return []
 
     if isinstance(t, S.Scal):
@@ -185,12 +184,10 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
             return [("scal_lam", one, S.Lam(a.var, S.Scal(s, a.body), a.ann))]
         if isinstance(a, S.Unit):
             return [("scal_unit", one, S.Unit())]
-        if isinstance(a, S.Pair):
-            return [("scal_pair", one, S.Pair(S.Scal(s, a.left),
-                                              S.Scal(s, a.right)))]
-        if isinstance(a, S.SupPair):
-            return [("scal_sup", one, S.SupPair(S.Scal(s, a.left),
-                                                S.Scal(s, a.right)))]
+        if type(a) in S._PAIR_PROP:
+            rule = "scal_pair" if type(a) is S.Pair else "scal_sup"
+            return [(rule, one, type(a)(S.Scal(s, a.left),
+                                        S.Scal(s, a.right)))]
         return []
 
     return []
@@ -426,12 +423,9 @@ def canonical_inhabitant(a: S.Prop, semiring: Semiring = QNN) -> Term | None:
         return S.Unit()
     if isinstance(a, S.Zero):
         return None
-    if isinstance(a, S.Tensor):
+    if isinstance(a, (S.Tensor, S.With, S.Sup)):
         l, r = (canonical_inhabitant(x, sr) for x in (a.left, a.right))
-        return S.Tens(l, r) if l is not None and r is not None else None
-    if isinstance(a, (S.With, S.Sup)):
-        l, r = (canonical_inhabitant(x, sr) for x in (a.left, a.right))
-        cls = S.Pair if isinstance(a, S.With) else S.SupPair
+        cls = S.Tens if isinstance(a, S.Tensor) else S._PAIRS[type(a)][0]
         return cls(l, r) if l is not None and r is not None else None
     if isinstance(a, S.Plus):
         l = canonical_inhabitant(a.left, sr)
@@ -456,14 +450,11 @@ def consume_to_one(expr: Term, a: S.Prop, sr: Semiring, depth: int = 0) -> Term 
         return expr
     if isinstance(a, S.Zero):
         return S.ZeroElim(expr, S.One())
-    if isinstance(a, S.With):
-        got = consume_to_one(S.Fst(expr), a.left, sr, depth + 1)
+    if type(a) in S._PAIRS:
+        _, fst, snd = S._PAIRS[type(a)]
+        got = consume_to_one(fst(expr), a.left, sr, depth + 1)
         return got if got is not None else consume_to_one(
-            S.Snd(expr), a.right, sr, depth + 1)
-    if isinstance(a, S.Sup):
-        got = consume_to_one(S.SupFst(expr), a.left, sr, depth + 1)
-        return got if got is not None else consume_to_one(
-            S.SupSnd(expr), a.right, sr, depth + 1)
+            snd(expr), a.right, sr, depth + 1)
     if isinstance(a, S.Tensor):
         x, y = f"_t{depth}l", f"_t{depth}r"
         l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
@@ -517,12 +508,10 @@ def enumerate_elim_contexts(a: S.Prop, depth: int,
         return [S.fill(k, wrap) for k in enumerate_elim_contexts(
             inner, depth - 1, sr)]
 
-    if isinstance(a, S.With):
-        out += extend(a.left, S.Fst(S.Hole()))
-        out += extend(a.right, S.Snd(S.Hole()))
-    elif isinstance(a, S.Sup):
-        out += extend(a.left, S.SupFst(S.Hole()))
-        out += extend(a.right, S.SupSnd(S.Hole()))
+    if type(a) in S._PAIRS:
+        _, fst, snd = S._PAIRS[type(a)]
+        out += extend(a.left, fst(S.Hole()))
+        out += extend(a.right, snd(S.Hole()))
     elif isinstance(a, S.Lollipop):
         arg = canonical_inhabitant(a.left, sr)
         if arg is not None:

@@ -51,19 +51,10 @@ class Semiring:
     def is_zero(self, a: Scalar) -> bool:
         return self.eq(a, self.zero)
 
-    def is_one(self, a: Scalar) -> bool:
-        return self.eq(a, self.one)
-
     def sum(self, values: Sequence[Scalar]) -> Scalar:
         acc = self.zero
         for v in values:
             acc = self.add(acc, v)
-        return acc
-
-    def product(self, values: Sequence[Scalar]) -> Scalar:
-        acc = self.one
-        for v in values:
-            acc = self.mul(acc, v)
         return acc
 
     def __repr__(self) -> str:

@@ -245,6 +245,17 @@ _BINDERS = {
     Case: {"left_body": ("left_var",), "right_body": ("right_var",)},
     SupElim: {"left_body": ("left_var",), "right_body": ("right_var",)},
 }
+_BINDER_FIELDS = {cls: {v for vs in _BINDERS.get(cls, {}).values() for v in vs}
+                  for cls in Term.__subclasses__()}
+
+# The sup connective introduces and projects pairs exactly as & does; only
+# elimination by cases differs (sup_elim mixes the branches by its weights).
+# So every layer reads the pair forms of & and (o) from this one table: each
+# connective's pair class and left and right projections, and the inverses.
+_PAIRS = {With: (Pair, Fst, Snd), Sup: (SupPair, SupFst, SupSnd)}
+_PAIR_PROP = {pair: conn for conn, (pair, _, _) in _PAIRS.items()}
+_PROJECTION = {proj: (pair, side) for pair, fst, snd in _PAIRS.values()
+               for proj, side in ((fst, "left"), (snd, "right"))}
 
 
 def subterm_fields(t: Term) -> tuple[str, ...]:
@@ -409,17 +420,12 @@ def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
                 d += 1
             if not _alpha(a, b, et, eu, d):
                 return False
-        elif isinstance(a, str) and name in _binder_fields(t):
+        elif isinstance(a, str) and name in _BINDER_FIELDS[type(t)]:
             continue  # binder names are compared via the environment
         else:
             if a != b:
                 return False
     return True
-
-
-def _binder_fields(t: Term) -> set[str]:
-    spec = _BINDERS.get(type(t), {})
-    return {v for vs in spec.values() for v in vs}
 
 
 def canonical(t: Term) -> Term:
@@ -460,9 +466,6 @@ class ParseError(Exception):
         self.expected = tuple(expected)
         hint = f" (expected one of: {', '.join(self.expected)})" if expected else ""
         super().__init__(f"{line}:{col}: {message}{hint}")
-
-
-_PUNCT = {"(", ")", "{", "}", ",", ".", ":", "/", "&", "-o", "(*)", "(+)", "(o)"}
 
 
 @dataclass(frozen=True)

@@ -175,6 +175,125 @@ def test_validate_rejects_wrong_rule_tag():
     assert not report.ok
 
 
+def _nodes(d, path=()):
+    yield path, d
+    for i, c in enumerate(d.children):
+        yield from _nodes(c, path + (i,))
+
+
+def _put(d, path, node):
+    """d with the node at path replaced."""
+    if not path:
+        return node
+    kids = list(d.children)
+    kids[path[0]] = _put(kids[path[0]], path[1:], node)
+    return replace(d, children=tuple(kids))
+
+
+def _mutants(n):
+    """Tampered copies of one derivation node, each of them invalid."""
+    tags = C.RULE_TAGS
+    yield "rule tag", replace(n, rule=tags[(tags.index(n.rule) + 1) % len(tags)])
+    yield "conclusion", replace(n, prop=S.With(n.prop, n.prop))
+    if n.children:
+        yield "dropped child", replace(n, children=n.children[:-1])
+        c = n.children[0]
+        wider = replace(c, ctx=c.ctx + (("fresh_", S.One()),))
+        yield "child context", replace(n, children=(wider,) + n.children[1:])
+    if n.split is not None and len(n.split.perm) > 1:
+        perm = tuple(reversed(n.split.perm))
+        yield "split permutation", replace(n, split=replace(n.split, perm=perm))
+    if n.ctx:
+        yield "context entry", replace(n, ctx=n.ctx[:-1])
+
+
+def test_validate_rejects_every_mutant(corpus_entries):
+    derivations = [sc.typecheck(e.ctx, e.term, e.prop) for e in corpus_entries]
+    gen = TermGenerator(seed=37, max_depth=2)
+    for _ in range(100):
+        t, a = gen.closed()
+        derivations.append(sc.typecheck((), t, a))
+    kinds = set()
+    for d in derivations:
+        for path, node in _nodes(d):
+            for kind, mutant in _mutants(node):
+                kinds.add(kind)
+                report = sc.validate(_put(d, path, mutant))
+                assert not report.ok, (kind, path, sc.print_term(d.term))
+                assert report.problems
+    assert len(kinds) == 6
+
+
+def test_validate_typechecks_a_valid_derivation_once(monkeypatch):
+    d = check("sup_elim{1/2,1/2}(sup(pair(star(1),unit),pair(star(2),unit)),"
+              "x.fst(x),y.snd(pair(unit,fst(y))))", "one")
+    calls = []
+    real = C.typecheck
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(C, "typecheck", counting)
+    assert sc.validate(d).ok
+    assert len(calls) == 1
+
+
+def _absorbs_by_cases(t):
+    """can_absorb written out form by form, as a reference."""
+    if isinstance(t, S.Unit):
+        return True
+    if isinstance(t, S.ZeroElim):
+        return True
+    if isinstance(t, (S.Sum, S.Pair, S.SupPair)):
+        return _absorbs_by_cases(t.left) and _absorbs_by_cases(t.right)
+    if isinstance(t, S.Scal):
+        return _absorbs_by_cases(t.body)
+    if isinstance(t, S.Lam):
+        return _absorbs_by_cases(t.body)
+    if isinstance(t, (S.Fst, S.Snd)):
+        return _absorbs_by_cases(t.pair)
+    if isinstance(t, (S.SupFst, S.SupSnd)):
+        return _absorbs_by_cases(t.pair)
+    if isinstance(t, (S.Inl, S.Inr)):
+        return _absorbs_by_cases(t.body)
+    if isinstance(t, S.Tens):
+        return _absorbs_by_cases(t.left) or _absorbs_by_cases(t.right)
+    if isinstance(t, S.App):
+        return _absorbs_by_cases(t.fn) or _absorbs_by_cases(t.arg)
+    if isinstance(t, S.UnitElim):
+        return _absorbs_by_cases(t.unit) or _absorbs_by_cases(t.body)
+    if isinstance(t, S.TensElim):
+        return _absorbs_by_cases(t.pair) or _absorbs_by_cases(t.body)
+    if isinstance(t, (S.Case, S.SupElim)):
+        return _absorbs_by_cases(t.scrutinee) or (
+            _absorbs_by_cases(t.left_body) and _absorbs_by_cases(t.right_body))
+    return False
+
+
+def test_can_absorb_matches_the_form_by_form_reference(corpus_entries):
+    terms = [e.term for e in corpus_entries]
+    gen = TermGenerator(seed=11, allow_sup_elim=True, max_depth=4)
+    terms += [gen.closed()[0] for _ in range(300)]
+    seen = {True: 0, False: 0}
+    for t in terms:
+        for _, u in S.subterms(t):
+            assert C.can_absorb(u) == _absorbs_by_cases(u), sc.print_term(u)
+            seen[C.can_absorb(u)] += 1
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("src, message", [
+    ("fst(star(1))", "star(1) has type one, expected a with-pair"),
+    ("supsnd(pair(star(1),star(1)))",
+     "pair(star(1),star(1)) has type one & one, expected a sup-pair"),
+])
+def test_projection_of_a_non_pair(src, message):
+    with pytest.raises(C.TypeMismatch) as info:
+        check(src)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # exact resource use
 

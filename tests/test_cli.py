@@ -191,3 +191,30 @@ def test_encode_rejects_bad_entries(matrix, message, capsys):
                  "--to", "one"]) == 2
     err = capsys.readouterr().err
     assert err.strip().count("\n") == 0 and message in err
+
+
+@pytest.mark.parametrize("command", ["parse", "run"])
+def test_json_only_where_it_is_read(command, tfile, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, tfile, "--json"])
+    assert info.value.code == 2
+    assert "--json" in capsys.readouterr().err
+
+
+def test_seed_only_on_laws(tfile, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["check", tfile, "--seed", "3"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_apply_rejects_a_lone_from_or_to(flag, tmp_path, capsys):
+    p = tmp_path / "f.lsup"
+    p.write_text("-- type: one & one -o one & one\n"
+                 "lam(x,pair(snd(x),fst(x)))\n")
+    assert main(["apply", str(p), "--vec", "(1,2)", flag, "one"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().count("\n") == 0
+    assert "both --from and --to" in captured.err
