@@ -5,10 +5,16 @@ The checker is bidirectional: most forms synthesize their type, while
 annotation or an expected type flowing in.  Checking is deterministic and
 syntax directed; when a judgment holds, its type is unique.
 
-Multiplicative rules split the ambient context by free-variable use.  A
-variable used by neither premise is routed to the leftmost premise that can
-absorb it; anything else is a linearity violation.  Whether a term can
-absorb follows from the kind of its rule:
+The multiplicative rules split the ambient context between a left premise
+and the right premises: ``unit_elim``, ``app``, ``tens`` and ``let_tens``
+have one right premise, ``case`` and ``sup_elim`` have the scrutinee on the
+left and both branches on the right, and ``zero_elim`` has none.  A
+variable goes to the side that uses it, that is, where it is free outside
+the names the premise binds; a variable used on both sides is a linearity
+violation.  A variable used by neither side goes left if the left premise
+can absorb it, else right if every right premise can, and is otherwise a
+linearity violation.  Whether a term can absorb follows from the kind of
+its rule:
 
 - ``unit`` and ``zero_elim`` absorb any context;
 - a multiplicative form (``tens``, ``app``, ``unit_elim``, ``let_tens``)
@@ -102,6 +108,10 @@ RULE_TAGS = (
 _PROJECTION_RULES = {S.Fst: "with_e1", S.Snd: "with_e2",
                      S.SupFst: "sup_e1", S.SupSnd: "sup_e2"}
 
+# the rule of each injection, and how to annotate it
+_INJECTION_RULES = {S.Inl: ("plus_i1", "inl{B}(t)"),
+                    S.Inr: ("plus_i2", "inr{A}(t)")}
+
 
 def can_absorb(t: Term) -> bool:
     """Whether a typing of t can consume context variables it never uses."""
@@ -128,9 +138,18 @@ class _Checker:
 
     # -- context splitting ------------------------------------------------
 
-    def split(self, ctx: Context, term: Term, fv_left: frozenset[str],
-              fv_right: frozenset[str], absorb_left: bool, absorb_right: bool
+    def split(self, ctx: Context, t: Term, left: Term,
+              rights: tuple[tuple[Term, tuple[str, ...]], ...] = ()
               ) -> tuple[Context, Context, SplitPlan]:
+        """Split ctx for the node t between its left premise and its right
+        premises, given as (term, names it binds) pairs, by the split rule
+        stated above."""
+        fv_left = S.free_vars(left)
+        fv_right: set[str] = set()
+        for r, bound in rights:
+            fv_right |= S.free_vars(r).difference(bound)
+        absorb_left = can_absorb(left)
+        absorb_right = all(can_absorb(r) for r, _ in rights)
         left_idx: list[int] = []
         right_idx: list[int] = []
         for i, (x, _) in enumerate(ctx):
@@ -138,7 +157,7 @@ class _Checker:
             if in_l and in_r:
                 raise LinearViolation(
                     f"variable {x} is used by both sides of a context split "
-                    f"in {S.print_term(term)}")
+                    f"in {S.print_term(t)}")
             if in_l:
                 left_idx.append(i)
             elif in_r:
@@ -149,7 +168,7 @@ class _Checker:
                 right_idx.append(i)
             else:
                 raise LinearViolation(
-                    f"variable {x} is never used in {S.print_term(term)}")
+                    f"variable {x} is never used in {S.print_term(t)}")
         mk = lambda idx: tuple(ctx[i] for i in idx)
         plan = SplitPlan(
             left=tuple(ctx[i][0] for i in left_idx),
@@ -158,22 +177,7 @@ class _Checker:
         )
         return mk(left_idx), mk(right_idx), plan
 
-    def split_for(self, ctx: Context, term: Term, left_term: Term,
-                  right_term: Term, bound_right: tuple[str, ...] = ()
-                  ) -> tuple[Context, Context, SplitPlan]:
-        fv_l = S.free_vars(left_term)
-        fv_r = S.free_vars(right_term) - set(bound_right)
-        return self.split(ctx, term, fv_l, fv_r,
-                          can_absorb(left_term),
-                          can_absorb(right_term))
-
     # -- bidirectional checking -------------------------------------------
-
-    def infer(self, ctx: Context, t: Term) -> Derivation:
-        return self._typecheck(ctx, t, None)
-
-    def check(self, ctx: Context, t: Term, a: Prop) -> Derivation:
-        return self._typecheck(ctx, t, a)
 
     def _mismatch(self, t: Term, got: Prop, want: Prop):
         raise TypeMismatch(
@@ -218,8 +222,8 @@ class _Checker:
             return Derivation("scal", ctx, t, d1.prop, (d1,))
 
         if isinstance(t, S.UnitElim):
-            lctx, rctx, plan = self.split_for(ctx, t, t.unit, t.body)
-            d1 = self.check(lctx, t.unit, S.One())
+            lctx, rctx, plan = self.split(ctx, t, t.unit, ((t.body, ()),))
+            d1 = self._typecheck(lctx, t.unit, S.One())
             d2 = self._typecheck(rctx, t.body, want)
             return Derivation("one_e", ctx, t, d2.prop, (d1, d2), plan)
 
@@ -240,29 +244,20 @@ class _Checker:
                     raise TypeMismatch(
                         f"annotation {S.print_prop(ann)} does not match "
                         f"expected {S.print_prop(want)}")
-            if any(x == t.var for x, _ in ctx):
-                raise TypingError(f"binder {t.var} shadows a context variable")
             body_want = want.right if isinstance(want, S.Lollipop) else None
-            d1 = self._typecheck(ctx + ((t.var, ann),), t.body, body_want)
-            return Derivation("lolli_i", ctx, t, S.Lollipop(ann, d1.prop), (d1,))
+            return self._lolli_i(ctx, t, ann, body_want)
 
         if isinstance(t, S.App):
-            lctx, rctx, plan = self.split_for(ctx, t, t.fn, t.arg)
+            lctx, rctx, plan = self.split(ctx, t, t.fn, ((t.arg, ()),))
             try:
-                d1 = self.infer(lctx, t.fn)
+                d1 = self._typecheck(lctx, t.fn, None)
             except AmbiguousType:
                 # redex-style application: type the argument first
-                d2 = self.infer(rctx, t.arg)
+                d2 = self._typecheck(rctx, t.arg, None)
                 if want is not None:
-                    d1 = self.check(lctx, t.fn, S.Lollipop(d2.prop, want))
+                    d1 = self._typecheck(lctx, t.fn, S.Lollipop(d2.prop, want))
                 elif isinstance(t.fn, S.Lam) and t.fn.ann is None:
-                    fn = t.fn
-                    if any(x == fn.var for x, _ in lctx):
-                        raise TypingError(
-                            f"binder {fn.var} shadows a context variable")
-                    dbody = self.infer(lctx + ((fn.var, d2.prop),), fn.body)
-                    d1 = Derivation("lolli_i", lctx, fn,
-                                    S.Lollipop(d2.prop, dbody.prop), (dbody,))
+                    d1 = self._lolli_i(lctx, t.fn, d2.prop, None)
                 else:
                     raise
             else:
@@ -270,11 +265,11 @@ class _Checker:
                     raise TypeMismatch(
                         f"{S.print_term(t.fn)} has type {S.print_prop(d1.prop)}, "
                         f"which is not a function type")
-                d2 = self.check(rctx, t.arg, d1.prop.left)
+                d2 = self._typecheck(rctx, t.arg, d1.prop.left)
             return Derivation("lolli_e", ctx, t, d1.prop.right, (d1, d2), plan)
 
         if isinstance(t, S.Tens):
-            lctx, rctx, plan = self.split_for(ctx, t, t.left, t.right)
+            lctx, rctx, plan = self.split(ctx, t, t.left, ((t.right, ()),))
             lw = want.left if isinstance(want, S.Tensor) else None
             rw = want.right if isinstance(want, S.Tensor) else None
             d1 = self._typecheck(lctx, t.left, lw)
@@ -283,9 +278,9 @@ class _Checker:
                               (d1, d2), plan)
 
         if isinstance(t, S.TensElim):
-            lctx, rctx, plan = self.split_for(
-                ctx, t, t.pair, t.body, bound_right=(t.left_var, t.right_var))
-            d1 = self.infer(lctx, t.pair)
+            lctx, rctx, plan = self.split(
+                ctx, t, t.pair, ((t.body, (t.left_var, t.right_var)),))
+            d1 = self._typecheck(lctx, t.pair, None)
             if not isinstance(d1.prop, S.Tensor):
                 raise TypeMismatch(
                     f"{S.print_term(t.pair)} has type {S.print_prop(d1.prop)}, "
@@ -306,10 +301,8 @@ class _Checker:
                 raise AmbiguousType(
                     f"cannot infer the result type of {S.print_term(t)}; "
                     f"annotate as zero_elim{{C}}(t)")
-            fv = S.free_vars(t.absurd)
-            lctx, rctx, plan = self.split(ctx, t, fv, frozenset(),
-                                          can_absorb(t.absurd), True)
-            d1 = self.check(lctx, t.absurd, S.Zero())
+            lctx, _, plan = self.split(ctx, t, t.absurd)
+            d1 = self._typecheck(lctx, t.absurd, S.Zero())
             return Derivation("zero_e", ctx, t, ann, (d1,), plan)
 
         if type(t) in S._PAIR_PROP:
@@ -324,7 +317,7 @@ class _Checker:
         if type(t) in S._PROJECTION:
             pair, side = S._PROJECTION[type(t)]
             conn = S._PAIR_PROP[pair]
-            d1 = self.infer(ctx, t.pair)
+            d1 = self._typecheck(ctx, t.pair, None)
             if not isinstance(d1.prop, conn):
                 noun = "with-pair" if conn is S.With else "sup-pair"
                 raise TypeMismatch(
@@ -333,29 +326,21 @@ class _Checker:
             return Derivation(_PROJECTION_RULES[type(t)], ctx, t,
                               getattr(d1.prop, side), (d1,))
 
-        if isinstance(t, S.Inl):
-            right = t.ann
-            if right is None:
-                if not isinstance(want, S.Plus):
+        if type(t) in _INJECTION_RULES:
+            rule, form = _INJECTION_RULES[type(t)]
+            side, other = S._INJECTIONS[type(t)]
+            plus = want if isinstance(want, S.Plus) else None
+            absent = t.ann
+            if absent is None:
+                if plus is None:
                     raise AmbiguousType(
-                        f"cannot infer the right component of {S.print_term(t)}; "
-                        f"annotate as inl{{B}}(t)")
-                right = want.right
-            lw = want.left if isinstance(want, S.Plus) else None
-            d1 = self._typecheck(ctx, t.body, lw)
-            return Derivation("plus_i1", ctx, t, S.Plus(d1.prop, right), (d1,))
-
-        if isinstance(t, S.Inr):
-            left = t.ann
-            if left is None:
-                if not isinstance(want, S.Plus):
-                    raise AmbiguousType(
-                        f"cannot infer the left component of {S.print_term(t)}; "
-                        f"annotate as inr{{A}}(t)")
-                left = want.left
-            rw = want.right if isinstance(want, S.Plus) else None
-            d1 = self._typecheck(ctx, t.body, rw)
-            return Derivation("plus_i2", ctx, t, S.Plus(left, d1.prop), (d1,))
+                        f"cannot infer the {other} component of "
+                        f"{S.print_term(t)}; annotate as {form}")
+                absent = getattr(plus, other)
+            d1 = self._typecheck(ctx, t.body,
+                                 None if plus is None else getattr(plus, side))
+            return Derivation(rule, ctx, t,
+                              S.Plus(**{side: d1.prop, other: absent}), (d1,))
 
         if isinstance(t, S.Case):
             return self._branching(ctx, t, want, "plus_e", S.Plus)
@@ -368,14 +353,19 @@ class _Checker:
 
         raise TypingError(f"cannot type {t!r}")
 
+    def _lolli_i(self, ctx: Context, t: S.Lam, ann: Prop,
+                 body_want: Optional[Prop]) -> Derivation:
+        """The lambda introduction of t, its binder at type ann."""
+        if any(x == t.var for x, _ in ctx):
+            raise TypingError(f"binder {t.var} shadows a context variable")
+        d1 = self._typecheck(ctx + ((t.var, ann),), t.body, body_want)
+        return Derivation("lolli_i", ctx, t, S.Lollipop(ann, d1.prop), (d1,))
+
     def _branching(self, ctx: Context, t, want, rule: str, conn) -> Derivation:
-        branch_fv = (S.free_vars(t.left_body) - {t.left_var}) | (
-            S.free_vars(t.right_body) - {t.right_var})
-        scrut_fv = S.free_vars(t.scrutinee)
-        branches_absorb = can_absorb(t.left_body) and can_absorb(t.right_body)
-        lctx, rctx, plan = self.split(ctx, t, scrut_fv, branch_fv,
-                                      can_absorb(t.scrutinee), branches_absorb)
-        d1 = self.infer(lctx, t.scrutinee)
+        lctx, rctx, plan = self.split(
+            ctx, t, t.scrutinee, ((t.left_body, (t.left_var,)),
+                                  (t.right_body, (t.right_var,))))
+        d1 = self._typecheck(lctx, t.scrutinee, None)
         if not isinstance(d1.prop, conn):
             raise TypeMismatch(
                 f"{S.print_term(t.scrutinee)} has type {S.print_prop(d1.prop)}, "
@@ -418,10 +408,10 @@ def validate(d: Derivation, semiring: Semiring = QNN) -> ValidationReport:
     that all split plans are coherent partitions of their ambient contexts.
 
     The root judgment is re-typechecked once, and d is walked together with
-    the fresh derivation: at each node the rule tag, the number of premises
-    and the premises' judgments must agree.  A subtree is re-checked on its
-    own only where its judgment already differs from the checker's, which
-    happens only in an invalid derivation."""
+    the fresh derivation: at each node the rule tag, the split plan, the
+    number of premises and the premises' judgments must agree.  A subtree
+    is re-checked on its own only where its judgment already differs from
+    the checker's, which happens only in an invalid derivation."""
     problems: list[str] = []
     _validate(d, None, semiring, problems)
     return ValidationReport(not problems, problems)
@@ -454,6 +444,9 @@ def _validate(d: Derivation, redone: Optional[Derivation], sr: Semiring,
         except TypingError as exc:
             problems.append(f"node does not re-check: {exc}")
             return
+    if d.split != redone.split:
+        problems.append(f"split plan of {d.rule} is not the checker's "
+                        f"{redone.split}")
     if redone.rule != d.rule:
         problems.append(f"rule tag {d.rule} does not match schema {redone.rule}")
     elif len(d.children) != len(redone.children):

@@ -58,7 +58,6 @@ class Interp:
 class _Denoter:
     def __init__(self, semiring: Semiring):
         self.sr = semiring
-        self.memo: dict[int, Mat] = {}
 
     def ctx_dims(self, ctx: TC.Context) -> list[int]:
         return [denote_prop(a) for _, a in ctx]
@@ -76,16 +75,12 @@ class _Denoter:
         return M.perm_mat(dims, order, self.sr)
 
     def go(self, d: TC.Derivation) -> Mat:
-        key = id(d)
-        if key in self.memo:
-            return self.memo[key]
         mat = self._clause(d)
         want_shape = (denote_prop(d.prop), denote_ctx(d.ctx))
         if (mat.rows, mat.cols) != want_shape:
             raise M.ShapeMismatch(
                 f"internal: rule {d.rule} produced {mat.rows}x{mat.cols}, "
                 f"expected {want_shape[0]}x{want_shape[1]}")
-        self.memo[key] = mat
         return mat
 
     def _clause(self, d: TC.Derivation) -> Mat:
@@ -178,7 +173,7 @@ class _Denoter:
 
 
 def denote(d: TC.Derivation, semiring: Semiring = QNN) -> Interp:
-    """Interpret a typing derivation as a matrix (memoized per node)."""
+    """Interpret a typing derivation as a matrix, one clause per node."""
     mat = _Denoter(semiring).go(d)
     return Interp(d, denote_ctx(d.ctx), denote_prop(d.prop), mat)
 

@@ -87,10 +87,8 @@ class TermGenerator:
             options += ["tens"] * 2
         if isinstance(a, S.Lollipop):
             options += ["lam"] * 3
-        if isinstance(a, S.With):
+        if type(a) in S._PAIRS:
             options += ["pair"] * 2
-        if isinstance(a, S.Sup):
-            options += ["sup"] * 2
         if isinstance(a, S.Plus):
             options += ["inl", "inr"]
         options += ["sum", "scal"]
@@ -100,6 +98,7 @@ class TermGenerator:
             options += ["sup_elim", "sup_elim"]
 
         pick = rng.choice(options)
+        cls = S._KEYWORD_CLASS.get(pick)
         d = depth - 1
 
         if pick == "var":
@@ -115,15 +114,13 @@ class TermGenerator:
             return S.Lam(x, self.generate(ctx + ((x, a.left),), a.right, d),
                          a.left)
         if pick == "pair":
-            return S.Pair(self.generate(ctx, a.left, d),
-                          self.generate(ctx, a.right, d))
-        if pick == "sup":
-            return S.SupPair(self.generate(ctx, a.left, d),
-                             self.generate(ctx, a.right, d))
-        if pick == "inl":
-            return S.Inl(self.generate(ctx, a.left, d), a.right)
-        if pick == "inr":
-            return S.Inr(self.generate(ctx, a.right, d), a.left)
+            pair = S._PAIRS[type(a)][0]
+            return pair(self.generate(ctx, a.left, d),
+                        self.generate(ctx, a.right, d))
+        if cls in S._INJECTIONS:
+            side, other = S._INJECTIONS[cls]
+            return cls(self.generate(ctx, getattr(a, side), d),
+                       getattr(a, other))
         if pick == "sum":
             return S.Sum(self.generate(ctx, a, d), self.generate(ctx, a, d))
         if pick == "scal":
@@ -137,15 +134,11 @@ class TermGenerator:
             arg_t = self.random_prop(1)
             return S.App(self.generate(c1, S.Lollipop(arg_t, a), d),
                          self.generate(c2, arg_t, d))
-        if pick in ("fst", "snd"):
+        if cls in S._PROJECTION:
+            pair, side = S._PROJECTION[cls]
             other = self.random_prop(1)
-            pairtype = S.With(a, other) if pick == "fst" else S.With(other, a)
-            cls = S.Fst if pick == "fst" else S.Snd
-            return cls(self.generate(ctx, pairtype, d))
-        if pick in ("supfst", "supsnd"):
-            other = self.random_prop(1)
-            pairtype = S.Sup(a, other) if pick == "supfst" else S.Sup(other, a)
-            cls = S.SupFst if pick == "supfst" else S.SupSnd
+            conn = S._PAIR_PROP[pair]
+            pairtype = conn(a, other) if side == "left" else conn(other, a)
             return cls(self.generate(ctx, pairtype, d))
         if pick == "let_tens":
             c1, c2 = self._split_ctx(ctx)

@@ -114,14 +114,6 @@ def add(f: Mat, g: Mat) -> Mat:
                [sr.add(a, b) for a, b in zip(f.entries, g.entries)], sr)
 
 
-def apply_vec(f: Mat, vec: list) -> list:
-    if len(vec) != f.cols:
-        raise ShapeMismatch("apply_vec: length mismatch")
-    sr = f.sr
-    return [sr.sum([sr.mul(f.at(i, j), vec[j]) for j in range(f.cols)])
-            for i in range(f.rows)]
-
-
 # ---------------------------------------------------------------------------
 # Monoidal structure
 

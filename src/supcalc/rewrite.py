@@ -1,9 +1,12 @@
 """Small-step reduction, normalization, and probabilistic runs.
 
 There are 25 contraction rules: 11 value/redex contractions and 14
-commutations that push sums and scalar products toward introductions.
-Every rule is closed under arbitrary term contexts.  The two sup-elim
-contractions carry their branch weights; all other steps have weight 1.
+commutations of sums and scalar products, which come in two shapes.  A sum
+or a scalar product of introductions (``star``, ``lam``, ``unit``, ``pair``,
+``sup``) moves inside the introduction; an eliminator (``let_tens``,
+``case``) over a sum or a scalar product moves outside it.  Every rule is
+closed under arbitrary term contexts.  The two sup-elim contractions carry
+their branch weights; all other steps have weight 1.
 
 The base strategy everywhere is leftmost-outermost: the first redex in a
 preorder traversal.  Strong normalization of well-typed terms makes
@@ -79,20 +82,37 @@ class Step:
 _PROJECTION_RULES = {S.Fst: "fst", S.Snd: "snd",
                      S.SupFst: "supfst", S.SupSnd: "supsnd"}
 
+# the rule contracting a case of each injection, and the branch it selects
+_CASE_RULES = {S.Inl: ("case_inl", "left_var", "left_body"),
+               S.Inr: ("case_inr", "right_var", "right_body")}
 
-def _merge_lams(a: S.Lam, b: S.Lam, make) -> Term:
-    """Combine two abstractions under a shared binder, renaming apart."""
+# The two commutation shapes.  sum(I(..), I(..)) and scal(s, I(..)) contract
+# to the introduction I of the subterms' sums or scalar products; each I and
+# its rules for a sum and for a scalar product:
+_INTRODUCTIONS = {
+    S.Star: ("sum_star", "scal_star"), S.Lam: ("sum_lam", "scal_lam"),
+    S.Unit: ("sum_unit", "scal_unit"), S.Pair: ("sum_pair", "scal_pair"),
+    S.SupPair: ("sum_sup", "scal_sup"),
+}
+# E(sum(a, b)) contracts to sum(E(a), E(b)), and E(scal(s, a)) to
+# scal(s, E(a)); each eliminator E, its eliminated field and its rules:
+_ELIMINATORS = {S.TensElim: ("pair", "sum_tens_elim", "scal_tens_elim"),
+                S.Case: ("scrutinee", "sum_case", "scal_case")}
+
+
+def _merge_lams(a: S.Lam, b: S.Lam) -> Term:
+    """The sum of two abstractions under a shared binder, renaming apart."""
     ann = a.ann if a.ann is not None else b.ann
     if a.var == b.var:
-        return S.Lam(a.var, make(a.body, b.body), ann)
+        return S.Lam(a.var, S.Sum(a.body, b.body), ann)
     if a.var not in S.free_vars(b.body):
         nb = S.substitute(S.Var(a.var), b.var, b.body)
-        return S.Lam(a.var, make(a.body, nb), ann)
+        return S.Lam(a.var, S.Sum(a.body, nb), ann)
     taken = S.free_vars(a.body) | S.free_vars(b.body)
     z = S.fresh_name(a.var, taken)
     na = S.substitute(S.Var(z), a.var, a.body)
     nb = S.substitute(S.Var(z), b.var, b.body)
-    return S.Lam(z, make(na, nb), ann)
+    return S.Lam(z, S.Sum(na, nb), ann)
 
 
 def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
@@ -101,59 +121,68 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
     Deterministic redexes give one triple; a sup-elimination of a sup-pair
     gives both branches.
     """
-    sr = semiring
-    one = sr.one
+    one = semiring.one
+    cls = type(t)
 
-    if isinstance(t, S.UnitElim) and isinstance(t.unit, S.Star):
+    if cls is S.Sum:
+        a, b = t.left, t.right
+        kind = type(a)
+        if kind is not type(b) or kind not in _INTRODUCTIONS:
+            return []
+        if kind is S.Star:
+            out = S.Star(semiring.add(a.scalar, b.scalar))
+        elif kind is S.Lam:
+            out = _merge_lams(a, b)
+        else:
+            out = S._rebuild(a, {n: S.Sum(getattr(a, n), getattr(b, n))
+                                 for n in S._CHILDREN[kind]})
+        return [(_INTRODUCTIONS[kind][0], one, out)]
+
+    if cls is S.Scal:
+        s, a = t.scalar, t.body
+        kind = type(a)
+        if kind not in _INTRODUCTIONS:
+            return []
+        if kind is S.Star:
+            out = S.Star(semiring.mul(s, a.scalar))
+        else:
+            out = S._rebuild(a, {n: S.Scal(s, getattr(a, n))
+                                 for n in S._CHILDREN[kind]})
+        return [(_INTRODUCTIONS[kind][1], one, out)]
+
+    if cls in _ELIMINATORS:
+        field, sum_rule, scal_rule = _ELIMINATORS[cls]
+        arg = getattr(t, field)
+        kind = type(arg)
+        if kind is S.Sum:
+            return [(sum_rule, one, S.Sum(S._rebuild(t, {field: arg.left}),
+                                          S._rebuild(t, {field: arg.right})))]
+        if kind is S.Scal:
+            return [(scal_rule, one, S.Scal(
+                arg.scalar, S._rebuild(t, {field: arg.body})))]
+        if cls is S.TensElim and kind is S.Tens:
+            out = S.subst_parallel(t.body, {t.left_var: arg.left,
+                                            t.right_var: arg.right})
+            return [("tens_elim", one, out)]
+        if cls is S.Case and kind in _CASE_RULES:
+            rule, var, body = _CASE_RULES[kind]
+            return [(rule, one, S.substitute(arg.body, getattr(t, var),
+                                             getattr(t, body)))]
+        return []
+
+    if cls is S.UnitElim and type(t.unit) is S.Star:
         return [("unit_elim", one, S.Scal(t.unit.scalar, t.body))]
 
-    if isinstance(t, S.TensElim):
-        scrut = t.pair
-        if isinstance(scrut, S.Tens):
-            out = S.subst_parallel(t.body, {t.left_var: scrut.left,
-                                            t.right_var: scrut.right})
-            return [("tens_elim", one, out)]
-        if isinstance(scrut, S.Sum):
-            return [("sum_tens_elim", one, S.Sum(
-                S.TensElim(scrut.left, t.left_var, t.right_var, t.body),
-                S.TensElim(scrut.right, t.left_var, t.right_var, t.body)))]
-        if isinstance(scrut, S.Scal):
-            return [("scal_tens_elim", one, S.Scal(
-                scrut.scalar,
-                S.TensElim(scrut.body, t.left_var, t.right_var, t.body)))]
-        return []
-
-    if isinstance(t, S.App) and isinstance(t.fn, S.Lam):
+    if cls is S.App and type(t.fn) is S.Lam:
         return [("apply", one, S.substitute(t.arg, t.fn.var, t.fn.body))]
 
-    if type(t) in S._PROJECTION:
-        pair, side = S._PROJECTION[type(t)]
-        if not isinstance(t.pair, pair):
+    if cls in S._PROJECTION:
+        pair, side = S._PROJECTION[cls]
+        if type(t.pair) is not pair:
             return []
-        return [(_PROJECTION_RULES[type(t)], one, getattr(t.pair, side))]
+        return [(_PROJECTION_RULES[cls], one, getattr(t.pair, side))]
 
-    if isinstance(t, S.Case):
-        scrut = t.scrutinee
-        if isinstance(scrut, S.Inl):
-            return [("case_inl", one,
-                     S.substitute(scrut.body, t.left_var, t.left_body))]
-        if isinstance(scrut, S.Inr):
-            return [("case_inr", one,
-                     S.substitute(scrut.body, t.right_var, t.right_body))]
-        if isinstance(scrut, S.Sum):
-            return [("sum_case", one, S.Sum(
-                S.Case(scrut.left, t.left_var, t.left_body,
-                       t.right_var, t.right_body),
-                S.Case(scrut.right, t.left_var, t.left_body,
-                       t.right_var, t.right_body)))]
-        if isinstance(scrut, S.Scal):
-            return [("scal_case", one, S.Scal(
-                scrut.scalar,
-                S.Case(scrut.body, t.left_var, t.left_body,
-                       t.right_var, t.right_body)))]
-        return []
-
-    if isinstance(t, S.SupElim) and isinstance(t.scrutinee, S.SupPair):
+    if cls is S.SupElim and type(t.scrutinee) is S.SupPair:
         scrut = t.scrutinee
         return [
             ("sup_elim_left", t.p,
@@ -161,34 +190,6 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
             ("sup_elim_right", t.q,
              S.substitute(scrut.right, t.right_var, t.right_body)),
         ]
-
-    if isinstance(t, S.Sum):
-        a, b = t.left, t.right
-        if isinstance(a, S.Star) and isinstance(b, S.Star):
-            return [("sum_star", one, S.Star(sr.add(a.scalar, b.scalar)))]
-        if isinstance(a, S.Lam) and isinstance(b, S.Lam):
-            return [("sum_lam", one, _merge_lams(a, b, S.Sum))]
-        if isinstance(a, S.Unit) and isinstance(b, S.Unit):
-            return [("sum_unit", one, S.Unit())]
-        if type(a) in S._PAIR_PROP and type(b) is type(a):
-            rule = "sum_pair" if type(a) is S.Pair else "sum_sup"
-            return [(rule, one, type(a)(S.Sum(a.left, b.left),
-                                        S.Sum(a.right, b.right)))]
-        return []
-
-    if isinstance(t, S.Scal):
-        s, a = t.scalar, t.body
-        if isinstance(a, S.Star):
-            return [("scal_star", one, S.Star(sr.mul(s, a.scalar)))]
-        if isinstance(a, S.Lam):
-            return [("scal_lam", one, S.Lam(a.var, S.Scal(s, a.body), a.ann))]
-        if isinstance(a, S.Unit):
-            return [("scal_unit", one, S.Unit())]
-        if type(a) in S._PAIR_PROP:
-            rule = "scal_pair" if type(a) is S.Pair else "scal_sup"
-            return [(rule, one, type(a)(S.Scal(s, a.left),
-                                        S.Scal(s, a.right)))]
-        return []
 
     return []
 

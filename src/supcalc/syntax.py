@@ -257,6 +257,10 @@ _PAIR_PROP = {pair: conn for conn, (pair, _, _) in _PAIRS.items()}
 _PROJECTION = {proj: (pair, side) for pair, fst, snd in _PAIRS.values()
                for proj, side in ((fst, "left"), (snd, "right"))}
 
+# Each injection into a plus: the side its body fills, and the other side,
+# which its annotation names.
+_INJECTIONS = {Inl: ("left", "right"), Inr: ("right", "left")}
+
 
 def subterm_fields(t: Term) -> tuple[str, ...]:
     return _CHILDREN[type(t)]

@@ -114,8 +114,14 @@ def test_annotation_mismatch():
 
 
 def test_bare_injection_needs_a_goal():
-    with pytest.raises(C.AmbiguousType):
+    with pytest.raises(C.AmbiguousType) as info:
         check("inl(star(1))")
+    assert str(info.value) == ("cannot infer the right component of "
+                               "inl(star(1)); annotate as inl{B}(t)")
+    with pytest.raises(C.AmbiguousType) as info:
+        check("inr(star(1))")
+    assert str(info.value) == ("cannot infer the left component of "
+                               "inr(star(1)); annotate as inr{A}(t)")
     assert check("inl(star(1))", "one (+) top").prop == \
         sc.parse_prop("one (+) top")
     assert check("inl{top}(star(1))").prop == sc.parse_prop("one (+) top")
@@ -134,6 +140,11 @@ def test_curried_redex_application():
 def test_binder_shadowing_rejected():
     with pytest.raises(C.TypingError):
         check("lam(x,lam(x,unit_elim(x,x)))", "one -o one -o one")
+    # the bare function of a redex absorbs x, which its binder then shadows
+    with pytest.raises(C.TypingError) as info:
+        check("app(lam(x,unit_elim(x,unit)),star(1))", ctx_src="x:top")
+    assert type(info.value) is C.TypingError
+    assert str(info.value) == "binder x shadows a context variable"
 
 
 def test_duplicate_context_rejected():
@@ -167,6 +178,17 @@ def test_validate_rejects_dropped_split_variable():
     report = sc.validate(bad)
     assert not report.ok
     assert any("exhaust" in p or "permutation" in p for p in report.problems)
+
+
+def test_validate_rejects_a_coherent_plan_that_is_not_the_checkers():
+    d = check("tens(y,x)", ctx_src="x:one & one, y:one & one")
+    assert d.split == C.SplitPlan(("y",), ("x",), (1, 0))
+    wrong = replace(d, split=C.SplitPlan(("x",), ("y",), (0, 1)))
+    # coherent, but it routes x to y's premise: it denotes the identity
+    # where the term denotes the swap
+    assert not sc.denote(wrong).matrix.equal(sc.denote(d).matrix)
+    assert not sc.validate(wrong).ok
+    assert not sc.validate(replace(d, split=None)).ok
 
 
 def test_validate_rejects_wrong_rule_tag():
@@ -203,6 +225,11 @@ def _mutants(n):
     if n.split is not None and len(n.split.perm) > 1:
         perm = tuple(reversed(n.split.perm))
         yield "split permutation", replace(n, split=replace(n.split, perm=perm))
+    if n.split is not None and (n.split.left or n.split.right):
+        names = [x for x, _ in n.ctx]
+        left, right = n.split.right, n.split.left
+        perm = tuple(names.index(x) for x in left + right)
+        yield "swapped parts", replace(n, split=C.SplitPlan(left, right, perm))
     if n.ctx:
         yield "context entry", replace(n, ctx=n.ctx[:-1])
 
@@ -221,7 +248,7 @@ def test_validate_rejects_every_mutant(corpus_entries):
                 report = sc.validate(_put(d, path, mutant))
                 assert not report.ok, (kind, path, sc.print_term(d.term))
                 assert report.problems
-    assert len(kinds) == 6
+    assert len(kinds) == 7
 
 
 def test_validate_typechecks_a_valid_derivation_once(monkeypatch):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+
+import pytest
+
 import supcalc as sc
 from supcalc import syntax as S
 from supcalc.gen import TermGenerator
@@ -52,3 +56,20 @@ def test_generated_contexts_are_consumed():
         t = gen.generate(ctx, a, 4)
         d = sc.typecheck(ctx, t, a)
         assert d.prop == a
+
+
+@pytest.mark.parametrize("allow_sup_elim, digest", [
+    (True, "d9550f1e96f5b06f7b73c207f61b2bd02e803c212fd49a43ebd2d85f70bbabc5"),
+    (False, "a9cae4fcc9939066152bf65a671255f935b4caaa1b0bca9dcc5b112161bd06b9"),
+])
+def test_generated_terms_are_pinned(allow_sup_elim, digest):
+    """The benchmark's inputs come from this draw order: any change to the
+    generator's choices shows as a new digest."""
+    h = hashlib.sha256()
+    for seed in (0, 5, 11):
+        gen = TermGenerator(seed=seed, allow_sup_elim=allow_sup_elim,
+                            max_depth=4)
+        for _ in range(40):
+            t, a = gen.closed()
+            h.update(f"{sc.print_term(t)} : {sc.print_prop(a)}\n".encode())
+    assert h.hexdigest() == digest

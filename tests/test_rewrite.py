@@ -326,6 +326,141 @@ def test_elim_contexts_separate_the_adequacy_pair_targets():
 
 
 # ---------------------------------------------------------------------------
+# contract against a reference that spells out each of the 25 rules as its
+# own clause
+
+
+def _ref_merge_lams(a, b, make):
+    """Combine two abstractions under a shared binder, renaming apart."""
+    ann = a.ann if a.ann is not None else b.ann
+    if a.var == b.var:
+        return S.Lam(a.var, make(a.body, b.body), ann)
+    if a.var not in S.free_vars(b.body):
+        nb = S.substitute(S.Var(a.var), b.var, b.body)
+        return S.Lam(a.var, make(a.body, nb), ann)
+    taken = S.free_vars(a.body) | S.free_vars(b.body)
+    z = S.fresh_name(a.var, taken)
+    na = S.substitute(S.Var(z), a.var, a.body)
+    nb = S.substitute(S.Var(z), b.var, b.body)
+    return S.Lam(z, make(na, nb), ann)
+
+
+def _ref_contract(t, semiring):
+    """contract as a chain of 25 clauses, one per rule."""
+    sr = semiring
+    one = sr.one
+
+    if isinstance(t, S.UnitElim) and isinstance(t.unit, S.Star):
+        return [("unit_elim", one, S.Scal(t.unit.scalar, t.body))]
+
+    if isinstance(t, S.TensElim):
+        scrut = t.pair
+        if isinstance(scrut, S.Tens):
+            out = S.subst_parallel(t.body, {t.left_var: scrut.left,
+                                            t.right_var: scrut.right})
+            return [("tens_elim", one, out)]
+        if isinstance(scrut, S.Sum):
+            return [("sum_tens_elim", one, S.Sum(
+                S.TensElim(scrut.left, t.left_var, t.right_var, t.body),
+                S.TensElim(scrut.right, t.left_var, t.right_var, t.body)))]
+        if isinstance(scrut, S.Scal):
+            return [("scal_tens_elim", one, S.Scal(
+                scrut.scalar,
+                S.TensElim(scrut.body, t.left_var, t.right_var, t.body)))]
+        return []
+
+    if isinstance(t, S.App) and isinstance(t.fn, S.Lam):
+        return [("apply", one, S.substitute(t.arg, t.fn.var, t.fn.body))]
+
+    if isinstance(t, S.Fst) and isinstance(t.pair, S.Pair):
+        return [("fst", one, t.pair.left)]
+    if isinstance(t, S.Snd) and isinstance(t.pair, S.Pair):
+        return [("snd", one, t.pair.right)]
+
+    if isinstance(t, S.Case):
+        scrut = t.scrutinee
+        if isinstance(scrut, S.Inl):
+            return [("case_inl", one,
+                     S.substitute(scrut.body, t.left_var, t.left_body))]
+        if isinstance(scrut, S.Inr):
+            return [("case_inr", one,
+                     S.substitute(scrut.body, t.right_var, t.right_body))]
+        if isinstance(scrut, S.Sum):
+            return [("sum_case", one, S.Sum(
+                S.Case(scrut.left, t.left_var, t.left_body,
+                       t.right_var, t.right_body),
+                S.Case(scrut.right, t.left_var, t.left_body,
+                       t.right_var, t.right_body)))]
+        if isinstance(scrut, S.Scal):
+            return [("scal_case", one, S.Scal(
+                scrut.scalar,
+                S.Case(scrut.body, t.left_var, t.left_body,
+                       t.right_var, t.right_body)))]
+        return []
+
+    if isinstance(t, S.SupFst) and isinstance(t.pair, S.SupPair):
+        return [("supfst", one, t.pair.left)]
+    if isinstance(t, S.SupSnd) and isinstance(t.pair, S.SupPair):
+        return [("supsnd", one, t.pair.right)]
+
+    if isinstance(t, S.SupElim) and isinstance(t.scrutinee, S.SupPair):
+        scrut = t.scrutinee
+        return [
+            ("sup_elim_left", t.p,
+             S.substitute(scrut.left, t.left_var, t.left_body)),
+            ("sup_elim_right", t.q,
+             S.substitute(scrut.right, t.right_var, t.right_body)),
+        ]
+
+    if isinstance(t, S.Sum):
+        a, b = t.left, t.right
+        if isinstance(a, S.Star) and isinstance(b, S.Star):
+            return [("sum_star", one, S.Star(sr.add(a.scalar, b.scalar)))]
+        if isinstance(a, S.Lam) and isinstance(b, S.Lam):
+            return [("sum_lam", one, _ref_merge_lams(a, b, S.Sum))]
+        if isinstance(a, S.Unit) and isinstance(b, S.Unit):
+            return [("sum_unit", one, S.Unit())]
+        if isinstance(a, S.Pair) and isinstance(b, S.Pair):
+            return [("sum_pair", one, S.Pair(S.Sum(a.left, b.left),
+                                             S.Sum(a.right, b.right)))]
+        if isinstance(a, S.SupPair) and isinstance(b, S.SupPair):
+            return [("sum_sup", one, S.SupPair(S.Sum(a.left, b.left),
+                                               S.Sum(a.right, b.right)))]
+        return []
+
+    if isinstance(t, S.Scal):
+        s, a = t.scalar, t.body
+        if isinstance(a, S.Star):
+            return [("scal_star", one, S.Star(sr.mul(s, a.scalar)))]
+        if isinstance(a, S.Lam):
+            return [("scal_lam", one, S.Lam(a.var, S.Scal(s, a.body), a.ann))]
+        if isinstance(a, S.Unit):
+            return [("scal_unit", one, S.Unit())]
+        if isinstance(a, S.Pair):
+            return [("scal_pair", one, S.Pair(S.Scal(s, a.left),
+                                              S.Scal(s, a.right)))]
+        if isinstance(a, S.SupPair):
+            return [("scal_sup", one, S.SupPair(S.Scal(s, a.left),
+                                                S.Scal(s, a.right)))]
+        return []
+
+    return []
+
+
+def test_contract_matches_the_clause_per_rule_reference(corpus_entries):
+    gen = TermGenerator(seed=11, allow_sup_elim=True, max_depth=4)
+    terms = [e.term for e in corpus_entries]
+    terms += [gen.closed()[0] for _ in range(300)]
+    fired = set()
+    for t in terms:
+        for _, u in S.subterms(t):
+            got = R.contract(u, SR)
+            assert got == _ref_contract(u, SR), sc.print_term(u)
+            fired.update(rule for rule, _, _ in got)
+    assert fired == set(R.ALL_RULES)
+
+
+# ---------------------------------------------------------------------------
 # differential check of the reduction loop against a naive reference that
 # rescans the whole term from the root on every step
 
