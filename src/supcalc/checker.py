@@ -115,19 +115,23 @@ _INJECTION_RULES = {S.Inl: ("plus_i1", "inl{B}(t)"),
 
 def can_absorb(t: Term) -> bool:
     """Whether a typing of t can consume context variables it never uses."""
+    return _absorbs(t, can_absorb)
+
+
+def _absorbs(t: Term, sub) -> bool:
+    """can_absorb(t), with ``sub`` deciding it for the subterms of t."""
     if isinstance(t, (S.Unit, S.ZeroElim)):
         return True
     if isinstance(t, (S.Case, S.SupElim)):
-        return can_absorb(t.scrutinee) or (
-            can_absorb(t.left_body) and can_absorb(t.right_body))
+        return sub(t.scrutinee) or (sub(t.left_body) and sub(t.right_body))
     names = S._CHILDREN[type(t)]
     if isinstance(t, (S.Tens, S.App, S.UnitElim, S.TensElim)):
         for n in names:
-            if can_absorb(getattr(t, n)):
+            if sub(getattr(t, n)):
                 return True
         return False
     for n in names:
-        if not can_absorb(getattr(t, n)):
+        if not sub(getattr(t, n)):
             return False
     return bool(names)
 
@@ -135,8 +139,35 @@ def can_absorb(t: Term) -> bool:
 class _Checker:
     def __init__(self, semiring: Semiring):
         self.sr = semiring
+        # per-node free variables and absorption, keyed by node identity;
+        # the checker lives for one typecheck call, which holds the term
+        self._free: dict[int, frozenset[str]] = {}
+        self._absorb: dict[int, bool] = {}
 
     # -- context splitting ------------------------------------------------
+
+    def free_vars(self, t: Term) -> frozenset[str]:
+        """S.free_vars(t), worked out once per node from its subterms'."""
+        fv = self._free.get(id(t))
+        if fv is None:
+            names = S.subterm_fields(t)
+            if not names:
+                fv = S.free_vars(t)
+            else:
+                acc: set[str] = set()
+                for n in names:
+                    acc |= self.free_vars(getattr(t, n)).difference(
+                        S.bound_names(t, n))
+                fv = frozenset(acc)
+            self._free[id(t)] = fv
+        return fv
+
+    def absorbs(self, t: Term) -> bool:
+        """can_absorb(t), decided once per node."""
+        ok = self._absorb.get(id(t))
+        if ok is None:
+            ok = self._absorb[id(t)] = _absorbs(t, self.absorbs)
+        return ok
 
     def split(self, ctx: Context, t: Term, left: Term,
               rights: tuple[tuple[Term, tuple[str, ...]], ...] = ()
@@ -144,12 +175,12 @@ class _Checker:
         """Split ctx for the node t between its left premise and its right
         premises, given as (term, names it binds) pairs, by the split rule
         stated above."""
-        fv_left = S.free_vars(left)
+        fv_left = self.free_vars(left)
         fv_right: set[str] = set()
         for r, bound in rights:
-            fv_right |= S.free_vars(r).difference(bound)
-        absorb_left = can_absorb(left)
-        absorb_right = all(can_absorb(r) for r, _ in rights)
+            fv_right |= self.free_vars(r).difference(bound)
+        absorb_left = self.absorbs(left)
+        absorb_right = all(self.absorbs(r) for r, _ in rights)
         left_idx: list[int] = []
         right_idx: list[int] = []
         for i, (x, _) in enumerate(ctx):

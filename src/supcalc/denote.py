@@ -62,17 +62,20 @@ class _Denoter:
     def ctx_dims(self, ctx: TC.Context) -> list[int]:
         return [denote_prop(a) for _, a in ctx]
 
-    def perm(self, d: TC.Derivation, swap_parts: bool = False) -> Mat:
-        """Permutation of the ambient context onto the premise order."""
+    def permuted(self, mat: Mat, d: TC.Derivation,
+                 swap_parts: bool = False) -> Mat:
+        """mat after the permutation of the ambient context onto the
+        premise order; an identity permutation is not built."""
         plan = d.split
-        dims = self.ctx_dims(d.ctx)
         if plan is None:
-            return M.identity(denote_ctx(d.ctx), self.sr)
+            return mat
         order = list(plan.perm)
         if swap_parts:
             k = len(plan.left)
             order = order[k:] + order[:k]
-        return M.perm_mat(dims, order, self.sr)
+        if order == sorted(order):
+            return mat
+        return M.compose(mat, M.perm_mat(self.ctx_dims(d.ctx), order, self.sr))
 
     def go(self, d: TC.Derivation) -> Mat:
         mat = self._clause(d)
@@ -92,7 +95,7 @@ class _Denoter:
             return M.identity(denote_prop(d.prop), sr)
 
         if rule == "one_i":
-            return Mat(1, 1, [d.term.scalar], sr)
+            return M.scalar_map(d.term.scalar, 1, sr)
 
         if rule == "sum":
             return M.add(self.go(kids[0]), self.go(kids[1]))
@@ -103,13 +106,13 @@ class _Denoter:
 
         if rule in ("one_e", "tens_i"):
             t, u = self.go(kids[0]), self.go(kids[1])
-            return M.compose(M.tensor_mat(t, u), self.perm(d))
+            return self.permuted(M.tensor_mat(t, u), d)
 
         if rule == "tens_e":
             t, u = self.go(kids[0]), self.go(kids[1])
             ddim = denote_ctx(kids[1].ctx[:len(d.split.right)])
             inner = M.compose(u, M.tensor_mat(M.identity(ddim, sr), t))
-            return M.compose(inner, self.perm(d, swap_parts=True))
+            return self.permuted(inner, d, swap_parts=True)
 
         if rule == "lolli_i":
             body = self.go(kids[0])
@@ -122,7 +125,7 @@ class _Denoter:
             fn_type = kids[0].prop
             a, b = denote_prop(fn_type.left), denote_prop(fn_type.right)
             ev = M.eval_map(a, b, sr)
-            return M.compose(ev, M.compose(M.tensor_mat(t, u), self.perm(d)))
+            return M.compose(ev, self.permuted(M.tensor_mat(t, u), d))
 
         if rule == "top_i":
             return Mat(0, denote_ctx(d.ctx), [], sr)
@@ -133,7 +136,7 @@ class _Denoter:
                 (x, a) for x, a in d.ctx if x in d.split.right))
             lifted = M.tensor_mat(t, M.identity(ddim, sr))
             out = M.compose(Mat(denote_prop(d.prop), 0, [], sr), lifted)
-            return M.compose(out, self.perm(d))
+            return self.permuted(out, d)
 
         if rule in ("with_i", "sup_i"):
             t, u = self.go(kids[0]), self.go(kids[1])
@@ -167,7 +170,7 @@ class _Denoter:
             else:
                 mix = M.weighted_codiag((d.term.p, d.term.q), c, sr)
             out = M.compose(branches, M.compose(dist, lifted))
-            return M.compose(M.compose(mix, out), self.perm(d))
+            return self.permuted(M.compose(mix, out), d)
 
         raise TypeError(f"no interpretation clause for rule {rule}")
 

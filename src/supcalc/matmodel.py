@@ -1,8 +1,25 @@
-"""Dense matrices over a semiring, with the monoidal/biproduct structure.
+"""Sparse matrices over a semiring, with the monoidal/biproduct structure.
 
 Objects are plain dimensions (the free semimodule S^n); a morphism
-S^cols -> S^rows is a dense row-major matrix.  Index conventions are fixed
-once and shared by every structural map:
+S^cols -> S^rows is a matrix stored row by row: ``data[i]`` is a dict from
+column to value holding the stored entries of row i, in ascending column
+order.  A cell that is not stored reads as the semiring's zero.  A stored
+cell holds exactly the value that the dense row-major model computes for
+it, and the dense model leaves every other cell equal to zero:
+
+* a matrix built from a dense list stores the entries that are not 0;
+* a product or Kronecker product stores a cell when a pair of nonzero
+  factors meets in it, and a sum the cells stored in either operand;
+* a structural map stores only its ones (or its scalars).
+
+So the dense view ``Mat.entries`` equals the dense model's entries, value
+for value and type for type, on every semiring.  A stored value may still
+be zero (a sum that cancels over q, a float within the f64 tolerance);
+products skip it by ``Semiring.is_zero`` where the dense product skips a
+zero cell.  Rows are never changed once a matrix holds them, so matrices
+share rows.
+
+Index conventions are fixed once and shared by every structural map:
 
 * tensor pairing is left major: idx(a (x) b) = idx(a) * dim(B) + idx(b);
 * the internal hom hom(A,B) is flattened as idx(i,j) = i * dim(A) + j,
@@ -19,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .semiring import QNN, Semiring, WeightPair, make_weight_pair
+from .semiring import QNN, Semiring, WeightPair
 
 
 class ShapeMismatch(Exception):
@@ -27,9 +44,12 @@ class ShapeMismatch(Exception):
 
 
 class Mat:
-    """A rows x cols matrix over a semiring; morphism S^cols -> S^rows."""
+    """A rows x cols matrix over a semiring; morphism S^cols -> S^rows.
 
-    __slots__ = ("rows", "cols", "entries", "sr")
+    Built from a dense row-major list of entries; ``data`` holds its rows
+    as described in the module docstring."""
+
+    __slots__ = ("rows", "cols", "data", "sr")
 
     def __init__(self, rows: int, cols: int, entries, sr: Semiring):
         entries = list(entries)
@@ -39,20 +59,37 @@ class Mat:
             )
         self.rows = rows
         self.cols = cols
-        self.entries = entries
+        self.data = [{j: v for j, v in enumerate(entries[i * cols:(i + 1) * cols])
+                      if v}
+                     for i in range(rows)]
         self.sr = sr
 
+    @property
+    def entries(self) -> list:
+        """The dense row-major view, a fresh list."""
+        return [v for i in range(self.rows) for v in self.row(i)]
+
     def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
+        return self.data[i].get(j, self.sr.zero)
 
     def row(self, i: int) -> list:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        out = [self.sr.zero] * self.cols
+        for j, v in self.data[i].items():
+            out[j] = v
+        return out
 
     def equal(self, other: Mat) -> bool:
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        eq = self.sr.eq
-        return all(eq(a, b) for a, b in zip(self.entries, other.entries))
+        eq, zero = self.sr.eq, self.sr.zero
+        for a, b in zip(self.data, other.data):
+            for j, v in a.items():
+                if not eq(v, b.get(j, zero)):
+                    return False
+            for j, v in b.items():
+                if j not in a and not eq(zero, v):
+                    return False
+        return True
 
     def __repr__(self) -> str:
         from .semiring import format_scalar
@@ -60,6 +97,16 @@ class Mat:
         rows = ["[" + " ".join(format_scalar(v) for v in self.row(i)) + "]"
                 for i in range(self.rows)]
         return f"Mat({self.rows}x{self.cols}: {'; '.join(rows)})"
+
+
+def _mat(rows: int, cols: int, data: list[dict], sr: Semiring) -> Mat:
+    """Wrap rows already in the stored form."""
+    m = object.__new__(Mat)
+    m.rows = rows
+    m.cols = cols
+    m.data = data
+    m.sr = sr
+    return m
 
 
 def mat_from_rows(rows, sr: Semiring) -> Mat:
@@ -71,47 +118,61 @@ def mat_from_rows(rows, sr: Semiring) -> Mat:
 
 
 def identity(n: int, sr: Semiring) -> Mat:
-    m = Mat(n, n, [sr.zero] * (n * n), sr)
-    for i in range(n):
-        m.entries[i * n + i] = sr.one
-    return m
+    one = sr.one
+    return _mat(n, n, [{i: one} for i in range(n)], sr)
 
 
 def zero_mat(dom: int, cod: int, sr: Semiring) -> Mat:
     """The zero map dom -> cod (cod x dom entries)."""
-    return Mat(cod, dom, [sr.zero] * (cod * dom), sr)
+    return _mat(cod, dom, [{} for _ in range(cod)], sr)
 
 
 def compose(g: Mat, f: Mat) -> Mat:
-    """Matrix product g . f, the composite of f then g."""
+    """Matrix product g . f, the composite of f then g.
+
+    Gustavson's row-by-row product: row i of the result accumulates, in
+    ascending k, g[i,k] times row k of f.  A factor is skipped when it
+    ``is_zero``, and a factor that is the semiring's own ``one`` passes the
+    other through without a multiplication."""
     if g.cols != f.rows:
         raise ShapeMismatch(f"compose: {g.rows}x{g.cols} . {f.rows}x{f.cols}")
     sr = g.sr
-    out = Mat(g.rows, f.cols, [sr.zero] * (g.rows * f.cols), sr)
-    add, mul, is_zero = sr.add, sr.mul, sr.is_zero
-    for i in range(g.rows):
-        grow = g.row(i)
-        orow = out.entries
-        base = i * f.cols
-        for k in range(g.cols):
-            gv = grow[k]
+    add, mul, is_zero, one = sr.add, sr.mul, sr.is_zero, sr.one
+    frows = f.data
+    out = []
+    for grow in g.data:
+        acc: dict = {}
+        merged = False  # a second row of f met the first: sort the keys
+        for k, gv in grow.items():
             if is_zero(gv):
                 continue
-            fbase = k * f.cols
-            for j in range(f.cols):
-                fv = f.entries[fbase + j]
-                if is_zero(fv):
-                    continue
-                orow[base + j] = add(orow[base + j], mul(gv, fv))
-    return out
+            merged = merged or bool(acc)
+            for j, fv in frows[k].items():
+                if not is_zero(fv):
+                    p = fv if gv is one else gv if fv is one else mul(gv, fv)
+                    acc[j] = add(acc[j], p) if j in acc else p
+        if merged:
+            acc = {j: acc[j] for j in sorted(acc)}
+        out.append(acc)
+    return _mat(g.rows, f.cols, out, sr)
 
 
 def add(f: Mat, g: Mat) -> Mat:
     if (f.rows, f.cols) != (g.rows, g.cols):
         raise ShapeMismatch("add: shape mismatch")
-    sr = f.sr
-    return Mat(f.rows, f.cols,
-               [sr.add(a, b) for a, b in zip(f.entries, g.entries)], sr)
+    plus = f.sr.add
+    out = []
+    for a, b in zip(f.data, g.data):
+        if a and b:
+            r = dict(a)
+            for j, v in b.items():
+                r[j] = plus(r[j], v) if j in r else v
+            if len(r) > len(a):
+                r = {j: r[j] for j in sorted(r)}
+            out.append(r)
+        else:
+            out.append(a or b)
+    return _mat(f.rows, f.cols, out, f.sr)
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +186,19 @@ def tensor_obj(a: int, b: int) -> int:
 def tensor_mat(f: Mat, g: Mat) -> Mat:
     """Kronecker product under the left-major pairing."""
     sr = f.sr
-    rows, cols = f.rows * g.rows, f.cols * g.cols
-    out = Mat(rows, cols, [sr.zero] * (rows * cols), sr)
-    mul, is_zero = sr.mul, sr.is_zero
-    for i1 in range(f.rows):
-        for j1 in range(f.cols):
-            fv = f.at(i1, j1)
-            if is_zero(fv):
-                continue
-            for i2 in range(g.rows):
-                base = (i1 * g.rows + i2) * cols + j1 * g.cols
-                grow = g.row(i2)
-                for j2 in range(g.cols):
-                    gv = grow[j2]
-                    if not is_zero(gv):
-                        out.entries[base + j2] = mul(fv, gv)
-    return out
+    mul, is_zero, one = sr.mul, sr.is_zero, sr.one
+    gc = g.cols
+    grows = [[(j, v) for j, v in r.items() if not is_zero(v)] for r in g.data]
+    out = []
+    for frow in f.data:
+        fz = [(j * gc, v) for j, v in frow.items() if not is_zero(v)]
+        for gz in grows:
+            r = {}
+            for base, fv in fz:
+                for j, gv in gz:
+                    r[base + j] = gv if fv is one else fv if gv is one else mul(fv, gv)
+            out.append(r)
+    return _mat(f.rows * g.rows, f.cols * gc, out, sr)
 
 
 def perm_mat(dims: list[int], perm: list[int], sr: Semiring) -> Mat:
@@ -149,24 +207,21 @@ def perm_mat(dims: list[int], perm: list[int], sr: Semiring) -> Mat:
     composite of adjacent braidings."""
     if sorted(perm) != list(range(len(dims))):
         raise ShapeMismatch(f"not a permutation: {perm}")
-    total = 1
-    for d in dims:
-        total *= d
-    out = Mat(total, total, [sr.zero] * (total * total), sr)
-    tgt_dims = [dims[k] for k in perm]
-    for src in range(total):
-        # decode mixed-radix source index
-        idx = []
-        rem = src
-        for d in reversed(dims):
-            idx.append(rem % d if d else 0)
-            rem //= d if d else 1
-        idx.reverse()
-        tgt = 0
-        for k, srcpos in enumerate(perm):
-            tgt = tgt * tgt_dims[k] + idx[srcpos]
-        out.entries[tgt * total + src] = sr.one
-    return out
+    # the weight of each source factor's index in the target index
+    stride = [0] * len(dims)
+    s = 1
+    for k in reversed(range(len(perm))):
+        stride[perm[k]] = s
+        s *= dims[perm[k]]
+    # the target of every source index, in ascending source order
+    targets = [0]
+    for d, w in zip(dims, stride):
+        targets = [t + x * w for t in targets for x in range(d)]
+    data: list = [None] * len(targets)
+    one = sr.one
+    for src, tgt in enumerate(targets):
+        data[tgt] = {src: one}
+    return _mat(len(targets), len(targets), data, sr)
 
 
 def coherence(kind: str, objs: tuple[int, ...], sr: Semiring) -> Mat:
@@ -194,15 +249,10 @@ def biproduct_obj(a: int, b: int) -> int:
 
 def biproduct_mat(f: Mat, g: Mat) -> Mat:
     """Block diagonal f (+) g."""
-    sr = f.sr
-    rows, cols = f.rows + g.rows, f.cols + g.cols
-    out = Mat(rows, cols, [sr.zero] * (rows * cols), sr)
-    for i in range(f.rows):
-        out.entries[i * cols:i * cols + f.cols] = f.row(i)
-    for i in range(g.rows):
-        base = (f.rows + i) * cols + f.cols
-        out.entries[base:base + g.cols] = g.row(i)
-    return out
+    fc = f.cols
+    return _mat(f.rows + g.rows, fc + g.cols,
+                f.data + [{j + fc: v for j, v in r.items()} for r in g.data],
+                f.sr)
 
 
 def inj1(a: int, b: int, sr: Semiring) -> Mat:
@@ -225,18 +275,22 @@ def pair_mat(f: Mat, g: Mat) -> Mat:
     """<f, g>: row-stack of two maps out of a shared domain."""
     if f.cols != g.cols:
         raise ShapeMismatch("pair: domain mismatch")
-    return Mat(f.rows + g.rows, f.cols, f.entries + g.entries, f.sr)
+    return _mat(f.rows + g.rows, f.cols, f.data + g.data, f.sr)
 
 
 def copair_mat(f: Mat, g: Mat) -> Mat:
     """[f, g]: column-concatenation of two maps into a shared codomain."""
     if f.rows != g.rows:
         raise ShapeMismatch("copair: codomain mismatch")
-    entries = []
-    for i in range(f.rows):
-        entries.extend(f.row(i))
-        entries.extend(g.row(i))
-    return Mat(f.rows, f.cols + g.cols, entries, f.sr)
+    fc = f.cols
+    data = []
+    for a, b in zip(f.data, g.data):
+        if b:
+            a = dict(a)
+            for j, v in b.items():
+                a[j + fc] = v
+        data.append(a)
+    return _mat(f.rows, fc + g.cols, data, f.sr)
 
 
 def diag(a: int, sr: Semiring) -> Mat:
@@ -269,50 +323,46 @@ def hom_mat(a: int, f: Mat) -> Mat:
 
 def eval_map(a: int, b: int, sr: Semiring) -> Mat:
     """hom(A,B) (x) A -> B, sending e_(i,j) (x) e_k to [j=k] e_i."""
-    cols = a * b * a
-    out = Mat(b, cols, [sr.zero] * (b * cols), sr)
-    for i in range(b):
-        for j in range(a):
-            col = (i * a + j) * a + j
-            out.entries[i * cols + col] = sr.one
-    return out
+    one = sr.one
+    return _mat(b, a * b * a,
+                [{(i * a + j) * a + j: one for j in range(a)} for i in range(b)],
+                sr)
 
 
 def unit_map(g: int, a: int, sr: Semiring) -> Mat:
     """G -> hom(A, G (x) A), sending e_g to sum_a e_(g*dimA+a, a)."""
-    rows = g * a * a
-    out = Mat(rows, g, [sr.zero] * (rows * g), sr)
+    one = sr.one
+    data = [{} for _ in range(g * a * a)]
     for gi in range(g):
         for ai in range(a):
-            row = (gi * a + ai) * a + ai
-            out.entries[row * g + gi] = sr.one
-    return out
+            data[(gi * a + ai) * a + ai] = {gi: one}
+    return _mat(g * a * a, g, data, sr)
 
 
 def curry(f: Mat, x: int, y: int, z: int) -> Mat:
     """Transpose f : X (x) Y -> Z to Y -> hom(X, Z)."""
     if (f.rows, f.cols) != (z, x * y):
         raise ShapeMismatch(f"curry: expected {z}x{x * y}, got {f.rows}x{f.cols}")
-    sr = f.sr
-    out = Mat(z * x, y, [sr.zero] * (z * x * y), sr)
-    for zi in range(z):
-        for xi in range(x):
-            for yi in range(y):
-                out.entries[(zi * x + xi) * y + yi] = f.at(zi, xi * y + yi)
-    return out
+    data = [{} for _ in range(z * x)]
+    for zi, r in enumerate(f.data):
+        for col, v in r.items():
+            xi, yi = divmod(col, y)
+            data[zi * x + xi][yi] = v
+    return _mat(z * x, y, data, f.sr)
 
 
 def uncurry(gm: Mat, x: int, y: int, z: int) -> Mat:
     """Transpose g : Y -> hom(X, Z) back to X (x) Y -> Z."""
     if (gm.rows, gm.cols) != (z * x, y):
         raise ShapeMismatch(f"uncurry: expected {z * x}x{y}, got {gm.rows}x{gm.cols}")
-    sr = gm.sr
-    out = Mat(z, x * y, [sr.zero] * (z * x * y), sr)
+    data = []
     for zi in range(z):
+        r = {}
         for xi in range(x):
-            for yi in range(y):
-                out.entries[zi * (x * y) + xi * y + yi] = gm.at(zi * x + xi, yi)
-    return out
+            for yi, v in gm.data[zi * x + xi].items():
+                r[xi * y + yi] = v
+        data.append(r)
+    return _mat(z, x * y, data, gm.sr)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +371,9 @@ def uncurry(gm: Mat, x: int, y: int, z: int) -> Mat:
 
 def scalar_map(s, a: int, sr: Semiring) -> Mat:
     """Multiplication by s on S^a; equals rho . (Id (x) embed(s)) . rho^-1."""
-    m = Mat(a, a, [sr.zero] * (a * a), sr)
-    for i in range(a):
-        m.entries[i * a + i] = s
-    return m
+    if a == 1:  # embed(s), made once per scalar literal by denote
+        return _mat(1, 1, [{0: s}], sr)
+    return _mat(a, a, [{i: s} for i in range(a)], sr)
 
 
 def weighted_codiag(w: WeightPair | tuple, a: int, sr: Semiring) -> Mat:

@@ -9,6 +9,7 @@ accepts via :meth:`Semiring.from_literal`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Sequence
@@ -35,6 +36,8 @@ class Semiring:
     ``test_pool`` is the scalar pool randomized law checks draw from,
     ``weight_pool`` the valid branch-weight pairs, and ``non_weight_pair``
     one pair that deliberately fails the p+q=1 side condition.
+    ``is_zero(a)`` decides ``eq(a, zero)``; the matrix model skips the
+    entries it accepts.
     """
 
     name: str
@@ -43,13 +46,11 @@ class Semiring:
     add: Callable[[Scalar, Scalar], Scalar]
     mul: Callable[[Scalar, Scalar], Scalar]
     eq: Callable[[Scalar, Scalar], bool]
+    is_zero: Callable[[Scalar], bool]
     from_literal: Callable[[Fraction], Scalar]
     test_pool: tuple
     weight_pool: tuple
     non_weight_pair: tuple
-
-    def is_zero(self, a: Scalar) -> bool:
-        return self.eq(a, self.zero)
 
     def sum(self, values: Sequence[Scalar]) -> Scalar:
         acc = self.zero
@@ -118,6 +119,7 @@ QNN = Semiring(
     add=lambda a, b: a + b,
     mul=lambda a, b: a * b,
     eq=lambda a, b: a == b,
+    is_zero=operator.not_,
     from_literal=_qnn_literal,
     test_pool=(_F(0), _F(1), _F(1, 2), _F(1, 4), _F(3, 4), _F(2), _F(3)),
     weight_pool=(
@@ -137,6 +139,7 @@ Q = Semiring(
     add=lambda a, b: a + b,
     mul=lambda a, b: a * b,
     eq=lambda a, b: a == b,
+    is_zero=operator.not_,
     from_literal=lambda f: f,
     test_pool=(_F(0), _F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(3, 4), _F(2), _F(3)),
     weight_pool=(
@@ -155,6 +158,7 @@ BOOL = Semiring(
     add=lambda a, b: a or b,
     mul=lambda a, b: a and b,
     eq=lambda a, b: a == b,
+    is_zero=operator.not_,
     from_literal=_bool_literal,
     test_pool=(False, True),
     weight_pool=((True, False), (False, True), (True, True)),
@@ -170,6 +174,7 @@ F64 = Semiring(
     add=lambda a, b: a + b,
     mul=lambda a, b: a * b,
     eq=lambda a, b: abs(a - b) <= _F64_TOL,
+    is_zero=lambda a: abs(a) <= _F64_TOL,
     from_literal=lambda f: float(f),
     test_pool=(0.0, 1.0, 0.5, 0.25, 0.75, 2.0, 3.0),
     weight_pool=((0.5, 0.5), (0.25, 0.75), (1.0, 0.0)),
@@ -190,6 +195,6 @@ def get_semiring(name: str) -> Semiring:
 
 def embed(s: Scalar, semiring: Semiring = QNN):
     """The canonical left-multiplication embedding of a scalar as a 1x1 matrix."""
-    from .matmodel import Mat
+    from .matmodel import scalar_map
 
-    return Mat(1, 1, [s], semiring)
+    return scalar_map(s, 1, semiring)

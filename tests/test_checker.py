@@ -386,3 +386,42 @@ def test_generated_terms_typecheck_and_validate():
         t, a = gen.closed()
         d = sc.typecheck((), t, a)
         assert sc.validate(d).ok
+
+
+def test_checker_memo_agrees_with_free_vars_and_can_absorb(corpus_entries):
+    terms = [e.term for e in corpus_entries]
+    gen = TermGenerator(seed=12, allow_sup_elim=True, max_depth=4)
+    terms += [gen.closed()[0] for _ in range(100)]
+    for t in terms:
+        checker = C._Checker(sc.QNN)
+        for _, u in S.subterms(t):
+            assert checker.free_vars(u) == S.free_vars(u), sc.print_term(u)
+            assert checker.absorbs(u) == C.can_absorb(u), sc.print_term(u)
+
+
+def test_context_splits_are_linear_in_nesting_depth(monkeypatch):
+    # each node's free variables are worked out once per typecheck call,
+    # so S.free_vars (its recursive calls included) runs once per leaf
+    real = S.free_vars
+    calls = 0
+
+    def counting(t):
+        nonlocal calls
+        calls += 1
+        return real(t)
+
+    monkeypatch.setattr(S, "free_vars", counting)
+
+    def calls_at(depth):
+        nonlocal calls
+        src = "star(1)"
+        for _ in range(depth):
+            src = f"unit_elim(star(1),{src})"
+        t = sc.parse_term(src)
+        calls = 0
+        d = sc.typecheck((), t, sc.One())
+        assert d.rule == "one_e" and d.children[1].rule == "one_e"
+        return calls
+
+    at_500, at_1000 = calls_at(500), calls_at(1000)
+    assert 0 < at_500 and at_1000 < 2.5 * at_500

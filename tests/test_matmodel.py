@@ -188,10 +188,11 @@ def test_sigma_unit_is_identity():
 def test_sigma_2_2_swap():
     # enumerate (a,b) -> (b,a) under left-major pairing: fixes 0 and 3
     got = M.coherence("sigma", (2, 2), SR)
-    expected = M.zero_mat(4, 4, SR)
+    dense = [F(0)] * 16
     for a in range(2):
         for b in range(2):
-            expected.entries[(b * 2 + a) * 4 + (a * 2 + b)] = F(1)
+            dense[(b * 2 + a) * 4 + (a * 2 + b)] = F(1)
+    expected = M.Mat(4, 4, dense, SR)
     assert got.equal(expected)
     assert got.at(0, 0) == F(1) and got.at(3, 3) == F(1)
     assert got.at(2, 1) == F(1) and got.at(1, 2) == F(1)
@@ -313,3 +314,245 @@ def test_random_composition_chain_shapes():
         assert (tk.rows, tk.cols) == (dims[1] * dims[2], dims[0] * dims[1])
         bp = M.biproduct_mat(f, h)
         assert (bp.rows, bp.cols) == (dims[1] + dims[3], dims[0] + dims[2])
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: the row-major model on plain (rows, cols, entries) triples,
+# zero tests by the semiring's equality
+
+
+def dense_of(m):
+    return (m.rows, m.cols, m.entries)
+
+
+def dense_compose(g, f, sr):
+    (gr, gc, ge), (_, fc, fe) = g, f
+    out = [sr.zero] * (gr * fc)
+    for i in range(gr):
+        for k in range(gc):
+            gv = ge[i * gc + k]
+            if sr.eq(gv, sr.zero):
+                continue
+            for j in range(fc):
+                fv = fe[k * fc + j]
+                if not sr.eq(fv, sr.zero):
+                    out[i * fc + j] = sr.add(out[i * fc + j], sr.mul(gv, fv))
+    return (gr, fc, out)
+
+
+def dense_tensor(f, g, sr):
+    (fr, fc, fe), (gr, gc, ge) = f, g
+    cols = fc * gc
+    out = [sr.zero] * (fr * gr * cols)
+    for i1 in range(fr):
+        for j1 in range(fc):
+            fv = fe[i1 * fc + j1]
+            if sr.eq(fv, sr.zero):
+                continue
+            for i2 in range(gr):
+                for j2 in range(gc):
+                    gv = ge[i2 * gc + j2]
+                    if not sr.eq(gv, sr.zero):
+                        out[(i1 * gr + i2) * cols + j1 * gc + j2] = sr.mul(fv, gv)
+    return (fr * gr, cols, out)
+
+
+def dense_add(f, g, sr):
+    return (f[0], f[1], [sr.add(a, b) for a, b in zip(f[2], g[2])])
+
+
+def assert_dense(m, expected):
+    """m's dense view is expected, entry for entry and type for type."""
+    assert dense_of(m) == expected
+    assert [type(v) for v in m.entries] == [type(v) for v in expected[2]]
+
+
+SEMIRINGS = (sc.QNN, sc.Q, sc.BOOL, sc.F64)
+by_name = pytest.mark.parametrize("sr", SEMIRINGS, ids=lambda s: s.name)
+
+
+def rand_dense(rng, r, c, sr):
+    return M.Mat(r, c, [rng.choice(sr.test_pool) for _ in range(r * c)], sr)
+
+
+@by_name
+def test_products_and_sums_match_the_dense_oracle(sr):
+    rng = random.Random(f"oracle:{sr.name}")
+    shapes = [0, 1, 1, 2, 3, 5]
+    for _ in range(300):
+        a, b, c, d = (rng.choice(shapes) for _ in range(4))
+        f, g = rand_dense(rng, b, a, sr), rand_dense(rng, c, b, sr)
+        fg = M.compose(g, f)
+        assert_dense(fg, dense_compose(dense_of(g), dense_of(f), sr))
+        # a product's stored entries (zero sums among them) feed the next
+        h = rand_dense(rng, d, c, sr)
+        assert_dense(M.compose(h, fg),
+                     dense_compose(dense_of(h), dense_of(fg), sr))
+        assert_dense(M.tensor_mat(fg, f),
+                     dense_tensor(dense_of(fg), dense_of(f), sr))
+        f2 = rand_dense(rng, b, a, sr)
+        assert_dense(M.add(f, f2), dense_add(dense_of(f), dense_of(f2), sr))
+        assert_dense(M.add(fg, M.compose(g, f2)),
+                     dense_add(dense_of(fg), dense_of(M.compose(g, f2)), sr))
+
+
+def test_cancelled_and_tolerance_zeros_match_the_dense_oracle():
+    # over q a sum cancels to a stored zero; over f64 a sum lands within the
+    # tolerance of zero and is stored as is; later maps skip either one
+    for sr, (x, y) in ((sc.Q, (F(1), F(-1))), (sc.F64, (0.1 + 0.2, -0.3))):
+        one, zero = sr.one, sr.zero
+        g = M.Mat(2, 2, [one, one, zero, one], sr)
+        f = M.Mat(2, 2, [x, zero, y, one], sr)
+        fg = M.compose(g, f)  # [[x + y, 1], [y, 1]]
+        assert fg.at(0, 0) == x + y and sr.is_zero(fg.at(0, 0))
+        for left, right in ((fg, g), (g, fg), (fg, M.identity(2, sr)),
+                            (M.identity(2, sr), fg)):
+            assert_dense(M.compose(left, right),
+                         dense_compose(dense_of(left), dense_of(right), sr))
+            assert_dense(M.tensor_mat(left, right),
+                         dense_tensor(dense_of(left), dense_of(right), sr))
+        assert_dense(M.add(fg, fg), dense_add(dense_of(fg), dense_of(fg), sr))
+
+
+def test_float_sums_accumulate_in_the_dense_order():
+    # f64 sums round differently in another order; a product whose left
+    # factor is itself a product pins the order each row accumulates in
+    sr, rng = sc.F64, random.Random("f64 order")
+    pool = (0.0, 0.1, 0.2, 0.3, 0.7, 1 / 3)
+    for _ in range(200):
+        dims = [rng.randint(1, 5) for _ in range(4)]
+        f, g, h = (M.Mat(dims[i + 1], dims[i], [rng.choice(pool) for _ in
+                                               range(dims[i] * dims[i + 1])], sr)
+                   for i in range(3))
+        hg = M.compose(h, g)
+        assert_dense(hg, dense_compose(dense_of(h), dense_of(g), sr))
+        assert_dense(M.compose(hg, f), dense_compose(dense_of(hg), dense_of(f), sr))
+        # a sum whose rows merge two supports is a left factor too
+        hg2 = M.compose(M.Mat(h.rows, h.cols, [rng.choice(pool) for _ in
+                                               range(h.rows * h.cols)], sr), g)
+        s = M.add(hg, hg2)
+        assert_dense(s, dense_add(dense_of(hg), dense_of(hg2), sr))
+        assert_dense(M.compose(s, f), dense_compose(dense_of(s), dense_of(f), sr))
+
+
+def dense_map(rows, cols, value):
+    return (rows, cols, [value(i, j) for i in range(rows) for j in range(cols)])
+
+
+def dense_perm(dims, perm, sr):
+    total = 1
+    for d in dims:
+        total *= d
+
+    def target(src):
+        idx = []
+        for d in reversed(dims):
+            idx.append(src % d)
+            src //= d
+        idx.reverse()
+        tgt = 0
+        for k in perm:
+            tgt = tgt * dims[k] + idx[k]
+        return tgt
+
+    return dense_map(total, total,
+                     lambda i, j: sr.one if i == target(j) else sr.zero)
+
+
+@by_name
+def test_structural_maps_match_their_dense_definitions(sr):
+    rng = random.Random(f"structural:{sr.name}")
+    one, zero = sr.one, sr.zero
+    bit = lambda cond: one if cond else zero  # noqa: E731
+    for a in range(4):
+        for b in range(4):
+            assert_dense(M.identity(a, sr), dense_map(a, a, lambda i, j: bit(i == j)))
+            assert_dense(M.zero_mat(a, b, sr), dense_map(b, a, lambda i, j: zero))
+            assert_dense(M.inj1(a, b, sr), dense_map(a + b, a, lambda i, j: bit(i == j)))
+            assert_dense(M.inj2(a, b, sr), dense_map(a + b, b, lambda i, j: bit(i == a + j)))
+            assert_dense(M.proj1(a, b, sr), dense_map(a, a + b, lambda i, j: bit(i == j)))
+            assert_dense(M.proj2(a, b, sr), dense_map(b, a + b, lambda i, j: bit(j == a + i)))
+            assert_dense(M.swap_plus(a, b, sr), dense_map(
+                b + a, a + b, lambda i, j: bit(j == (a + i if i < b else i - b))))
+            assert_dense(M.eval_map(a, b, sr), dense_map(
+                b, a * b * a, lambda i, j: bit(j // (a * a) == i and j // a % a == j % a)))
+            assert_dense(M.unit_map(a, b, sr), dense_map(
+                a * b * b, a, lambda i, j: bit(i // (b * b) == j and i // b % b == i % b)))
+            assert_dense(M.coherence("sigma", (a, b), sr), dense_perm([a, b], [1, 0], sr))
+            s = rng.choice(sr.test_pool)
+            assert_dense(M.scalar_map(s, a, sr), dense_map(a, a, lambda i, j: s if i == j else zero))
+            p, q = rng.choice(sr.weight_pool)
+            assert_dense(M.weighted_codiag((p, q), a, sr), dense_map(
+                a, 2 * a, lambda i, j: p if j == i else q if j == a + i else zero))
+            f, g = rand_dense(rng, a, b, sr), rand_dense(rng, 2, b, sr)
+            fe, ge = f.entries, g.entries
+            assert_dense(M.pair_mat(f, g), (a + 2, b, fe + ge))
+            h = rand_dense(rng, a, 2, sr)
+            assert_dense(M.copair_mat(f, h), dense_map(
+                a, b + 2, lambda i, j: fe[i * b + j] if j < b else h.at(i, j - b)))
+            assert_dense(M.biproduct_mat(f, g), dense_map(
+                a + 2, b + b, lambda i, j: (fe[i * b + j] if i < a and j < b else
+                                            ge[(i - a) * b + j - b] if i >= a and j >= b
+                                            else zero)))
+            x, y, z = a or 1, b or 1, 2
+            k = rand_dense(rng, z, x * y, sr)
+            assert_dense(M.curry(k, x, y, z), dense_map(
+                z * x, y, lambda i, j: k.entries[(i // x) * x * y + (i % x) * y + j]))
+            c = rand_dense(rng, z * x, y, sr)
+            assert_dense(M.uncurry(c, x, y, z), dense_map(
+                z, x * y, lambda i, j: c.entries[(i * x + j // y) * y + j % y]))
+        assert_dense(M.diag(a, sr), dense_map(2 * a, a, lambda i, j: bit(i % a == j)))
+        assert_dense(M.codiag(a, sr), dense_map(a, 2 * a, lambda i, j: bit(j % a == i)))
+    for dims, perm in (([2, 3, 2], [1, 2, 0]), ([3, 1, 2, 2], [3, 0, 2, 1]),
+                       ([2, 0, 3], [2, 1, 0]), ([], [])):
+        assert_dense(M.perm_mat(dims, perm, sr), dense_perm(dims, perm, sr))
+
+
+@by_name
+def test_structural_maps_store_only_their_nonzeros(sr):
+    def stored(m):
+        return sum(len(r) for r in m.data)
+
+    def nonzeros(m):
+        return sum(1 for v in m.entries if not sr.is_zero(v))
+
+    for a in range(4):
+        for b in range(1, 4):
+            for m in (M.identity(a, sr), M.zero_mat(a, b, sr), M.inj1(a, b, sr),
+                      M.inj2(a, b, sr), M.proj1(a, b, sr), M.proj2(a, b, sr),
+                      M.swap_plus(a, b, sr), M.eval_map(a, b, sr),
+                      M.unit_map(a, b, sr), M.diag(a, sr), M.codiag(a, sr),
+                      M.perm_mat([a, b, 2], [2, 0, 1], sr),
+                      M.distribute("d", (a, b, 2), sr),
+                      M.distribute("gamma", (a, b, 2), sr),
+                      M.Mat(a, b, M.identity(max(a, b), sr).entries[:a * b], sr)):
+                assert stored(m) == nonzeros(m)
+
+
+def use_the_dense_oracle(monkeypatch):
+    """Route compose, tensor_mat and add, wherever matmodel and denote call
+    them, through the dense oracle."""
+    for name, oracle in (("compose", dense_compose), ("tensor_mat", dense_tensor),
+                         ("add", dense_add)):
+        monkeypatch.setattr(M, name, lambda x, y, oracle=oracle: M.Mat(
+            *oracle(dense_of(x), dense_of(y), x.sr), x.sr))
+
+
+@by_name
+def test_law_reports_match_the_oracle_backed_reference(sr, monkeypatch):
+    def report(seed):
+        rep = M.check_laws(seed=seed, trials=3, max_dim=4, semiring=sr)
+        return [(r.name, r.trials, r.failures) for r in rep.results]
+
+    got = [report(seed) for seed in range(10)]
+    use_the_dense_oracle(monkeypatch)
+    assert got == [report(seed) for seed in range(10)]
+
+
+@pytest.mark.parametrize("sr", (sc.QNN, sc.Q, sc.F64), ids=lambda s: s.name)
+def test_corpus_denotations_match_the_oracle_backed_reference(sr, monkeypatch):
+    derivations = [sc.typecheck(e.ctx, e.term, e.prop, sr) for e in sc.corpus(sr)]
+    got = [sc.denote(d, sr).matrix for d in derivations]
+    use_the_dense_oracle(monkeypatch)
+    for m, d in zip(got, derivations):
+        assert_dense(m, dense_of(sc.denote(d, sr).matrix))

@@ -32,6 +32,19 @@ def test_semiring_axioms_exact(sr):
         assert sr.eq(sr.mul(sr.zero, a), sr.zero)
 
 
+@pytest.mark.parametrize("sr", (sc.QNN, sc.Q, sc.BOOL, sc.F64),
+                         ids=lambda s: s.name)
+def test_is_zero_is_equality_with_zero(sr):
+    values = list(sr.test_pool) + [v for pair in sr.weight_pool for v in pair]
+    values += [sr.add(a, b) for a in sr.test_pool for b in sr.test_pool]
+    if sr is sc.F64:
+        values += [1e-12, -1e-12, 1e-9, 2e-9, 0.1 + 0.2 - 0.3, -0.0]
+    if sr is sc.Q:
+        values += [F(1) + F(-1), F(1, 3) - F(1, 3)]
+    for v in values:
+        assert sr.is_zero(v) == sr.eq(v, sr.zero), v
+
+
 def test_semiring_axioms_float_within_tolerance():
     sr = sc.F64
     rng = random.Random(17)
