@@ -139,28 +139,13 @@ def _absorbs(t: Term, sub) -> bool:
 class _Checker:
     def __init__(self, semiring: Semiring):
         self.sr = semiring
-        # per-node free variables and absorption, keyed by node identity;
-        # the checker lives for one typecheck call, which holds the term
-        self._free: dict[int, frozenset[str]] = {}
+        # per-node free variables and absorption, worked out once per node;
+        # absorption is keyed by node identity, as the checker lives for
+        # one typecheck call, which holds the term
+        self.free_vars = S._FreeVars()
         self._absorb: dict[int, bool] = {}
 
     # -- context splitting ------------------------------------------------
-
-    def free_vars(self, t: Term) -> frozenset[str]:
-        """S.free_vars(t), worked out once per node from its subterms'."""
-        fv = self._free.get(id(t))
-        if fv is None:
-            names = S.subterm_fields(t)
-            if not names:
-                fv = S.free_vars(t)
-            else:
-                acc: set[str] = set()
-                for n in names:
-                    acc |= self.free_vars(getattr(t, n)).difference(
-                        S.bound_names(t, n))
-                fv = frozenset(acc)
-            self._free[id(t)] = fv
-        return fv
 
     def absorbs(self, t: Term) -> bool:
         """can_absorb(t), decided once per node."""

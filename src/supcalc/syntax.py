@@ -322,8 +322,46 @@ def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
     return f"{base}{i}"
 
 
+class _FreeVars:
+    """free_vars, worked out once per node from its subterms' and kept for
+    the life of the object; free_vars itself runs only at leaves.  Entries
+    are keyed by node identity and hold their node, so that no id is
+    reused by a term built while the object lives."""
+
+    def __init__(self):
+        self._free: dict[int, tuple[Term, frozenset[str]]] = {}
+
+    def __call__(self, t: Term) -> frozenset[str]:
+        hit = self._free.get(id(t))
+        if hit is not None:
+            return hit[1]
+        names = _CHILDREN[type(t)]
+        if not names:
+            fv = free_vars(t)
+        else:
+            acc: set[str] = set()
+            for n in names:
+                acc |= self(getattr(t, n)).difference(bound_names(t, n))
+            fv = frozenset(acc)
+        self._free[id(t)] = (t, fv)
+        return fv
+
+
 def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
-    """Capture-avoiding simultaneous substitution of free variables."""
+    """Capture-avoiding simultaneous substitution of free variables.
+
+    A binder is renamed only when it would capture a free variable of an
+    image; its fresh name avoids the body's free variables, the mapped
+    names, the node's binders, the names given so far and the images'
+    free variables.  Free variables are worked out once per node for the
+    whole call, so it takes time linear in the size of t and the images."""
+    return _subst(t, mapping, None)
+
+
+def _subst(t: Term, mapping: dict[str, Term],
+           fvs: Optional[_FreeVars]) -> Term:
+    """subst_parallel(t, mapping), reading free variables from fvs, which
+    is made at the first node that needs it."""
     mapping = {x: v for x, v in mapping.items() if v != Var(x)}
     if not mapping:
         return t
@@ -331,33 +369,35 @@ def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
         return mapping.get(t.name, t)
     if isinstance(t, Hole):
         return t
-    relevant = {x: v for x, v in mapping.items() if x in free_vars(t)}
+    if fvs is None:
+        fvs = _FreeVars()
+    fv = fvs(t)
+    relevant = {x: v for x, v in mapping.items() if x in fv}
     if not relevant:
         return t
     updates: dict[str, object] = {}
     binder_spec = _BINDERS.get(type(t), {})
     renames: dict[str, str] = {}
-    for field in subterm_fields(t):
+    for field in _CHILDREN[type(t)]:
         body = getattr(t, field)
         bvars = binder_spec.get(field, ())
+        bound = {getattr(t, b) for b in bvars}
+        fv_body = fvs(body)
         local = {x: v for x, v in relevant.items()
-                 if x not in {getattr(t, b) for b in bvars}}
-        local = {x: v for x, v in local.items() if x in free_vars(body)}
+                 if x not in bound and x in fv_body}
         # rename binders that would capture free variables of the images
         for b in bvars:
-            bname = renames.get(b, getattr(t, b))
-            clash = any(bname in free_vars(v) for v in local.values())
-            if clash:
-                taken = set(free_vars(body)) | set(local)
-                taken |= {getattr(t, b2) for b2 in bvars}
-                taken |= set(renames.values())
-                for v in local.values():
-                    taken |= free_vars(v)
-                new_name = fresh_name(bname, taken)
-                renames[b] = new_name
-                body = subst_parallel(body, {getattr(t, b): Var(new_name)})
-                local = {x: v for x, v in local.items() if x in free_vars(body)}
-        new_body = subst_parallel(body, local) if local else body
+            bname = getattr(t, b)
+            if not any(bname in fvs(v) for v in local.values()):
+                continue
+            taken = set(fv_body) | set(local) | bound
+            taken |= set(renames.values())
+            for v in local.values():
+                taken |= fvs(v)
+            new_name = fresh_name(bname, taken)
+            renames[b] = new_name
+            body = _subst(body, {bname: Var(new_name)}, fvs)
+        new_body = _subst(body, local, fvs) if local else body
         if new_body is not body or body is not getattr(t, field):
             updates[field] = new_body
     for b, new_name in renames.items():
@@ -367,7 +407,7 @@ def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
 
 def substitute(v: Term, x: str, t: Term) -> Term:
     """The substitution of x by v in t, written (v/x)t."""
-    return subst_parallel(t, {x: v})
+    return _subst(t, {x: v}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import random
 from fractions import Fraction as F
 
+import pytest
+
 import supcalc as sc
 from supcalc import matmodel as M
+from supcalc import rewrite as R
 from supcalc import syntax as S
+from supcalc.denote import SoundnessReport, StepCheck
 from supcalc.gen import TermGenerator
 
 SR = sc.QNN
+D = importlib.import_module("supcalc.denote")  # the package binds denote
 
 
 def term(src):
@@ -110,6 +117,20 @@ def test_shape_soundness_on_corpus(corpus_entries):
         assert interp.matrix.cols == sc.denote_ctx(e.ctx)
 
 
+@pytest.mark.parametrize("semiring", ["qnn", "q", "f64"])
+def test_corpus_matrices_are_pinned(semiring):
+    """Any change to a clause's matrix or to an object's dimension shows
+    as a new digest."""
+    sr = sc.get_semiring(semiring)
+    h = hashlib.sha256()
+    for e in sc.corpus(sr):
+        i = sc.denote(sc.typecheck(e.ctx, e.term, e.prop, sr), sr)
+        h.update(f"{e.name} {i.object_in} {i.object_out} {i.matrix!r}\n"
+                 .encode())
+    assert h.hexdigest() == (
+        "932b13a9f4a8265099d9367b855c3f22aedc73fe5df829ef584964d957d9fd6a")
+
+
 # ---------------------------------------------------------------------------
 # substitution identity
 
@@ -204,6 +225,148 @@ def test_step_soundness_along_reduction_graphs(corpus_entries):
             rep = sc.check_step_soundness(t, SR, expected=e.prop)
             assert rep.ok, (e.name, sc.print_term(t))
             frontier.extend(r for _, r in sc.step_all(t))
+
+
+def whole_term_step_soundness(t, semiring=SR, ctx=(), expected=None):
+    """The whole-term step-soundness check that check_step_soundness falls
+    back to per position: every reduct typed and denoted from the root."""
+    sr = semiring
+    d = sc.typecheck(ctx, t, expected, sr)
+    base = sc.denote(d, sr).matrix
+    groups = {}
+    for step, reduct in sc.step_all(t, sr):
+        groups.setdefault(step.pos, []).append((step, reduct))
+    checks = []
+    for pos, entries in sorted(groups.items()):
+        rules = tuple(step.rule for step, _ in entries)
+        if len(entries) == 1:
+            _, reduct = entries[0]
+            other = sc.denote(sc.typecheck(ctx, reduct, d.prop, sr), sr).matrix
+            ok = base.equal(other)
+            detail = "" if ok else f"{base!r} != {other!r}"
+        else:
+            (s1, r1), (s2, r2) = entries
+            m1 = sc.denote(sc.typecheck(ctx, r1, d.prop, sr), sr).matrix
+            m2 = sc.denote(sc.typecheck(ctx, r2, d.prop, sr), sr).matrix
+            mix = M.weighted_codiag((s1.weight, s2.weight),
+                                    sc.denote_prop(d.prop), sr)
+            g = sc.denote_ctx(d.ctx)
+            rhs = M.compose(mix, M.compose(M.biproduct_mat(m1, m2),
+                                           M.diag(g, sr)))
+            ok = base.equal(rhs)
+            detail = "" if ok else f"{base!r} != {rhs!r}"
+        checks.append(StepCheck(pos, rules, ok, detail))
+    return SoundnessReport(t, checks)
+
+
+def _vprop(n):
+    """one & (one & ... one) with n leaves."""
+    a = S.One()
+    for _ in range(n - 1):
+        a = S.With(S.One(), a)
+    return a
+
+
+def _reachable(t, limit=60):
+    """Terms reachable from t by steps, up to limit distinct ones."""
+    seen = set()
+    frontier = [t]
+    while frontier and len(seen) < limit:
+        u = frontier.pop()
+        key = sc.print_term(sc.canonical(u))
+        if key in seen:
+            continue
+        seen.add(key)
+        yield u
+        frontier.extend(r for _, r in sc.step_all(u))
+
+
+def _soundness_inputs(family, corpus):
+    """(term, expected type) pairs of one input family."""
+    if family == "corpus":
+        return [(e.term, e.prop) for e in corpus]
+    if family == "generated":
+        gen = TermGenerator(seed=29, allow_sup_elim=True, max_depth=4)
+        return [gen.closed() for _ in range(300)]
+    if family == "encoded":
+        rng = random.Random(31)
+        out = []
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                m = [[F(rng.randrange(10), rng.randrange(1, 4))
+                      for _ in range(cols)] for _ in range(rows)]
+                u = [F(rng.randrange(10), rng.randrange(1, 4))
+                     for _ in range(cols)]
+                enc = sc.encode_matrix(m, _vprop(cols), _vprop(rows))
+                vec = sc.from_vector(sc.SVector(tuple(u), _vprop(cols)))
+                out.append((S.App(enc, vec), _vprop(rows)))
+        return out
+    # the terms reached in test_step_soundness_along_reduction_graphs
+    return [(u, e.prop) for e in corpus[:20] for u in _reachable(e.term)]
+
+
+@pytest.mark.parametrize("family",
+                         ["corpus", "generated", "encoded", "reachable"])
+def test_step_soundness_matches_the_whole_term_reference(monkeypatch,
+                                                         corpus_entries,
+                                                         family):
+    inputs = _soundness_inputs(family, corpus_entries)
+    assert inputs
+    # on sound rules every position is settled by its local check
+    fallbacks = []
+    monkeypatch.setattr(D, "_whole_term_check",
+                        lambda *args: fallbacks.append(args[3]))
+    for t, a in inputs:
+        got = sc.check_step_soundness(t, SR, expected=a)
+        assert got == whole_term_step_soundness(t, SR, expected=a), (
+            sc.print_term(t))
+    assert fallbacks == []
+
+
+def _flagged_as_by_the_reference(monkeypatch, corpus, rule, breaks):
+    """With R.contract's entries rewritten by breaks, both checks give
+    equal reports on every input of the differential test that has a
+    redex of rule; the number of checks they flag."""
+    inputs = [(t, a) for family in ("corpus", "generated", "encoded",
+                                    "reachable")
+              for t, a in _soundness_inputs(family, corpus)
+              if any(step.rule == rule for step, _ in sc.step_all(t))]
+    assert inputs
+    contract = R.contract
+    monkeypatch.setattr(R, "contract",
+                        lambda t, sr: breaks(contract(t, sr), sr))
+    flagged = 0
+    for t, a in inputs:
+        got = sc.check_step_soundness(t, SR, expected=a)
+        assert got == whole_term_step_soundness(t, SR, expected=a), (
+            sc.print_term(t))
+        flagged += sum(not c.ok for c in got.checks)
+    return flagged
+
+
+def test_a_broken_scalar_rule_is_flagged_where_the_whole_term_check_does(
+        monkeypatch, corpus_entries):
+    # scal_star multiplies by an extra 2
+    def breaks(entries, sr):
+        two = sr.from_literal(F(2))
+        return [(r, w, S.Star(sr.mul(two, c.scalar)) if r == "scal_star"
+                 else c) for r, w, c in entries]
+
+    assert _flagged_as_by_the_reference(monkeypatch, corpus_entries,
+                                        "scal_star", breaks)
+
+
+def test_swapped_fork_weights_are_flagged_where_the_whole_term_check_does(
+        monkeypatch, corpus_entries):
+    # each branch of a fork carries the other branch's weight
+    def breaks(entries, sr):
+        if len(entries) != 2:
+            return entries
+        (r1, w1, c1), (r2, w2, c2) = entries
+        return [(r1, w2, c1), (r2, w1, c2)]
+
+    assert _flagged_as_by_the_reference(monkeypatch, corpus_entries,
+                                        "sup_elim_left", breaks)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,146 @@ def test_parallel_substitution_is_simultaneous():
     assert out == S.Tens(S.Var("y"), S.Star(F(3)))
 
 
+def reference_subst_parallel(t, mapping):
+    """The quadratic substitution subst_parallel replaced: the same
+    algorithm, asking S.free_vars afresh at every node and binder."""
+    mapping = {x: v for x, v in mapping.items() if v != S.Var(x)}
+    if not mapping:
+        return t
+    if isinstance(t, S.Var):
+        return mapping.get(t.name, t)
+    if isinstance(t, S.Hole):
+        return t
+    relevant = {x: v for x, v in mapping.items() if x in S.free_vars(t)}
+    if not relevant:
+        return t
+    updates = {}
+    binder_spec = S._BINDERS.get(type(t), {})
+    renames = {}
+    for field in S.subterm_fields(t):
+        body = getattr(t, field)
+        bvars = binder_spec.get(field, ())
+        local = {x: v for x, v in relevant.items()
+                 if x not in {getattr(t, b) for b in bvars}}
+        local = {x: v for x, v in local.items() if x in S.free_vars(body)}
+        for b in bvars:
+            bname = renames.get(b, getattr(t, b))
+            clash = any(bname in S.free_vars(v) for v in local.values())
+            if clash:
+                taken = set(S.free_vars(body)) | set(local)
+                taken |= {getattr(t, b2) for b2 in bvars}
+                taken |= set(renames.values())
+                for v in local.values():
+                    taken |= S.free_vars(v)
+                new_name = S.fresh_name(bname, taken)
+                renames[b] = new_name
+                body = reference_subst_parallel(
+                    body, {getattr(t, b): S.Var(new_name)})
+                local = {x: v for x, v in local.items()
+                         if x in S.free_vars(body)}
+        new_body = reference_subst_parallel(body, local) if local else body
+        if new_body is not body or body is not getattr(t, field):
+            updates[field] = new_body
+    for b, new_name in renames.items():
+        updates[b] = new_name
+    return S._rebuild(t, updates) if updates else t
+
+
+def _substitution_cases(t):
+    """(body, mapping) pairs from every binder of t: each bound variable
+    mapped to a variable named as a binder inside the body (which forces a
+    renaming wherever the variable occurs under that binder), to a term
+    with two such free names, and to a closed term; and a node's bound
+    variables swapped, simultaneously."""
+    for _, u in S.subterms(t):
+        for field in S.subterm_fields(u):
+            bound = S.bound_names(u, field)
+            if not bound:
+                continue
+            body = getattr(u, field)
+            inner = sorted({n for _, w in S.subterms(body)
+                            for f in S.subterm_fields(w)
+                            for n in S.bound_names(w, f)})
+            images = [S.Var(n) for n in inner] + [S.Star(F(3))]
+            if inner:
+                images.append(S.Tens(S.Var(inner[0]), S.Var(inner[-1])))
+            for x in bound:
+                for v in images:
+                    yield body, {x: v}
+            if len(bound) == 2:
+                x, y = bound
+                yield body, {x: S.Var(y), y: S.Var(x)}
+
+
+def _substitution_terms():
+    terms = [e.term for e in sc.corpus()]
+    gen = TermGenerator(seed=23, allow_sup_elim=True, max_depth=4)
+    terms += [gen.closed()[0] for _ in range(300)]
+    return terms
+
+
+def test_subst_parallel_matches_the_quadratic_reference():
+    cases = 0
+    for t in _substitution_terms():
+        for body, mapping in _substitution_cases(t):
+            got = S.subst_parallel(body, mapping)
+            assert got == reference_subst_parallel(body, mapping), (
+                sc.print_term(body), mapping)
+            cases += 1
+    assert cases > 1000
+
+
+def test_subst_parallel_renames_nested_binders_as_the_reference_does():
+    # renaming the outer y to y1 captures y under the inner binder y1,
+    # which the nested renaming then moves to y11
+    body = sc.parse_term("lam(y,lam(y1,tens(x,tens(y,y1))))")
+    mapping = {"x": S.Var("y")}
+    out = S.subst_parallel(body, mapping)
+    assert out == sc.parse_term("lam(y1,lam(y11,tens(y,tens(y1,y11))))")
+    assert out == reference_subst_parallel(body, mapping)
+    # a binder is renamed away from every image's free variables at once
+    t = sc.parse_term("let_tens(p,a,b,tens(tens(a,b),tens(x,z)))")
+    mapping = {"x": S.Tens(S.Var("a"), S.Var("b")), "z": S.Var("a1")}
+    out = S.subst_parallel(t, mapping)
+    assert out == reference_subst_parallel(t, mapping)
+    assert out == sc.parse_term(
+        "let_tens(p,a2,b1,tens(tens(a2,b1),tens(tens(a,b),a1)))")
+    # the right branch's fresh name also avoids the left branch's
+    t = sc.parse_term("case(s,y.tens(x,y),y.tens(x,y))")
+    mapping = {"x": S.Var("y")}
+    out = S.subst_parallel(t, mapping)
+    assert out == reference_subst_parallel(t, mapping)
+    assert out == sc.parse_term("case(s,y1.tens(y,y1),y2.tens(y,y2))")
+
+
+def test_subst_parallel_is_linear_in_term_size(monkeypatch):
+    # each node's free variables are worked out once per call, so
+    # S.bound_names runs a fixed number of times per node
+    real = S.bound_names
+    calls = 0
+
+    def counting(t, field):
+        nonlocal calls
+        calls += 1
+        return real(t, field)
+
+    monkeypatch.setattr(S, "bound_names", counting)
+
+    def calls_at(depth):
+        nonlocal calls
+        t = S.Var("x")
+        for i in range(depth):
+            t = S.Lam(f"y{i}", S.Sum(S.Var("x"), t))
+        calls = 0
+        out = S.subst_parallel(t, {"x": S.Star(F(1))})
+        made = calls
+        assert "x" not in sc.free_vars(out)
+        return made
+
+    at_500, at_1000 = calls_at(500), calls_at(1000)
+    assert 0 < at_500 and at_1000 < 2.5 * at_500
+
+
 # ---------------------------------------------------------------------------
 # term contexts
 
