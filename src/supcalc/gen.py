@@ -5,6 +5,12 @@ exactly one premise (or shared by additive forms), so the output always
 checks.  Generated propositions avoid ``top`` and ``zero`` so that every
 context variable can be consumed down to ``one``; the fallback at depth 0
 spends the remaining context deterministically.
+
+That fallback and the elimination contexts read the constructor-only
+helpers below: ``canonical_inhabitant`` builds a closed proof of a
+proposition, ``consume_to_one`` spends a term down to ``one``, and
+``enumerate_elim_contexts`` lists the destructor-only contexts from a
+proposition down to a basic one.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 import random
 
 from . import syntax as S
-from .rewrite import canonical_inhabitant, consume_to_one
 from .semiring import QNN, Semiring
 from .syntax import Prop, Term
 
@@ -160,3 +165,134 @@ class TermGenerator:
             p, q = rng.choice(self.sr.weight_pool)
             return S.SupElim(p, q, scrut, x, left, y, right)
         raise AssertionError(pick)
+
+
+# ---------------------------------------------------------------------------
+# Canonical inhabitants, consumers and elimination contexts
+
+
+def basic(a: S.Prop) -> bool:
+    return isinstance(a, (S.One, S.Top))
+
+
+def canonical_inhabitant(a: S.Prop, semiring: Semiring = QNN) -> Term | None:
+    """A closed proof of a, if this constructor-only search finds one."""
+    sr = semiring
+    if isinstance(a, S.One):
+        return S.Star(sr.one)
+    if isinstance(a, S.Top):
+        return S.Unit()
+    if isinstance(a, S.Zero):
+        return None
+    if isinstance(a, (S.Tensor, S.With, S.Sup)):
+        l, r = (canonical_inhabitant(x, sr) for x in (a.left, a.right))
+        cls = S.Tens if isinstance(a, S.Tensor) else S._PAIRS[type(a)][0]
+        return cls(l, r) if l is not None and r is not None else None
+    if isinstance(a, S.Plus):
+        l = canonical_inhabitant(a.left, sr)
+        if l is not None:
+            return S.Inl(l, a.right)
+        r = canonical_inhabitant(a.right, sr)
+        if r is not None:
+            return S.Inr(r, a.left)
+        return None
+    if isinstance(a, S.Lollipop):
+        x = "x"
+        body = _consume_to(S.Var(x), a.left, a.right, sr)
+        return S.Lam(x, body, a.left) if body is not None else None
+    return None
+
+
+def consume_to_one(expr: Term, a: S.Prop, sr: Semiring, depth: int = 0) -> Term | None:
+    """A term of type one consuming expr : a linearly, if one exists."""
+    if depth > 32 or isinstance(a, S.Top):
+        return None
+    if isinstance(a, S.One):
+        return expr
+    if isinstance(a, S.Zero):
+        return S.ZeroElim(expr, S.One())
+    if type(a) in S._PAIRS:
+        _, fst, snd = S._PAIRS[type(a)]
+        got = consume_to_one(fst(expr), a.left, sr, depth + 1)
+        return got if got is not None else consume_to_one(
+            snd(expr), a.right, sr, depth + 1)
+    if isinstance(a, S.Tensor):
+        x, y = f"_t{depth}l", f"_t{depth}r"
+        l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
+        r = consume_to_one(S.Var(y), a.right, sr, depth + 1)
+        if l is None or r is None:
+            return None
+        return S.TensElim(expr, x, y, S.UnitElim(l, r))
+    if isinstance(a, S.Lollipop):
+        arg = canonical_inhabitant(a.left, sr)
+        if arg is None:
+            return None
+        return consume_to_one(S.App(expr, arg), a.right, sr, depth + 1)
+    if isinstance(a, S.Plus):
+        x, y = f"_c{depth}l", f"_c{depth}r"
+        l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
+        r = consume_to_one(S.Var(y), a.right, sr, depth + 1)
+        if l is None or r is None:
+            return None
+        return S.Case(expr, x, l, y, r)
+    return None
+
+
+def _consume_to(expr: Term, a: S.Prop, target: S.Prop, sr: Semiring) -> Term | None:
+    """A term of type target that consumes expr : a."""
+    if isinstance(target, S.Top):
+        return S.Unit()
+    used = consume_to_one(expr, a, sr)
+    if used is None:
+        return None
+    if isinstance(target, S.One):
+        return used
+    filler = canonical_inhabitant(target, sr)
+    if filler is None:
+        return None
+    return S.UnitElim(used, filler)
+
+
+def enumerate_elim_contexts(a: S.Prop, depth: int,
+                            semiring: Semiring = QNN) -> list[Term]:
+    """All destructor-only contexts from a down to a basic proposition,
+    with branch and argument positions filled by canonical closed terms,
+    up to the given nesting depth."""
+    sr = semiring
+    out: list[Term] = []
+    if basic(a):
+        out.append(S.Hole())
+    if depth <= 0:
+        return out
+
+    def extend(inner: S.Prop, wrap) -> list[Term]:
+        return [S.fill(k, wrap) for k in enumerate_elim_contexts(
+            inner, depth - 1, sr)]
+
+    if type(a) in S._PAIRS:
+        _, fst, snd = S._PAIRS[type(a)]
+        out += extend(a.left, fst(S.Hole()))
+        out += extend(a.right, snd(S.Hole()))
+    elif isinstance(a, S.Lollipop):
+        arg = canonical_inhabitant(a.left, sr)
+        if arg is not None:
+            out += extend(a.right, S.App(S.Hole(), arg))
+    elif isinstance(a, S.Tensor):
+        x, y = "el_", "er_"
+        body = None
+        l = consume_to_one(S.Var(x), a.left, sr)
+        r = consume_to_one(S.Var(y), a.right, sr)
+        if l is not None and r is not None:
+            body = S.UnitElim(l, r)
+            out.append(S.TensElim(S.Hole(), x, y, body))
+        else:
+            out.append(S.TensElim(S.Hole(), x, y, S.Unit()))
+    elif isinstance(a, S.Plus):
+        x, y = "cl_", "cr_"
+        l = consume_to_one(S.Var(x), a.left, sr)
+        r = consume_to_one(S.Var(y), a.right, sr)
+        if l is not None and r is not None:
+            out.append(S.Case(S.Hole(), x, l, y, r))
+        else:
+            out.append(S.Case(S.Hole(), x, S.Unit(), y, S.Unit()))
+    return out

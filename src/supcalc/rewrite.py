@@ -16,19 +16,45 @@ the full multiset of (probability, normal form) leaves.
 One loop, ``_reduce``, runs every reduction: ``normalize``,
 ``normalize_random``, ``paths`` and ``distribution`` call it, and
 ``is_normal`` asks its leftmost search.  Its redex choice is either the
-leftmost-outermost redex or a uniformly random one of the full preorder
-redex list.  The leftmost search does not rescan from the root after a
-contraction at ``pos``.  ``contract`` looks only at a node and the classes
-of its direct children, so the parent of ``pos`` is the only node whose
-redex status can change; every node before the parent in preorder is
-unchanged and stays a non-redex.  The search therefore checks the parent
-first, then continues the preorder from ``pos`` (the contractum) and then
-through the right siblings of each ancestor, innermost first.
+leftmost-outermost redex or a uniformly random one of the preorder redex
+list.  Neither strategy rescans the whole term after a step.
+
+Why the parent is enough: ``contract`` looks only at a node and the
+classes of its direct children.  A contraction at ``pos`` replaces the
+subterm at ``pos`` and leaves every node outside it at its position.  Of
+those nodes only the parent of ``pos`` gets a new child, so it is the
+only one whose redex status can change.
+
+Both strategies hold the term as a focus and an immutable linked list of
+frames ``(parent, child index, outer frames)`` up to the root, in the
+manner of Huet's zipper (Huet, "The Zipper", JFP 1997).  Plugging a child
+back into its parent rebuilds one node; the child the parent still holds
+at that index may be stale, and the plug replaces it.  The two branches of
+a fork share their frames.  The whole term is rebuilt only at a leaf, and,
+for ``paths``, after each step.
+
+The leftmost search: no node before the parent of the last contractum in
+preorder is a redex.  So the search plugs the contractum and checks the
+parent, then walks the focus subtree in preorder, then climbs, plugging
+each ancestor and walking the right siblings of each one, innermost first.
+
+The random strategy keeps the preorder list of redex positions across
+steps.  Invariant: after every step the kept list equals the positions of
+``_redexes`` on the current term.  Lexicographic order on position tuples
+is preorder, so the positions under ``pos`` form one contiguous run that
+``bisect`` finds.  A step cuts that run, splices in the contractum's redex
+positions prefixed by ``pos``, and checks the parent again at its bisect
+slot.  Positions are kept rather than contracta, since an ancestor's
+contractum would hold stale subterms; ``contract`` runs again only at the
+chosen position, which the focus reaches through the deepest common
+ancestor of the two positions.  The list has the length and order of a
+full rescan, so ``rng.choice`` makes the same draws.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import syntax as S
@@ -36,6 +62,8 @@ from .semiring import QNN, Semiring
 from .syntax import Term
 
 DEFAULT_BUDGET = 100_000
+
+_CHILDREN = S._CHILDREN
 
 BETA_RULES = (
     "unit_elim", "tens_elim", "apply", "fst", "snd", "case_inl", "case_inr",
@@ -207,31 +235,109 @@ def step_all(t: Term, semiring: Semiring = QNN) -> list[tuple[Step, Term]]:
             for rule, weight, contractum in entries]
 
 
-def _leftmost(t: Term, pos: tuple[int, ...], semiring: Semiring):
-    """The leftmost-outermost redex of t as (position, contract entries),
-    or None, given that no redex precedes the parent of pos in preorder."""
-    spine = []
-    for i in pos:
-        spine.append(t)
-        t = getattr(t, S.subterm_fields(t)[i])
-    if spine:
-        entries = contract(spine[-1], semiring)
+def _plug_all(u: Term, frames) -> Term:
+    """The whole term: u plugged back through every frame up to the root."""
+    while frames is not None:
+        parent, i, frames = frames
+        u = S._plug(parent, i, u)
+    return u
+
+
+def _position(frames) -> tuple[int, ...]:
+    """The position of the node held at frames."""
+    pos = []
+    while frames is not None:
+        _, i, frames = frames
+        pos.append(i)
+    return tuple(reversed(pos))
+
+
+def _preorder_redex(u: Term, frames, semiring: Semiring):
+    """The first redex in preorder of the subterm u held at frames, as
+    (redex, its frames, contract entries), or None."""
+    stack = [(u, frames)]
+    while stack:
+        u, frames = stack.pop()
+        entries = contract(u, semiring)
         if entries:
-            return pos[:-1], entries
-
-    def rest():
-        yield pos, t
-        for d in range(len(pos) - 1, -1, -1):
-            siblings = S.children(spine[d])
-            for j in range(pos[d] + 1, len(siblings)):
-                yield pos[:d] + (j,), siblings[j]
-
-    for base, sub in rest():
-        for q, u in S.subterms(sub):
-            entries = contract(u, semiring)
-            if entries:
-                return base + q, entries
+            return u, frames, entries
+        names = _CHILDREN[type(u)]
+        for i in range(len(names) - 1, -1, -1):
+            stack.append((getattr(u, names[i]), (u, i, frames)))
     return None
+
+
+def _next_leftmost(focus: Term, frames, semiring: Semiring):
+    """The leftmost-outermost redex as (redex, its frames, contract
+    entries), or (the whole term, None, None) if there is none.
+
+    focus is either the whole term (frames None) or the contractum of the
+    last step, held at frames, so that no redex precedes its parent.
+    """
+    if frames is not None:
+        parent, i, outer = frames
+        up = S._plug(parent, i, focus)
+        entries = contract(up, semiring)
+        if entries:
+            return up, outer, entries
+    found = _preorder_redex(focus, frames, semiring)
+    while found is None and frames is not None:
+        parent, i, frames = frames
+        focus = S._plug(parent, i, focus)
+        names = _CHILDREN[type(focus)]
+        for j in range(i + 1, len(names)):
+            found = _preorder_redex(getattr(focus, names[j]),
+                                    (focus, j, frames), semiring)
+            if found is not None:
+                break
+    return found if found is not None else (focus, None, None)
+
+
+def _move(focus: Term, frames, at: tuple[int, ...], pos: tuple[int, ...]):
+    """The node at pos and its frames, from the focus at position at:
+    climb to the deepest common ancestor, plugging, then descend."""
+    # the length of the common prefix: one comparison when one position
+    # is a prefix of the other, else a bisection on prefixes
+    common = min(len(at), len(pos))
+    if at[:common] != pos[:common]:
+        lo, hi = 0, common - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if at[:mid] == pos[:mid]:
+                lo = mid
+            else:
+                hi = mid - 1
+        common = lo
+    for _ in range(len(at) - common):
+        parent, i, frames = frames
+        focus = S._plug(parent, i, focus)
+    for i in pos[common:]:
+        frames = (focus, i, frames)
+        focus = getattr(focus, _CHILDREN[type(focus)][i])
+    return focus, frames
+
+
+def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
+                 semiring: Semiring):
+    """(focus, frames, focus position, kept redex positions) after the redex
+    at pos, held at frames, contracts to contractum; the focus is the
+    rebuilt parent of pos, or the contractum at the root."""
+    lo = bisect_left(kept, pos)
+    hi = bisect_left(kept, pos[:-1] + (pos[-1] + 1,)) if pos else len(kept)
+    kept = kept[:lo] + [pos + q for q, u in S.subterms(contractum)
+                        if contract(u, semiring)] + kept[hi:]
+    if frames is None:
+        return contractum, None, pos, kept
+    parent, i, frames = frames
+    up, up_pos = S._plug(parent, i, contractum), pos[:-1]
+    slot = bisect_left(kept, up_pos)
+    was = slot < len(kept) and kept[slot] == up_pos
+    if was != bool(contract(up, semiring)):
+        if was:
+            del kept[slot]
+        else:
+            kept.insert(slot, up_pos)
+    return up, frames, up_pos, kept
 
 
 def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
@@ -243,31 +349,40 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
     one of the preorder redex list.  With forks both branches of a
     sup-elimination are explored; without, a fork raises
     SupBranchEncountered.  Steps are recorded only with trails.
+
+    Each pending state is (focus, frames, at, kept, weight, trail).  With
+    rng, at is the position of the focus and kept the redex positions; the
+    leftmost search needs neither.
     """
     if forks:
         limit, message = budget, f"reduction tree larger than {budget} steps"
     else:
         limit, message = budget - 1, f"no normal form within {budget} steps"
     leaves = []
-    stack = [(t, (), semiring.one, None)]
+    kept = None if rng is None else [p for p, _ in _redexes(t, semiring)]
+    stack = [(t, None, (), kept, semiring.one, None)]
     used = 0
     while stack:
-        term, pos, weight, trail = stack.pop()
+        focus, frames, at, kept, weight, trail = stack.pop()
         if used > limit:
             raise BudgetExceeded(message)
         if rng is None:
-            found = _leftmost(term, pos, semiring)
+            focus, frames, entries = _next_leftmost(focus, frames, semiring)
+        elif kept:
+            pos = rng.choice(kept)
+            focus, frames = _move(focus, frames, at, pos)
+            entries = contract(focus, semiring)
         else:
-            redexes = _redexes(term, semiring)
-            found = rng.choice(redexes) if redexes else None
-        if found is None:
+            focus, entries = _plug_all(focus, frames), None
+        if entries is None:
             steps = []
             while trail is not None:
                 trail, step = trail
                 steps.append(step)
-            leaves.append((weight, term, tuple(reversed(steps))))
+            leaves.append((weight, focus, tuple(reversed(steps))))
             continue
-        pos, entries = found
+        if rng is None and (trails or len(entries) > 1 and not forks):
+            pos = _position(frames)
         if len(entries) > 1 and not forks:
             raise SupBranchEncountered(
                 f"probabilistic fork at position {pos}; use distribution()")
@@ -275,16 +390,19 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
         # push right branch first so the left branch is explored first; a
         # step that is no fork has weight one, which leaves the weight as is
         for rule, w, contractum in reversed(entries):
-            nxt = S.replace_at(term, pos, contractum)
-            stack.append((nxt, pos, semiring.mul(weight, w)
+            if rng is None:
+                nxt = contractum, frames, (), None
+            else:
+                nxt = _contract_at(kept, pos, contractum, frames, semiring)
+            stack.append((*nxt, semiring.mul(weight, w)
                           if len(entries) > 1 else weight,
-                          (trail, (Step(pos, rule, w), nxt)) if trails
-                          else None))
+                          (trail, (Step(pos, rule, w), _plug_all(*nxt[:2])))
+                          if trails else None))
     return leaves
 
 
 def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
-    return _leftmost(t, (), semiring) is None
+    return _next_leftmost(t, None, semiring)[2] is None
 
 
 def normalize(t: Term, semiring: Semiring = QNN,
@@ -405,134 +523,3 @@ def mixed_equiv(t: Term, u: Term, a: S.Prop, semiring: Semiring = QNN) -> bool:
 
     vt, vu = vec(t), vec(u)
     return all(semiring.eq(x, y) for x, y in zip(vt, vu))
-
-
-# ---------------------------------------------------------------------------
-# Elimination contexts
-
-
-def basic(a: S.Prop) -> bool:
-    return isinstance(a, (S.One, S.Top))
-
-
-def canonical_inhabitant(a: S.Prop, semiring: Semiring = QNN) -> Term | None:
-    """A closed proof of a, if this constructor-only search finds one."""
-    sr = semiring
-    if isinstance(a, S.One):
-        return S.Star(sr.one)
-    if isinstance(a, S.Top):
-        return S.Unit()
-    if isinstance(a, S.Zero):
-        return None
-    if isinstance(a, (S.Tensor, S.With, S.Sup)):
-        l, r = (canonical_inhabitant(x, sr) for x in (a.left, a.right))
-        cls = S.Tens if isinstance(a, S.Tensor) else S._PAIRS[type(a)][0]
-        return cls(l, r) if l is not None and r is not None else None
-    if isinstance(a, S.Plus):
-        l = canonical_inhabitant(a.left, sr)
-        if l is not None:
-            return S.Inl(l, a.right)
-        r = canonical_inhabitant(a.right, sr)
-        if r is not None:
-            return S.Inr(r, a.left)
-        return None
-    if isinstance(a, S.Lollipop):
-        x = "x"
-        body = _consume_to(S.Var(x), a.left, a.right, sr)
-        return S.Lam(x, body, a.left) if body is not None else None
-    return None
-
-
-def consume_to_one(expr: Term, a: S.Prop, sr: Semiring, depth: int = 0) -> Term | None:
-    """A term of type one consuming expr : a linearly, if one exists."""
-    if depth > 32 or isinstance(a, S.Top):
-        return None
-    if isinstance(a, S.One):
-        return expr
-    if isinstance(a, S.Zero):
-        return S.ZeroElim(expr, S.One())
-    if type(a) in S._PAIRS:
-        _, fst, snd = S._PAIRS[type(a)]
-        got = consume_to_one(fst(expr), a.left, sr, depth + 1)
-        return got if got is not None else consume_to_one(
-            snd(expr), a.right, sr, depth + 1)
-    if isinstance(a, S.Tensor):
-        x, y = f"_t{depth}l", f"_t{depth}r"
-        l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
-        r = consume_to_one(S.Var(y), a.right, sr, depth + 1)
-        if l is None or r is None:
-            return None
-        return S.TensElim(expr, x, y, S.UnitElim(l, r))
-    if isinstance(a, S.Lollipop):
-        arg = canonical_inhabitant(a.left, sr)
-        if arg is None:
-            return None
-        return consume_to_one(S.App(expr, arg), a.right, sr, depth + 1)
-    if isinstance(a, S.Plus):
-        x, y = f"_c{depth}l", f"_c{depth}r"
-        l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
-        r = consume_to_one(S.Var(y), a.right, sr, depth + 1)
-        if l is None or r is None:
-            return None
-        return S.Case(expr, x, l, y, r)
-    return None
-
-
-def _consume_to(expr: Term, a: S.Prop, target: S.Prop, sr: Semiring) -> Term | None:
-    """A term of type target that consumes expr : a."""
-    if isinstance(target, S.Top):
-        return S.Unit()
-    used = consume_to_one(expr, a, sr)
-    if used is None:
-        return None
-    if isinstance(target, S.One):
-        return used
-    filler = canonical_inhabitant(target, sr)
-    if filler is None:
-        return None
-    return S.UnitElim(used, filler)
-
-
-def enumerate_elim_contexts(a: S.Prop, depth: int,
-                            semiring: Semiring = QNN) -> list[Term]:
-    """All destructor-only contexts from a down to a basic proposition,
-    with branch and argument positions filled by canonical closed terms,
-    up to the given nesting depth."""
-    sr = semiring
-    out: list[Term] = []
-    if basic(a):
-        out.append(S.Hole())
-    if depth <= 0:
-        return out
-
-    def extend(inner: S.Prop, wrap) -> list[Term]:
-        return [S.fill(k, wrap) for k in enumerate_elim_contexts(
-            inner, depth - 1, sr)]
-
-    if type(a) in S._PAIRS:
-        _, fst, snd = S._PAIRS[type(a)]
-        out += extend(a.left, fst(S.Hole()))
-        out += extend(a.right, snd(S.Hole()))
-    elif isinstance(a, S.Lollipop):
-        arg = canonical_inhabitant(a.left, sr)
-        if arg is not None:
-            out += extend(a.right, S.App(S.Hole(), arg))
-    elif isinstance(a, S.Tensor):
-        x, y = "el_", "er_"
-        body = None
-        l = consume_to_one(S.Var(x), a.left, sr)
-        r = consume_to_one(S.Var(y), a.right, sr)
-        if l is not None and r is not None:
-            body = S.UnitElim(l, r)
-            out.append(S.TensElim(S.Hole(), x, y, body))
-        else:
-            out.append(S.TensElim(S.Hole(), x, y, S.Unit()))
-    elif isinstance(a, S.Plus):
-        x, y = "cl_", "cr_"
-        l = consume_to_one(S.Var(x), a.left, sr)
-        r = consume_to_one(S.Var(y), a.right, sr)
-        if l is not None and r is not None:
-            out.append(S.Case(S.Hole(), x, l, y, r))
-        else:
-            out.append(S.Case(S.Hole(), x, S.Unit(), y, S.Unit()))
-    return out

@@ -11,7 +11,7 @@ import pytest
 import supcalc as sc
 from supcalc import rewrite as R
 from supcalc import syntax as S
-from supcalc.gen import TermGenerator
+from supcalc.gen import TermGenerator, canonical_inhabitant
 
 SR = sc.QNN
 
@@ -304,7 +304,7 @@ def test_elim_contexts_produce_basic_judgments():
         a = sc.parse_prop(src)
         ks = sc.enumerate_elim_contexts(a, 3)
         assert ks
-        filler = R.canonical_inhabitant(a)
+        filler = canonical_inhabitant(a)
         for k in ks:
             assert sc.hole_count(k) == 1
             d = sc.typecheck((), sc.fill(k, filler))
@@ -540,48 +540,132 @@ def _outcome(fn, *args, **kwargs):
 _FORK = "sup_elim{{1/3,2/3}}(sup(star({a}),star({b})),x.x,y.y)"
 
 
+def _fork(i):
+    return _FORK.format(a=2 * i + 1, b=2 * i + 2)
+
+
+def _fork_chain(n, left=False):
+    """unit_elim chains of n forks with distinct leaf scalars, nested to
+    the right or to the left."""
+    src = _fork(0)
+    for i in range(1, n):
+        src = (f"unit_elim({src},{_fork(i)})" if left
+               else f"unit_elim({_fork(i)},{src})")
+    return src
+
+
+def _fork_tree(lo, hi):
+    """A balanced unit_elim tree of the forks lo..hi-1."""
+    if hi - lo == 1:
+        return _fork(lo)
+    mid = (lo + hi) // 2
+    return f"unit_elim({_fork_tree(lo, mid)},{_fork_tree(mid, hi)})"
+
+
 def _fork_terms():
     """Right- and left-nested fork chains and balanced fork trees of 1..8
-    forks, with distinct leaf scalars."""
-    def fork(i):
-        return _FORK.format(a=2 * i + 1, b=2 * i + 2)
+    forks."""
+    return [term(src) for n in range(1, 9)
+            for src in (_fork_chain(n), _fork_chain(n, left=True),
+                        _fork_tree(0, n))]
 
-    def tree(lo, hi):
-        if hi - lo == 1:
-            return fork(lo)
-        mid = (lo + hi) // 2
-        return f"unit_elim({tree(lo, mid)},{tree(mid, hi)})"
 
-    out = []
-    for n in range(1, 9):
-        right = left = fork(0)
-        for i in range(1, n):
-            right = f"unit_elim({fork(i)},{right})"
-            left = f"unit_elim({left},{fork(i)})"
-        out += [term(right), term(left), term(tree(0, n))]
-    return out
+def _large_fork_terms():
+    """One chain and one balanced tree of 9 and of 10 forks."""
+    return [term(src) for n in (9, 10)
+            for src in (_fork_chain(n), _fork_tree(0, n))]
+
+
+def _sum_chain(n, left=False):
+    """sum(star(1), sum(star(2), ...)) over star(1..n), nested to the right
+    or to the left; its normal form is star(n(n+1)/2)."""
+    t = S.Star(F(n))
+    for i in range(n - 1, 0, -1):
+        t = S.Sum(t, S.Star(F(i))) if left else S.Sum(S.Star(F(i)), t)
+    return t
+
+
+def _deep_terms():
+    return [_sum_chain(300), _sum_chain(300, left=True)]
+
+
+_STUCK_BODIES = "x.unit_elim(x,star(1)),y.unit_elim(y,sum(star(1),star(2)))"
+
+
+def _odd_terms():
+    """Open terms whose eliminator gets stuck on a variable, so that the
+    leftmost search climbs to later siblings; and ill-typed terms where a
+    contraction makes the parent stop being a redex."""
+    return [term(src) for src in (
+        f"case(app(lam(w,w),z),{_STUCK_BODIES})",
+        f"sup_elim{{1/2,1/2}}(app(lam(w,w),z),{_STUCK_BODIES})",
+        "unit_elim(app(lam(w,w),z),sum(star(1),star(2)))",
+        "app(app(lam(w,w),f),sum(star(1),star(2)))",
+        "let_tens(app(lam(w,w),z),a,b,unit_elim(a,unit_elim(b,"
+        "sum(star(1),star(2)))))",
+        "let_tens(sum(star(1),star(2)),a,b,a)",
+        "case(scal(2,star(3)),x.x,y.y)",
+        "case(sum(unit,sum(unit,unit)),x.x,y.y)",
+    )]
+
+
+def _edge_terms(corpus_entries):
+    """The terms also checked at one step less than the budget they need."""
+    return ([e.term for e in corpus_entries] + _large_fork_terms()
+            + _deep_terms())
 
 
 def _differential_terms(corpus_entries):
     gen = TermGenerator(seed=11, allow_sup_elim=True, max_depth=4)
-    return ([e.term for e in corpus_entries]
-            + [gen.closed()[0] for _ in range(300)] + _fork_terms())
+    return (_edge_terms(corpus_entries)
+            + [gen.closed()[0] for _ in range(300)] + _fork_terms()
+            + _odd_terms())
 
 
 def test_reduction_matches_naive_reference(corpus_entries):
+    """Each loop result equals the reference's at exactly the budget the
+    term needs: paths needs the steps of its tree, normalize the steps of
+    its run plus one.  The edge terms are also compared at one less."""
+    edges = len(_edge_terms(corpus_entries))
     for i, t in enumerate(_differential_terms(corpus_entries)):
         assert list(S.subterms(t)) == list(_ref_subterms(t))
         got = sc.paths(t)
-        assert got == _ref_paths(t), sc.print_term(t)
+        tree, steps = _tree_steps(got), len(got[0].steps)
+        assert _outcome(_ref_paths, t, budget=tree) == ("ok", got), \
+            sc.print_term(t)
+        assert sc.paths(t, budget=tree) == got
         assert sc.distribution(t).items == tuple((p.weight, p.value)
                                                  for p in got)
         for p in got:
             for _, u in p.steps[-3:]:
                 assert sc.is_normal(u) == (_ref_leftmost(u) is None)
         assert sc.is_normal(t) == (_ref_leftmost(t) is None)
-        assert _outcome(sc.normalize, t) == _outcome(_ref_normalize, t)
-        assert (_outcome(sc.normalize_random, t, random.Random(i))
-                == _outcome(_ref_normalize, t, random.Random(i)))
+        one_less = i < edges
+        if one_less and tree:
+            assert (_outcome(sc.paths, t, budget=tree - 1)
+                    == _outcome(_ref_paths, t, budget=tree - 1))
+        for budget in (steps + 1, steps) if one_less else (steps + 1,):
+            assert (_outcome(sc.normalize, t, budget=budget)
+                    == _outcome(_ref_normalize, t, budget=budget))
+            assert (_outcome(sc.normalize_random, t, random.Random(i),
+                             budget=budget)
+                    == _outcome(_ref_normalize, t, random.Random(i),
+                                budget=budget))
+
+
+def _tree_steps(ps):
+    """The number of steps in the reduction tree whose maximal paths, left
+    branch first, are ps: each path adds the steps after its common prefix
+    with the path before it."""
+    total, prev = 0, ()
+    for p in ps:
+        shared = 0
+        while (shared < min(len(prev), len(p.steps))
+               and prev[shared] == p.steps[shared]):
+            shared += 1
+        total += len(p.steps) - shared
+        prev = p.steps
+    return total
 
 
 def test_budget_errors_match_naive_reference(corpus_entries):
@@ -595,3 +679,37 @@ def test_budget_errors_match_naive_reference(corpus_entries):
             rng_a, rng_b = random.Random(budget), random.Random(budget)
             assert (_outcome(sc.normalize_random, t, rng_a, budget=budget)
                     == _outcome(_ref_normalize, t, rng_b, budget=budget))
+
+
+def test_kept_redex_positions_match_a_rescan(corpus_entries):
+    """The random strategy's kept position list, updated after each step,
+    equals the redex positions of a full rescan of the new term."""
+    gen = TermGenerator(seed=5, allow_sup_elim=True, max_depth=4)
+    terms = ([e.term for e in corpus_entries] + _odd_terms() * 8
+             + [gen.closed()[0] for _ in range(300)])
+    rng = random.Random(0)
+    steps = 0
+    for t in terms:
+        focus, frames, at = t, None, ()
+        kept = [p for p, _ in R._redexes(t, SR)]
+        while kept:
+            pos = rng.choice(kept)
+            focus, frames = R._move(focus, frames, at, pos)
+            contractum = rng.choice(R.contract(focus, SR))[2]
+            focus, frames, at, kept = R._contract_at(kept, pos, contractum,
+                                                     frames, SR)
+            assert S.replace_at(t, pos, contractum) == R._plug_all(focus,
+                                                                   frames)
+            t = R._plug_all(focus, frames)
+            assert kept == [p for p, _ in R._redexes(t, SR)], \
+                sc.print_term(t)
+            steps += 1
+    assert steps > 1000
+
+
+def test_deep_chain_normalizes_to_its_closed_form():
+    n = 2000
+    t = _sum_chain(n)
+    assert sc.normalize(t) == S.Star(F(n * (n + 1) // 2))
+    assert sc.distribution(_sum_chain(n, left=True)).items == (
+        (F(1), S.Star(F(n * (n + 1) // 2))),)
