@@ -235,11 +235,16 @@ def step_all(t: Term, semiring: Semiring = QNN) -> list[tuple[Step, Term]]:
             for rule, weight, contractum in entries]
 
 
+def _plug(parent: Term, i: int, child: Term) -> Term:
+    """parent with its i-th subterm replaced by child: one node rebuilt."""
+    return S._rebuild(parent, {_CHILDREN[type(parent)][i]: child})
+
+
 def _plug_all(u: Term, frames) -> Term:
     """The whole term: u plugged back through every frame up to the root."""
     while frames is not None:
         parent, i, frames = frames
-        u = S._plug(parent, i, u)
+        u = _plug(parent, i, u)
     return u
 
 
@@ -274,43 +279,37 @@ def _next_leftmost(focus: Term, frames, semiring: Semiring):
     focus is either the whole term (frames None) or the contractum of the
     last step, held at frames, so that no redex precedes its parent.
     """
-    if frames is not None:
-        parent, i, outer = frames
-        up = S._plug(parent, i, focus)
-        entries = contract(up, semiring)
-        if entries:
-            return up, outer, entries
-    found = _preorder_redex(focus, frames, semiring)
-    while found is None and frames is not None:
-        parent, i, frames = frames
-        focus = S._plug(parent, i, focus)
+    if frames is None:
+        found = _preorder_redex(focus, None, semiring)
+        return found or (focus, None, None)
+    parent, i, frames = frames
+    child, focus = focus, _plug(parent, i, focus)
+    entries = contract(focus, semiring)
+    if entries:
+        return focus, frames, entries
+    found = _preorder_redex(child, (focus, i, frames), semiring)
+    while found is None:
         names = _CHILDREN[type(focus)]
         for j in range(i + 1, len(names)):
             found = _preorder_redex(getattr(focus, names[j]),
                                     (focus, j, frames), semiring)
             if found is not None:
-                break
-    return found if found is not None else (focus, None, None)
+                return found
+        if frames is None:
+            return focus, None, None
+        parent, i, frames = frames
+        focus = _plug(parent, i, focus)
+    return found
 
 
 def _move(focus: Term, frames, at: tuple[int, ...], pos: tuple[int, ...]):
     """The node at pos and its frames, from the focus at position at:
     climb to the deepest common ancestor, plugging, then descend."""
-    # the length of the common prefix: one comparison when one position
-    # is a prefix of the other, else a bisection on prefixes
-    common = min(len(at), len(pos))
-    if at[:common] != pos[:common]:
-        lo, hi = 0, common - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if at[:mid] == pos[:mid]:
-                lo = mid
-            else:
-                hi = mid - 1
-        common = lo
+    common = next((k for k, (a, b) in enumerate(zip(at, pos)) if a != b),
+                  min(len(at), len(pos)))
     for _ in range(len(at) - common):
         parent, i, frames = frames
-        focus = S._plug(parent, i, focus)
+        focus = _plug(parent, i, focus)
     for i in pos[common:]:
         frames = (focus, i, frames)
         focus = getattr(focus, _CHILDREN[type(focus)][i])
@@ -329,7 +328,7 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
     if frames is None:
         return contractum, None, pos, kept
     parent, i, frames = frames
-    up, up_pos = S._plug(parent, i, contractum), pos[:-1]
+    up, up_pos = _plug(parent, i, contractum), pos[:-1]
     slot = bisect_left(kept, up_pos)
     was = slot < len(kept) and kept[slot] == up_pos
     if was != bool(contract(up, semiring)):

@@ -14,7 +14,6 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
 from typing import Iterator, Optional
 
 from .semiring import QNN, Semiring, format_scalar, make_weight_pair
@@ -277,30 +276,12 @@ def bound_names(t: Term, field: str) -> tuple[str, ...]:
 
 
 def _rebuild(t: Term, updates: dict[str, object]) -> Term:
-    """t with some fields replaced, built by its constructor."""
-    return type(t)(*[updates[n] if n in updates else getattr(t, n)
-                     for n in _FIELDS[type(t)]])
-
-
-def _getter(names: tuple[str, ...]):
-    """The tuple of the named fields of a node, read in one call."""
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda t: (get(t),)
-
-
-# each class's field getter and the constructor argument index of each of
-# its subterms
-_PLUGS = {cls: (_getter(_FIELDS[cls]),
-                tuple(_FIELDS[cls].index(n) for n in names))
-          for cls, names in _CHILDREN.items() if names}
-
-
-def _plug(t: Term, i: int, child: Term) -> Term:
-    """t with its i-th subterm replaced by child: one node rebuilt."""
-    get, slots = _PLUGS[type(t)]
-    args = list(get(t))
-    args[slots[i]] = child
-    return type(t)(*args)
+    """t with some fields replaced.  Term classes have no __post_init__, so
+    filling a new instance's fields directly makes the node the constructor
+    would, without the constructor's frozen per-field writes."""
+    new = object.__new__(type(t))
+    new.__dict__.update(t.__dict__, **updates)
+    return new
 
 
 def subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -317,10 +298,11 @@ def subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
 def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     spine = []
     for i in pos:
-        spine.append(t)
-        t = getattr(t, _CHILDREN[type(t)][i])
-    for node, i in zip(reversed(spine), reversed(pos)):
-        new = _plug(node, i, new)
+        name = _CHILDREN[type(t)][i]
+        spine.append((t, name))
+        t = getattr(t, name)
+    for node, name in reversed(spine):
+        new = _rebuild(node, {name: new})
     return new
 
 

@@ -495,20 +495,30 @@ def _ref_leftmost(t):
                  if (e := R.contract(u, SR))), None)
 
 
-def _ref_normalize(t, rng=None, budget=R.DEFAULT_BUDGET):
-    for _ in range(budget):
+def _ref_run(t, rng=None):
+    """Each term of the reference run with the redex chosen in it, as
+    (position, contract entries); the run ends at a normal form (None) or
+    at a fork."""
+    while True:
         if rng is None:
             found = _ref_leftmost(t)
         else:
             redexes = _ref_redexes(t)
             found = rng.choice(redexes) if redexes else None
+        yield t, found
+        if found is None or len(found[1]) > 1:
+            return
+        t = _ref_replace_at(t, found[0], found[1][0][2])
+
+
+def _ref_normalize(t, rng=None, budget=R.DEFAULT_BUDGET):
+    for _, (u, found) in zip(range(budget), _ref_run(t, rng)):
         if found is None:
-            return t
+            return u
         pos, entries = found
         if len(entries) > 1:
             raise R.SupBranchEncountered(
                 f"probabilistic fork at position {pos}; use distribution()")
-        t = _ref_replace_at(t, pos, entries[0][2])
     raise R.BudgetExceeded(f"no normal form within {budget} steps")
 
 
@@ -623,16 +633,16 @@ def _differential_terms(corpus_entries):
 
 
 def test_reduction_matches_naive_reference(corpus_entries):
-    """Each loop result equals the reference's at exactly the budget the
-    term needs: paths needs the steps of its tree, normalize the steps of
-    its run plus one.  The edge terms are also compared at one less."""
+    """Each loop result equals the reference's at the default budget and at
+    exactly the budget the term needs: paths needs the steps of its tree,
+    normalize and normalize_random the steps of the reference run under the
+    same rng plus one.  The edge terms are also compared at one less."""
     edges = len(_edge_terms(corpus_entries))
     for i, t in enumerate(_differential_terms(corpus_entries)):
         assert list(S.subterms(t)) == list(_ref_subterms(t))
         got = sc.paths(t)
-        tree, steps = _tree_steps(got), len(got[0].steps)
-        assert _outcome(_ref_paths, t, budget=tree) == ("ok", got), \
-            sc.print_term(t)
+        assert got == _ref_paths(t), sc.print_term(t)
+        tree = _tree_steps(got)
         assert sc.paths(t, budget=tree) == got
         assert sc.distribution(t).items == tuple((p.weight, p.value)
                                                  for p in got)
@@ -644,13 +654,26 @@ def test_reduction_matches_naive_reference(corpus_entries):
         if one_less and tree:
             assert (_outcome(sc.paths, t, budget=tree - 1)
                     == _outcome(_ref_paths, t, budget=tree - 1))
-        for budget in (steps + 1, steps) if one_less else (steps + 1,):
-            assert (_outcome(sc.normalize, t, budget=budget)
-                    == _outcome(_ref_normalize, t, budget=budget))
-            assert (_outcome(sc.normalize_random, t, random.Random(i),
-                             budget=budget)
-                    == _outcome(_ref_normalize, t, random.Random(i),
-                                budget=budget))
+        for seed in (None, i):
+            want = _outcome(_ref_normalize, t, _rng(seed))
+            assert _normalize(t, seed) == want, sc.print_term(t)
+            need = sum(1 for _ in _ref_run(t, _rng(seed)))
+            assert _normalize(t, seed, need) == want
+            if one_less:
+                assert _normalize(t, seed, need - 1) == (
+                    R.BudgetExceeded, f"no normal form within {need - 1} steps")
+
+
+def _rng(seed):
+    return None if seed is None else random.Random(seed)
+
+
+def _normalize(t, seed, budget=R.DEFAULT_BUDGET):
+    """The outcome of normalizing t within budget: leftmost-outermost
+    without a seed, else random under random.Random(seed)."""
+    if seed is None:
+        return _outcome(sc.normalize, t, budget=budget)
+    return _outcome(sc.normalize_random, t, _rng(seed), budget=budget)
 
 
 def _tree_steps(ps):
