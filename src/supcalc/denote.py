@@ -1,11 +1,15 @@
 """Interpretation of typing derivations as matrices.
 
-Propositions become dimensions (additives add, multiplicatives and the
-internal hom multiply, top and zero are 0-dimensional), contexts become
-left-associated tensors, and each derivation rule contributes one matrix
-clause.  Split-plan permutations are replayed as factor permutations of
-the context object before a rule's clause applies, which equals the
-matching composite of braidings.
+A proposition's dimension is matmodel's object map for its connective,
+read from ``_OBJECTS`` (one is 1, top and zero are 0), and a context's is
+the product of its propositions'.  ``_Denoter._CLAUSES`` gives each rule
+tag its clause and the clause's argument, so twin rules share one clause:
+the with and sup pairings, the four projections, the two injections, and
+``case`` with ``sup_elim``, which mix their branches by the weighted
+codiagonal (``case`` at weights (1, 1), which is the codiagonal).
+Split-plan permutations are replayed as factor permutations of the
+context object before a rule's clause applies, which equals the matching
+composite of braidings.
 
 The module also packages the executable forms of the semantic metatheory:
 the substitution identity, per-step and whole-run soundness, and the
@@ -24,11 +28,14 @@ compared with its contractum in its own sub-derivation.  Where that local
 check does not pass (the matrices differ, the redex has no node of its
 own, or the contractum does not type in the redex's context), the position
 is checked on the whole reduct instead, so the report and its detail
-strings are those of the whole-term check.
+strings are those of the whole-term check.  Both checks build the matrix
+to compare with through ``_reduct_mat``: a step's one reduct, or a fork's
+two paired as by ``with_i`` and mixed by the fork's weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,26 +47,23 @@ from .matmodel import Mat
 from .semiring import QNN, Semiring, WeightError
 from .syntax import Prop, Term
 
+_UNITS = {S.One: 1, S.Top: 0, S.Zero: 0}
+_OBJECTS = {S.Tensor: M.tensor_obj, S.Lollipop: M.hom_obj,
+            S.With: M.biproduct_obj, S.Plus: M.biproduct_obj,
+            S.Sup: M.biproduct_obj}
+
 
 def denote_prop(a: Prop) -> int:
-    if isinstance(a, S.One):
-        return 1
-    if isinstance(a, (S.Top, S.Zero)):
-        return 0
-    if isinstance(a, S.Tensor):
-        return denote_prop(a.left) * denote_prop(a.right)
-    if isinstance(a, S.Lollipop):
-        return M.hom_obj(denote_prop(a.left), denote_prop(a.right))
-    if isinstance(a, (S.With, S.Plus, S.Sup)):
-        return denote_prop(a.left) + denote_prop(a.right)
-    raise TypeError(f"not a proposition: {a!r}")
+    cls = type(a)
+    if cls in _UNITS:
+        return _UNITS[cls]
+    if cls not in _OBJECTS:
+        raise TypeError(f"not a proposition: {a!r}")
+    return _OBJECTS[cls](denote_prop(a.left), denote_prop(a.right))
 
 
 def denote_ctx(ctx: TC.Context) -> int:
-    n = 1
-    for _, a in ctx:
-        n *= denote_prop(a)
-    return n
+    return math.prod(denote_prop(a) for _, a in ctx)
 
 
 @dataclass(frozen=True)
@@ -92,11 +96,11 @@ class _Denoter:
     def ctx_dims(self, ctx: TC.Context) -> list[int]:
         return [self.dim(a) for _, a in ctx]
 
-    def ctx_dim(self, ctx: TC.Context) -> int:
-        n = 1
-        for _, a in ctx:
-            n *= self.dim(a)
-        return n
+    def right_dim(self, d: TC.Derivation) -> int:
+        """The dimension of the right part of d's context split."""
+        plan = d.split
+        return math.prod(self.dim(d.ctx[i][1])
+                         for i in plan.perm[len(plan.left):])
 
     def permuted(self, mat: Mat, d: TC.Derivation,
                  swap_parts: bool = False) -> Mat:
@@ -114,9 +118,13 @@ class _Denoter:
         return M.compose(mat, M.perm_mat(self.ctx_dims(d.ctx), order, self.sr))
 
     def go(self, d: TC.Derivation) -> Mat:
+        if d.rule not in self._CLAUSES:
+            raise TypeError(f"no interpretation clause for rule {d.rule}")
         # rows and cols are the dimensions of d's type and of its context
-        rows, cols = self.dim(d.prop), self.ctx_dim(d.ctx)
-        mat = self._clause(d, rows, cols)
+        rows, cols = self.dim(d.prop), math.prod(self.ctx_dims(d.ctx))
+        clause, arg = self._CLAUSES[d.rule]
+        mat = clause(self, d, [self.go(k) for k in d.children], rows, cols,
+                     arg)
         if mat.rows != rows or mat.cols != cols:
             raise M.ShapeMismatch(
                 f"internal: rule {d.rule} produced {mat.rows}x{mat.cols}, "
@@ -125,90 +133,78 @@ class _Denoter:
             self.mats[id(d)] = (d, mat)
         return mat
 
-    def _clause(self, d: TC.Derivation, rows: int, cols: int) -> Mat:
-        sr = self.sr
-        rule = d.rule
-        kids = d.children
+    # Each clause takes the node, its premises' matrices, the node's shape
+    # and the argument its table entry gives.
 
-        if rule == "ax":
-            return M.identity(rows, sr)
+    def _identity(self, d, ms, rows, cols, _):
+        return M.identity(rows, self.sr)
 
-        if rule == "one_i":
-            return M.scalar_map(d.term.scalar, 1, sr)
+    def _zero(self, d, ms, rows, cols, _):
+        # top_i maps into the zero object; zero_e factors through
+        # zero (x) the right part of the split, also a zero object
+        return M.zero_mat(cols, rows, self.sr)
 
-        if rule == "sum":
-            return M.add(self.go(kids[0]), self.go(kids[1]))
+    def _scalar(self, d, ms, rows, cols, _):
+        # star(s) is s as a map on one; scal(s, t) is s after t
+        scaled = M.scalar_map(d.term.scalar, rows, self.sr)
+        return M.compose(scaled, ms[0]) if ms else scaled
 
-        if rule == "scal":
-            body = self.go(kids[0])
-            return M.compose(M.scalar_map(d.term.scalar, body.rows, sr), body)
+    def _sum(self, d, ms, rows, cols, _):
+        return M.add(*ms)
 
-        if rule in ("one_e", "tens_i"):
-            t, u = self.go(kids[0]), self.go(kids[1])
-            return self.permuted(M.tensor_mat(t, u), d)
+    def _tensor(self, d, ms, rows, cols, _):
+        return self.permuted(M.tensor_mat(*ms), d)
 
-        if rule == "tens_e":
-            t, u = self.go(kids[0]), self.go(kids[1])
-            ddim = self.ctx_dim(kids[1].ctx[:len(d.split.right)])
-            inner = M.compose(u, M.tensor_mat(M.identity(ddim, sr), t))
-            return self.permuted(inner, d, swap_parts=True)
+    def _let_tens(self, d, ms, rows, cols, _):
+        t, u = ms
+        lifted = M.tensor_mat(M.identity(self.right_dim(d), self.sr), t)
+        return self.permuted(M.compose(u, lifted), d, swap_parts=True)
 
-        if rule == "lolli_i":
-            body = self.go(kids[0])
-            a = self.dim(kids[0].ctx[-1][1])
-            return M.compose(M.hom_mat(a, body), M.unit_map(cols, a, sr))
+    def _lam(self, d, ms, rows, cols, _):
+        a = self.dim(d.prop.left)
+        return M.compose(M.hom_mat(a, ms[0]), M.unit_map(cols, a, self.sr))
 
-        if rule == "lolli_e":
-            t, u = self.go(kids[0]), self.go(kids[1])
-            fn_type = kids[0].prop
-            a, b = self.dim(fn_type.left), self.dim(fn_type.right)
-            ev = M.eval_map(a, b, sr)
-            return M.compose(ev, self.permuted(M.tensor_mat(t, u), d))
+    def _app(self, d, ms, rows, cols, _):
+        ev = M.eval_map(self.dim(d.children[0].prop.left), rows, self.sr)
+        return M.compose(ev, self.permuted(M.tensor_mat(*ms), d))
 
-        if rule == "top_i":
-            return Mat(0, cols, [], sr)
+    def _pair(self, d, ms, rows, cols, _):
+        return M.pair_mat(*ms)
 
-        if rule == "zero_e":
-            t = self.go(kids[0])
-            ddim = self.ctx_dim(tuple(
-                (x, a) for x, a in d.ctx if x in d.split.right))
-            lifted = M.tensor_mat(t, M.identity(ddim, sr))
-            out = M.compose(Mat(rows, 0, [], sr), lifted)
-            return self.permuted(out, d)
+    def _project(self, d, ms, rows, cols, proj):
+        pairtype = d.children[0].prop
+        return M.compose(proj(self.dim(pairtype.left),
+                              self.dim(pairtype.right), self.sr), ms[0])
 
-        if rule in ("with_i", "sup_i"):
-            t, u = self.go(kids[0]), self.go(kids[1])
-            return M.compose(M.biproduct_mat(t, u), M.diag(cols, sr))
+    def _inject(self, d, ms, rows, cols, inj):
+        return M.compose(inj(self.dim(d.prop.left), self.dim(d.prop.right),
+                             self.sr), ms[0])
 
-        if rule in ("with_e1", "sup_e1", "with_e2", "sup_e2"):
-            t = self.go(kids[0])
-            pairtype = kids[0].prop
-            a, b = self.dim(pairtype.left), self.dim(pairtype.right)
-            proj = M.proj1 if rule.endswith("1") else M.proj2
-            return M.compose(proj(a, b, sr), t)
+    def _case(self, d, ms, rows, cols, weighted):
+        t, u, v = ms
+        sr, scrut, ddim = self.sr, d.children[0].prop, self.right_dim(d)
+        dist = M.distribute("d", (self.dim(scrut.left), self.dim(scrut.right),
+                                  ddim), sr)
+        lifted = M.tensor_mat(t, M.identity(ddim, sr))
+        weights = (d.term.p, d.term.q) if weighted else (sr.one, sr.one)
+        out = M.compose(M.biproduct_mat(u, v), M.compose(dist, lifted))
+        return self.permuted(
+            M.compose(M.weighted_codiag(weights, rows, sr), out), d)
 
-        if rule in ("plus_i1", "plus_i2"):
-            t = self.go(kids[0])
-            a, b = self.dim(d.prop.left), self.dim(d.prop.right)
-            inj = M.inj1 if rule == "plus_i1" else M.inj2
-            return M.compose(inj(a, b, sr), t)
-
-        if rule in ("plus_e", "sup_e"):
-            t, u, v = (self.go(k) for k in kids)
-            scrut = kids[0].prop
-            a, b = self.dim(scrut.left), self.dim(scrut.right)
-            ddim = self.ctx_dim(kids[1].ctx[1:])  # branch context minus binder
-            dist = M.distribute("d", (a, b, ddim), sr)
-            lifted = M.tensor_mat(t, M.identity(ddim, sr))
-            branches = M.biproduct_mat(u, v)
-            if rule == "plus_e":
-                mix = M.codiag(rows, sr)
-            else:
-                mix = M.weighted_codiag((d.term.p, d.term.q), rows, sr)
-            out = M.compose(branches, M.compose(dist, lifted))
-            return self.permuted(M.compose(mix, out), d)
-
-        raise TypeError(f"no interpretation clause for rule {rule}")
+    # each rule's clause and the argument it is called with
+    _CLAUSES = {
+        "ax": (_identity, None), "one_i": (_scalar, None),
+        "sum": (_sum, None), "scal": (_scalar, None),
+        "one_e": (_tensor, None), "tens_i": (_tensor, None),
+        "tens_e": (_let_tens, None), "lolli_i": (_lam, None),
+        "lolli_e": (_app, None), "top_i": (_zero, None),
+        "zero_e": (_zero, None),
+        "with_i": (_pair, None), "sup_i": (_pair, None),
+        "with_e1": (_project, M.proj1), "sup_e1": (_project, M.proj1),
+        "with_e2": (_project, M.proj2), "sup_e2": (_project, M.proj2),
+        "plus_i1": (_inject, M.inj1), "plus_i2": (_inject, M.inj2),
+        "plus_e": (_case, False), "sup_e": (_case, True),
+    }
 
 
 def denote(d: TC.Derivation, semiring: Semiring = QNN) -> Interp:
@@ -217,9 +213,15 @@ def denote(d: TC.Derivation, semiring: Semiring = QNN) -> Interp:
     return Interp(d, mat.cols, mat.rows, mat)
 
 
+def _matrix(ctx: TC.Context, t: Term, expected: Optional[Prop],
+            sr: Semiring) -> Mat:
+    """The matrix of t typed in ctx, against expected if given."""
+    return denote(TC.typecheck(ctx, t, expected, sr), sr).matrix
+
+
 def denote_closed(t: Term, expected: Optional[Prop] = None,
                   semiring: Semiring = QNN) -> Mat:
-    return denote(TC.typecheck((), t, expected, semiring), semiring).matrix
+    return _matrix((), t, expected, semiring)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +244,7 @@ def check_substitution(t_deriv: TC.Derivation, v_deriv: TC.Derivation,
         raise TC.TypingError(f"contexts share variables {sorted(overlap)}")
     new_ctx = gamma + v_deriv.ctx
     subst_term = S.substitute(v_deriv.term, x, t_deriv.term)
-    lhs = denote(TC.typecheck(new_ctx, subst_term, t_deriv.prop, semiring),
-                 semiring).matrix
+    lhs = _matrix(new_ctx, subst_term, t_deriv.prop, semiring)
     t_mat = denote(t_deriv, semiring).matrix
     v_mat = denote(v_deriv, semiring).matrix
     g = denote_ctx(gamma)
@@ -311,28 +312,28 @@ def _node_at(d: TC.Derivation,
     return d
 
 
-def _fork_mix(weights, m1: Mat, m2: Mat, rows: int, cols: int,
-              sr: Semiring) -> Mat:
-    """The two branch matrices mixed by the fork's weights."""
-    mix = M.weighted_codiag(weights, rows, sr)
-    return M.compose(mix, M.compose(M.biproduct_mat(m1, m2), M.diag(cols, sr)))
+def _reduct_mat(entries, reduct, ctx: TC.Context, prop: Prop,
+                sr: Semiring) -> Mat:
+    """The matrix a redex's contraction entries must keep: each contractum
+    c made into the term reduct(c) and typed in ctx at prop, the one
+    reduct's matrix, or a fork's two paired as by with_i and mixed by the
+    fork's weights."""
+    mats = [_matrix(ctx, reduct(c), prop, sr) for _, _, c in entries]
+    if len(mats) == 1:
+        return mats[0]
+    mix = M.weighted_codiag(tuple(w for _, w, _ in entries), mats[0].rows, sr)
+    return M.compose(mix, M.pair_mat(*mats))
 
 
 def _locally_sound(sd: TC.Derivation, entries, den: _Denoter,
                    sr: Semiring) -> bool:
     """Whether the contracta of the redex derived by sd, typed in sd's
-    context at sd's type, have the matrix den kept for sd: the same one,
-    or for a fork the two mixed by its weights."""
+    context at sd's type, keep the matrix den kept for sd."""
     try:
-        ds = [TC.typecheck(sd.ctx, c, sd.prop, sr) for _, _, c in entries]
+        other = _reduct_mat(entries, lambda c: c, sd.ctx, sd.prop, sr)
     except (TC.TypingError, WeightError):
         return False
-    mats = [denote(cd, sr).matrix for cd in ds]
-    stored = den.mats[id(sd)][1]
-    if len(mats) == 1:
-        return stored.equal(mats[0])
-    return stored.equal(_fork_mix(tuple(w for _, w, _ in entries), *mats,
-                                  stored.rows, stored.cols, sr))
+    return den.mats[id(sd)][1].equal(other)
 
 
 def _whole_term_check(t: Term, d: TC.Derivation, base: Mat,
@@ -341,16 +342,11 @@ def _whole_term_check(t: Term, d: TC.Derivation, base: Mat,
     """The check of the redex at pos on the whole term: each reduct is
     typed and denoted from the root and compared with base, the matrix of
     t's derivation d."""
-    rules = tuple(r for r, _, _ in entries)
-    mats = [denote(TC.typecheck(d.ctx, S.replace_at(t, pos, c), d.prop, sr),
-                   sr).matrix for _, _, c in entries]
-    if len(mats) == 1:
-        other = mats[0]
-    else:
-        other = _fork_mix(tuple(w for _, w, _ in entries), *mats,
-                          base.rows, base.cols, sr)
+    other = _reduct_mat(entries, lambda c: S.replace_at(t, pos, c), d.ctx,
+                        d.prop, sr)
     ok = base.equal(other)
-    return StepCheck(pos, rules, ok, "" if ok else f"{base!r} != {other!r}")
+    return StepCheck(pos, tuple(r for r, _, _ in entries), ok,
+                     "" if ok else f"{base!r} != {other!r}")
 
 
 def check_global_soundness(t: Term, semiring: Semiring = QNN,
@@ -361,9 +357,7 @@ def check_global_soundness(t: Term, semiring: Semiring = QNN,
     d = TC.typecheck((), t, expected, sr)
     dist = rewrite.distribution(t, sr)
     summed = rewrite.sum_of_distribution(dist, sr)
-    lhs = denote(d, sr).matrix
-    rhs = denote(TC.typecheck((), summed, d.prop, sr), sr).matrix
-    return lhs.equal(rhs)
+    return denote(d, sr).matrix.equal(_matrix((), summed, d.prop, sr))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +376,7 @@ def adequacy_compare(t: Term, u: Term, a: Prop,
     """Equal matrices must imply observational indistinguishability; the
     converse direction is not claimed."""
     sr = semiring
-    mt = denote(TC.typecheck((), t, a, sr), sr).matrix
-    mu = denote(TC.typecheck((), u, a, sr), sr).matrix
-    if not mt.equal(mu):
+    if not _matrix((), t, a, sr).equal(_matrix((), u, a, sr)):
         return AdequacyVerdict(False, None, "distinct denotations")
     try:
         mixed = rewrite.mixed_equiv(t, u, a, sr)

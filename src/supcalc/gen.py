@@ -189,12 +189,10 @@ def canonical_inhabitant(a: S.Prop, semiring: Semiring = QNN) -> Term | None:
         cls = S.Tens if isinstance(a, S.Tensor) else S._PAIRS[type(a)][0]
         return cls(l, r) if l is not None and r is not None else None
     if isinstance(a, S.Plus):
-        l = canonical_inhabitant(a.left, sr)
-        if l is not None:
-            return S.Inl(l, a.right)
-        r = canonical_inhabitant(a.right, sr)
-        if r is not None:
-            return S.Inr(r, a.left)
+        for inj, (side, other) in S._INJECTIONS.items():
+            body = canonical_inhabitant(getattr(a, side), sr)
+            if body is not None:
+                return inj(body, getattr(a, other))
         return None
     if isinstance(a, S.Lollipop):
         x = "x"
@@ -216,26 +214,35 @@ def consume_to_one(expr: Term, a: S.Prop, sr: Semiring, depth: int = 0) -> Term 
         got = consume_to_one(fst(expr), a.left, sr, depth + 1)
         return got if got is not None else consume_to_one(
             snd(expr), a.right, sr, depth + 1)
-    if isinstance(a, S.Tensor):
-        x, y = f"_t{depth}l", f"_t{depth}r"
-        l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
-        r = consume_to_one(S.Var(y), a.right, sr, depth + 1)
-        if l is None or r is None:
-            return None
-        return S.TensElim(expr, x, y, S.UnitElim(l, r))
+    if isinstance(a, (S.Tensor, S.Plus)):
+        tag = "t" if isinstance(a, S.Tensor) else "c"
+        return _split_elim(expr, a, f"_{tag}{depth}l", f"_{tag}{depth}r", sr,
+                           depth + 1)
     if isinstance(a, S.Lollipop):
         arg = canonical_inhabitant(a.left, sr)
         if arg is None:
             return None
         return consume_to_one(S.App(expr, arg), a.right, sr, depth + 1)
-    if isinstance(a, S.Plus):
-        x, y = f"_c{depth}l", f"_c{depth}r"
-        l = consume_to_one(S.Var(x), a.left, sr, depth + 1)
-        r = consume_to_one(S.Var(y), a.right, sr, depth + 1)
-        if l is None or r is None:
-            return None
-        return S.Case(expr, x, l, y, r)
     return None
+
+
+def _split_elim(expr: Term, a: S.Prop, x: str, y: str, sr: Semiring,
+                depth: int, stuck: Term | None = None) -> Term | None:
+    """let_tens on expr : a tensor, or case on expr : a plus, binding x and
+    y to a's parts and spending each down to one.  Where a part cannot be
+    spent, the body or both branches are ``stuck``, or without it there is
+    no term."""
+    l = consume_to_one(S.Var(x), a.left, sr, depth)
+    r = consume_to_one(S.Var(y), a.right, sr, depth)
+    if l is None or r is None:
+        if stuck is None:
+            return None
+        body = l = r = stuck
+    else:
+        body = S.UnitElim(l, r)
+    if isinstance(a, S.Tensor):
+        return S.TensElim(expr, x, y, body)
+    return S.Case(expr, x, l, y, r)
 
 
 def _consume_to(expr: Term, a: S.Prop, target: S.Prop, sr: Semiring) -> Term | None:
@@ -277,22 +284,8 @@ def enumerate_elim_contexts(a: S.Prop, depth: int,
         arg = canonical_inhabitant(a.left, sr)
         if arg is not None:
             out += extend(a.right, S.App(S.Hole(), arg))
-    elif isinstance(a, S.Tensor):
-        x, y = "el_", "er_"
-        body = None
-        l = consume_to_one(S.Var(x), a.left, sr)
-        r = consume_to_one(S.Var(y), a.right, sr)
-        if l is not None and r is not None:
-            body = S.UnitElim(l, r)
-            out.append(S.TensElim(S.Hole(), x, y, body))
-        else:
-            out.append(S.TensElim(S.Hole(), x, y, S.Unit()))
-    elif isinstance(a, S.Plus):
-        x, y = "cl_", "cr_"
-        l = consume_to_one(S.Var(x), a.left, sr)
-        r = consume_to_one(S.Var(y), a.right, sr)
-        if l is not None and r is not None:
-            out.append(S.Case(S.Hole(), x, l, y, r))
-        else:
-            out.append(S.Case(S.Hole(), x, S.Unit(), y, S.Unit()))
+    elif isinstance(a, (S.Tensor, S.Plus)):
+        tag = "e" if isinstance(a, S.Tensor) else "c"
+        out.append(_split_elim(S.Hole(), a, f"{tag}l_", f"{tag}r_", sr, 0,
+                               stuck=S.Unit()))
     return out

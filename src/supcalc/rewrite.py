@@ -347,24 +347,24 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
     The redex is the leftmost-outermost one, or with rng a uniformly random
     one of the preorder redex list.  With forks both branches of a
     sup-elimination are explored; without, a fork raises
-    SupBranchEncountered.  Steps are recorded only with trails.
+    SupBranchEncountered.  Steps are recorded only with trails.  Every
+    strategy takes at most budget steps (a fork counts one per branch)
+    and raises BudgetExceeded when it would take more.
 
     Each pending state is (focus, frames, at, kept, weight, trail).  With
     rng, at is the position of the focus and kept the redex positions; the
     leftmost search needs neither.
     """
-    if forks:
-        limit, message = budget, f"reduction tree larger than {budget} steps"
-    else:
-        limit, message = budget - 1, f"no normal form within {budget} steps"
     leaves = []
     kept = None if rng is None else [p for p, _ in _redexes(t, semiring)]
     stack = [(t, None, (), kept, semiring.one, None)]
     used = 0
     while stack:
         focus, frames, at, kept, weight, trail = stack.pop()
-        if used > limit:
-            raise BudgetExceeded(message)
+        if used > budget:
+            raise BudgetExceeded(f"reduction tree larger than {budget} steps"
+                                 if forks else
+                                 f"no normal form within {budget} steps")
         if rng is None:
             focus, frames, entries = _next_leftmost(focus, frames, semiring)
         elif kept:

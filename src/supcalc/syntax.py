@@ -306,16 +306,6 @@ def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     return new
 
 
-def free_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    acc: set[str] = set()
-    for field in subterm_fields(t):
-        sub = free_vars(getattr(t, field))
-        acc |= sub - set(bound_names(t, field))
-    return frozenset(acc)
-
-
 def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
     if base not in taken:
         return base
@@ -326,10 +316,10 @@ def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
 
 
 class _FreeVars:
-    """free_vars, worked out once per node from its subterms' and kept for
-    the life of the object; free_vars itself runs only at leaves.  Entries
-    are keyed by node identity and hold their node, so that no id is
-    reused by a term built while the object lives."""
+    """Free variables, worked out once per node from its subterms' and kept
+    for the life of the object.  Entries are keyed by node identity and
+    hold their node, so that no id is reused by a term built while the
+    object lives."""
 
     def __init__(self):
         self._free: dict[int, tuple[Term, frozenset[str]]] = {}
@@ -338,16 +328,19 @@ class _FreeVars:
         hit = self._free.get(id(t))
         if hit is not None:
             return hit[1]
-        names = _CHILDREN[type(t)]
-        if not names:
-            fv = free_vars(t)
+        if isinstance(t, Var):
+            fv = frozenset((t.name,))
         else:
             acc: set[str] = set()
-            for n in names:
+            for n in _CHILDREN[type(t)]:
                 acc |= self(getattr(t, n)).difference(bound_names(t, n))
             fv = frozenset(acc)
         self._free[id(t)] = (t, fv)
         return fv
+
+
+def free_vars(t: Term) -> frozenset[str]:
+    return _FreeVars()(t)
 
 
 def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import rewrite
 from . import syntax as S
+from .denote import denote_prop
 from .semiring import QNN, Semiring
 from .syntax import Prop, Term
 
@@ -35,12 +36,11 @@ def is_vprop(a: Prop) -> bool:
 
 
 def dim_v(a: Prop) -> int:
-    """The number of one-leaves of a semimodule proposition."""
-    if isinstance(a, S.One):
-        return 1
-    if isinstance(a, S.With):
-        return dim_v(a.left) + dim_v(a.right)
-    raise NotInV(f"{S.print_prop(a)} is not built from one and &")
+    """The number of one-leaves of a semimodule proposition, which is its
+    dimension."""
+    if not is_vprop(a):
+        raise NotInV(f"{S.print_prop(a)} is not built from one and &")
+    return denote_prop(a)
 
 
 @dataclass(frozen=True)
@@ -99,9 +99,10 @@ def encode_matrix(m, a: Prop, b: Prop, semiring: Semiring = QNN) -> Term:
     rows = [list(r) for r in m]
     if not is_vprop(a) or not is_vprop(b):
         raise NotInV("matrix encodings need one/& propositions on both sides")
-    if len(rows) != dim_v(b) or any(len(r) != dim_v(a) for r in rows):
+    dom, cod = dim_v(a), dim_v(b)
+    if len(rows) != cod or any(len(r) != dom for r in rows):
         raise LengthMismatch(
-            f"matrix must be {dim_v(b)}x{dim_v(a)} for "
+            f"matrix must be {cod}x{dom} for "
             f"{S.print_prop(a)} -o {S.print_prop(b)}")
     return _encode(rows, a, b, semiring)
 

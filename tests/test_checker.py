@@ -401,16 +401,17 @@ def test_checker_memo_agrees_with_free_vars_and_can_absorb(corpus_entries):
 
 def test_context_splits_are_linear_in_nesting_depth(monkeypatch):
     # each node's free variables are worked out once per typecheck call,
-    # so S.free_vars (its recursive calls included) runs once per leaf
-    real = S.free_vars
+    # so the free-variable memo (its recursive calls included) is asked a
+    # bounded number of times per node
+    real = S._FreeVars.__call__
     calls = 0
 
-    def counting(t):
+    def counting(self, t):
         nonlocal calls
         calls += 1
-        return real(t)
+        return real(self, t)
 
-    monkeypatch.setattr(S, "free_vars", counting)
+    monkeypatch.setattr(S._FreeVars, "__call__", counting)
 
     def calls_at(depth):
         nonlocal calls

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 
 import supcalc as sc
+from supcalc import checker as C
 from supcalc import matmodel as M
 from supcalc import rewrite as R
 from supcalc import syntax as S
@@ -48,6 +49,30 @@ def test_denote_prop_dims():
     assert sc.denote_prop(prop("(one & one) -o one")) == 2
     assert sc.denote_prop(prop("(one & one) (*) (one (+) one)")) == 4
     assert sc.denote_prop(prop("one (o) one")) == 2
+
+
+def test_denote_prop_refuses_a_non_proposition():
+    for bad in (term("star(1)"), S.Prop(), 1, None):
+        with pytest.raises(TypeError):
+            sc.denote_prop(bad)
+
+
+def _rules(d):
+    yield d.rule
+    for k in d.children:
+        yield from _rules(k)
+
+
+def test_the_clause_table_covers_every_rule_the_checker_emits(
+        corpus_entries):
+    assert set(D._Denoter._CLAUSES) == set(C.RULE_TAGS)
+    gen = TermGenerator(seed=29, allow_sup_elim=True, max_depth=4)
+    judgments = [(e.ctx, e.term, e.prop) for e in corpus_entries]
+    judgments += [((), *gen.closed()) for _ in range(300)]
+    emitted = set()
+    for ctx, t, a in judgments:
+        emitted.update(_rules(sc.typecheck(ctx, t, a)))
+    assert emitted <= set(C.RULE_TAGS)
 
 
 def test_denote_ctx_dims():

@@ -8,7 +8,8 @@ import pytest
 
 import supcalc as sc
 from supcalc import syntax as S
-from supcalc.gen import TermGenerator
+from supcalc.gen import (TermGenerator, canonical_inhabitant, consume_to_one,
+                         enumerate_elim_contexts)
 
 
 def _contains(t, cls) -> bool:
@@ -73,3 +74,29 @@ def test_generated_terms_are_pinned(allow_sup_elim, digest):
             t, a = gen.closed()
             h.update(f"{sc.print_term(t)} : {sc.print_prop(a)}\n".encode())
     assert h.hexdigest() == digest
+
+
+def _helper_props():
+    """200 drawn propositions and four with top, zero, and a part that
+    cannot be spent down to one."""
+    gen = TermGenerator(seed=0)
+    return [gen.random_prop(2) for _ in range(200)] + [
+        sc.parse_prop(src)
+        for src in ("top", "zero", "one (*) top", "one (+) top")]
+
+
+def _printed(t):
+    return "-" if t is None else sc.print_term(t)
+
+
+def test_generator_helpers_are_pinned():
+    """What canonical_inhabitant, consume_to_one and enumerate_elim_contexts
+    build: any change to their terms shows as a new digest."""
+    h = hashlib.sha256()
+    for a in _helper_props():
+        contexts = enumerate_elim_contexts(a, 2)
+        h.update(f"{sc.print_prop(a)} | {_printed(canonical_inhabitant(a))}"
+                 f" | {_printed(consume_to_one(S.Var('e'), a, sc.QNN))}"
+                 f" | {' ; '.join(map(_printed, contexts))}\n".encode())
+    assert h.hexdigest() == (
+        "3745a12f2af9f6f45978fd27806d78a9ce56f1c3054a2395d15663d25fdc15b2")

@@ -512,7 +512,8 @@ def _ref_run(t, rng=None):
 
 
 def _ref_normalize(t, rng=None, budget=R.DEFAULT_BUDGET):
-    for _, (u, found) in zip(range(budget), _ref_run(t, rng)):
+    # a run of budget steps yields budget + 1 terms
+    for _, (u, found) in zip(range(budget + 1), _ref_run(t, rng)):
         if found is None:
             return u
         pos, entries = found
@@ -636,7 +637,7 @@ def test_reduction_matches_naive_reference(corpus_entries):
     """Each loop result equals the reference's at the default budget and at
     exactly the budget the term needs: paths needs the steps of its tree,
     normalize and normalize_random the steps of the reference run under the
-    same rng plus one.  The edge terms are also compared at one less."""
+    same rng.  The edge terms are also compared at one less."""
     edges = len(_edge_terms(corpus_entries))
     for i, t in enumerate(_differential_terms(corpus_entries)):
         assert list(S.subterms(t)) == list(_ref_subterms(t))
@@ -657,7 +658,7 @@ def test_reduction_matches_naive_reference(corpus_entries):
         for seed in (None, i):
             want = _outcome(_ref_normalize, t, _rng(seed))
             assert _normalize(t, seed) == want, sc.print_term(t)
-            need = sum(1 for _ in _ref_run(t, _rng(seed)))
+            need = sum(1 for _ in _ref_run(t, _rng(seed))) - 1
             assert _normalize(t, seed, need) == want
             if one_less:
                 assert _normalize(t, seed, need - 1) == (
@@ -702,6 +703,28 @@ def test_budget_errors_match_naive_reference(corpus_entries):
             rng_a, rng_b = random.Random(budget), random.Random(budget)
             assert (_outcome(sc.normalize_random, t, rng_a, budget=budget)
                     == _outcome(_ref_normalize, t, rng_b, budget=budget))
+
+
+@pytest.mark.parametrize("src, steps, value", [
+    ("star(1)", 0, "star(1)"),
+    ("sum(star(1),star(2))", 1, "star(3)"),
+])
+def test_every_strategy_runs_within_a_budget_of_its_steps(src, steps, value):
+    """A budget of n steps admits a run of n steps, under every strategy,
+    and a budget of one less does not."""
+    t = term(src)
+    assert sc.print_term(sc.normalize(t, budget=steps)) == value
+    assert sc.print_term(sc.normalize_random(t, random.Random(0),
+                                             budget=steps)) == value
+    assert [sc.print_term(p.value) for p in sc.paths(t, budget=steps)] == [
+        value]
+    if steps:
+        assert _normalize(t, None, steps - 1) == (
+            R.BudgetExceeded, f"no normal form within {steps - 1} steps")
+        assert _normalize(t, 0, steps - 1) == (
+            R.BudgetExceeded, f"no normal form within {steps - 1} steps")
+        assert _outcome(sc.paths, t, budget=steps - 1) == (
+            R.BudgetExceeded, f"reduction tree larger than {steps - 1} steps")
 
 
 def test_kept_redex_positions_match_a_rescan(corpus_entries):
