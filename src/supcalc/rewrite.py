@@ -13,11 +13,12 @@ preorder traversal.  Strong normalization of well-typed terms makes
 exhaustive branch exploration terminating, so ``distribution`` enumerates
 the full multiset of (probability, normal form) leaves.
 
-One loop, ``_reduce``, runs every reduction: ``normalize``,
-``normalize_random``, ``paths`` and ``distribution`` call it, and
-``is_normal`` asks its leftmost search.  Its redex choice is either the
-leftmost-outermost redex or a uniformly random one of the preorder redex
-list.  Neither strategy rescans the whole term after a step.
+One zipper loop, ``_reduce``, runs ``normalize``, ``normalize_random``
+and ``paths``, and ``is_normal`` asks its leftmost search.  Its redex
+choice is either the leftmost-outermost redex or a uniformly random one of
+the preorder redex list.  Neither strategy rescans the whole term after a
+step.  ``distribution`` has its own enumerator, ``_shared_run``, which
+shares sub-runs (see the end of this docstring).
 
 Why the parent is enough: ``contract`` looks only at a node and the
 classes of its direct children.  A contraction at ``pos`` replaces the
@@ -49,6 +50,21 @@ contractum would hold stale subterms; ``contract`` runs again only at the
 chosen position, which the focus reaches through the deepest common
 ancestor of the two positions.  The list has the length and order of a
 full rescan, so ``rng.choice`` makes the same draws.
+
+``distribution`` runs each subterm's segment once per call.  A subterm
+R's segment is R's own leftmost-outermost run, up to its first contraction
+at R's root or up to R's normal form.  It does not depend on R's context:
+contract reads only a node and the classes of its direct children, and a
+contraction strictly inside R leaves R's root class as it is, so no node
+outside R changes redex status until the segment ends.  The subterm right
+of a fork is reached by both branches as the same object, so segments are
+kept by object identity, with R held so that its id is not reused, and
+they give back the same objects, which carries the sharing into the next
+segments.  The leaves come out in the order of the unshared tree, and the
+budget counts that tree's steps: a kept segment adds its stored count, so
+BudgetExceeded is raised at exactly the budgets at which ``paths`` raises
+it.  Branch weights are multiplied in path order, as in ``paths``, so that
+inexact carriers give the same products too.
 """
 
 from __future__ import annotations
@@ -340,16 +356,16 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
 
 
 def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
-            forks: bool = False, trails: bool = False) -> list:
-    """The one reduction loop: a (weight, normal form, steps) triple per
+            forks: bool = False) -> list:
+    """The zipper reduction loop: a (weight, normal form, steps) triple per
     leaf of t's reduction tree, left branch first.
 
     The redex is the leftmost-outermost one, or with rng a uniformly random
     one of the preorder redex list.  With forks both branches of a
-    sup-elimination are explored; without, a fork raises
-    SupBranchEncountered.  Steps are recorded only with trails.  Every
-    strategy takes at most budget steps (a fork counts one per branch)
-    and raises BudgetExceeded when it would take more.
+    sup-elimination are explored and each step is recorded; without, a
+    fork raises SupBranchEncountered.  Every strategy takes at most budget
+    steps (a fork counts one per branch) and raises BudgetExceeded when it
+    would take more.
 
     Each pending state is (focus, frames, at, kept, weight, trail).  With
     rng, at is the position of the focus and kept the redex positions; the
@@ -380,7 +396,7 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
                 steps.append(step)
             leaves.append((weight, focus, tuple(reversed(steps))))
             continue
-        if rng is None and (trails or len(entries) > 1 and not forks):
+        if rng is None and (forks or len(entries) > 1):
             pos = _position(frames)
         if len(entries) > 1 and not forks:
             raise SupBranchEncountered(
@@ -396,7 +412,7 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
             stack.append((*nxt, semiring.mul(weight, w)
                           if len(entries) > 1 else weight,
                           (trail, (Step(pos, rule, w), _plug_all(*nxt[:2])))
-                          if trails else None))
+                          if forks else None))
     return leaves
 
 
@@ -461,17 +477,112 @@ def paths(t: Term, semiring: Semiring = QNN,
           budget: int = DEFAULT_BUDGET) -> list[Path]:
     """All maximal leftmost-outermost reduction paths, left branch first."""
     return [Path(source=t, steps=steps, weight=w)
-            for w, _, steps in _reduce(t, semiring, budget, forks=True,
-                                       trails=True)]
+            for w, _, steps in _reduce(t, semiring, budget, forks=True)]
 
 
 def distribution(t: Term, semiring: Semiring = QNN,
                  budget: int = DEFAULT_BUDGET) -> Distribution:
     """Exhaustively enumerate spdv(t): reduce leftmost-outermost, forking
     at each sup-elimination with the two branch weights.  Unlike paths,
-    no steps are recorded."""
-    return Distribution(tuple(
-        (w, v) for w, v, _ in _reduce(t, semiring, budget, forks=True)))
+    no steps are recorded, and each subterm's segment is run once."""
+    return Distribution(tuple(_shared_run(t, semiring, budget)))
+
+
+# the modes of a pending state (node, i, word, mode) of _shared_run: check
+# node's root first; go to child i; go to child i, whose segment has just
+# been run and counted
+_CHECK, _NEXT, _RESUME = range(3)
+
+
+def _cons(word, w):
+    return word, w
+
+
+def _extend(cell, base, op, cache: dict):
+    """base extended by op with the fork weights of the word cell, oldest
+    first.  A word is None or (word, weight).  cache maps the ids of cells
+    already extended onto this base to their results."""
+    cells = []
+    while cell is not None and id(cell) not in cache:
+        cells.append(cell)
+        cell = cell[0]
+    acc = base if cell is None else cache[id(cell)]
+    for c in reversed(cells):
+        acc = op(acc, c[1])
+        cache[id(c)] = acc
+    return acc
+
+
+def _shared_run(t: Term, semiring: Semiring, budget: int) -> list:
+    """The (weight, normal form) leaves of t's leftmost-outermost reduction
+    tree, left branch first, running each subterm's segment once.
+
+    A frame runs one segment, of its root; the first frame runs the whole
+    term instead, going on from each contractum of its root.  Its pending
+    states are (node, i, word, mode): node is the current form of the
+    root, children before i are normal.  Words are the fork weights taken
+    since the frame began, as cons cells, except in the first frame, where
+    they are products in the semiring taken in path order.  A finished
+    frame leaves (root, [(word, result, rooted)], unshared steps) in memo,
+    keyed by id(root); rooted tells a contractum of the root from a normal
+    form.  Memo hits add their steps to the budget, which so counts the
+    unshared tree.
+    """
+    memo = {}
+    used = 0
+    leaves = []
+    frames = [(None, [(t, 0, semiring.one, _CHECK)], leaves, 0, semiring.mul)]
+    while frames:
+        root, todo, out, start, op = frames[-1]
+        if not todo:
+            frames.pop()
+            if root is not None:
+                memo[id(root)] = (root, out, used - start)
+            continue
+        node, i, word, mode = todo.pop()
+        if mode == _CHECK:
+            entries = contract(node, semiring)
+            if entries:
+                used += len(entries)
+                if used > budget:
+                    raise BudgetExceeded(
+                        f"reduction tree larger than {budget} steps")
+                fork = len(entries) > 1
+                if root is None:
+                    for _, w, c in reversed(entries):
+                        todo.append((c, 0, op(word, w) if fork else word,
+                                     _CHECK))
+                else:
+                    out.extend((op(word, w) if fork else word, c, True)
+                               for _, w, c in entries)
+                continue
+        names = _CHILDREN[type(node)]
+        if i == len(names):
+            out.append((word, node) if root is None else (word, node, False))
+            continue
+        child = getattr(node, names[i])
+        hit = memo.get(id(child))
+        if hit is None:
+            todo.append((node, i, word, _RESUME))
+            frames.append((child, [(child, 0, None, _CHECK)], [], used,
+                           _cons))
+            continue
+        _, results, steps = hit
+        if mode != _RESUME:
+            used += steps
+            if used > budget:
+                raise BudgetExceeded(
+                    f"reduction tree larger than {budget} steps")
+        cache = {}
+        for cell, c, rooted in reversed(results):
+            w = (word if cell is None else cell if word is None
+                 else _extend(cell, word, op, cache))
+            if rooted:
+                todo.append((_plug(node, i, c), i, w, _CHECK))
+            else:
+                todo.append((node if c is child else _plug(node, i, c),
+                             i + 1, w, _NEXT))
+    return leaves
 
 
 def sum_of_distribution(d: Distribution, semiring: Semiring = QNN) -> Term:

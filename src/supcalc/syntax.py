@@ -418,15 +418,27 @@ def hole_count(t: Term) -> int:
 
 def fill(context: Term, t: Term) -> Term:
     """Plug t into the hole, textually: the hole is not a binder, so no
-    renaming happens and capture is intended."""
-    if isinstance(context, Hole):
-        return t
-    updates = {}
-    for field in subterm_fields(context):
-        child = getattr(context, field)
-        if hole_count(child):
-            updates[field] = fill(child, t)
-    return _rebuild(context, updates) if updates else context
+    renaming happens and capture is intended.
+
+    One pass in postorder: a child whose filled form is the child itself
+    holds no hole, and its parent is kept as it is."""
+    filled: list[Term] = []
+    stack: list = [(context, None)]
+    while stack:
+        u, names = stack.pop()
+        if names is None:
+            if isinstance(u, Hole):
+                filled.append(t)
+                continue
+            names = _CHILDREN[type(u)]
+            stack.append((u, names))
+            stack.extend((getattr(u, n), None) for n in reversed(names))
+            continue
+        kids = filled[len(filled) - len(names):]
+        del filled[len(filled) - len(names):]
+        updates = {n: k for n, k in zip(names, kids) if k is not getattr(u, n)}
+        filled.append(_rebuild(u, updates) if updates else u)
+    return filled[0]
 
 
 def compose_contexts(outer: Term, inner: Term) -> Term:
@@ -602,7 +614,10 @@ def _form(cls, template: str) -> list[tuple[str, str]]:
 _FORMS = {cls: _form(cls, template) for cls, template in _TEMPLATES.items()}
 _KEYWORD_CLASS = {form[0][1]: cls for cls, form in _FORMS.items()}
 TERM_KEYWORDS = set(_KEYWORD_CLASS)
-PROP_KEYWORDS = {"one", "top", "zero"}
+# the words of the nullary propositions, read by the parser and the printer
+_NULLARY = {"one": One, "top": Top, "zero": Zero}
+_NULLARY_WORD = {cls: word for word, cls in _NULLARY.items()}
+PROP_KEYWORDS = set(_NULLARY)
 KEYWORDS = TERM_KEYWORDS | PROP_KEYWORDS
 
 
@@ -665,6 +680,8 @@ class _Parser:
             frac = Fraction(num)
         try:
             return self.sr.from_literal(frac)
+        except RecursionError:
+            raise
         except Exception as exc:
             raise ParseError(str(exc), tok.line, tok.col) from None
 
@@ -702,22 +719,15 @@ class _Parser:
 
     def prop_atom(self) -> Prop:
         tok = self.peek()
-        if tok.kind == "name":
-            if tok.text == "one":
-                self.next()
-                return One()
-            if tok.text == "top":
-                self.next()
-                return Top()
-            if tok.text == "zero":
-                self.next()
-                return Zero()
+        if tok.kind == "name" and tok.text in _NULLARY:
+            self.next()
+            return _NULLARY[tok.text]()
         if self.at("("):
             self.next()
             inner = self.prop()
             self.expect(")")
             return inner
-        raise self.fail(("one", "top", "zero", "("))
+        raise self.fail((*_NULLARY, "("))
 
     # -- terms
 
@@ -746,6 +756,8 @@ class _Parser:
             return cls(*args)
         try:
             return sup_elim(*args, self.sr)
+        except RecursionError:
+            raise
         except Exception as exc:
             raise ParseError(str(exc), at.line, at.col) from None
 
@@ -757,43 +769,49 @@ class _Parser:
             return ann
         return None
 
+    def context(self) -> tuple[tuple[str, Prop], ...]:
+        out = []
+        while True:
+            x = self.name()
+            self.expect(":")
+            out.append((x, self.prop()))
+            if not self.at(","):
+                return tuple(out)
+            self.next()
+
     def done(self):
         tok = self.peek()
         if tok.kind != "eof":
             raise self.fail(("end of input",))
 
 
-def parse_term(text: str, semiring: Semiring = QNN) -> Term:
+def _parse(text: str, semiring: Semiring, rule):
+    """rule run on a parser of text, which must then be at its end.  The
+    parser recurses once per nesting level, so input nested deeper than
+    the interpreter's recursion limit is refused at the last token read."""
     p = _Parser(text, semiring)
-    t = p.term()
+    try:
+        out = rule(p)
+    except RecursionError:
+        tok = p.toks[max(p.pos - 1, 0)]
+        raise ParseError("input is nested too deeply", tok.line,
+                         tok.col) from None
     p.done()
-    return t
+    return out
+
+
+def parse_term(text: str, semiring: Semiring = QNN) -> Term:
+    return _parse(text, semiring, _Parser.term)
 
 
 def parse_prop(text: str, semiring: Semiring = QNN) -> Prop:
-    p = _Parser(text, semiring)
-    a = p.prop()
-    p.done()
-    return a
+    return _parse(text, semiring, _Parser.prop)
 
 
 def parse_context(text: str, semiring: Semiring = QNN) -> tuple[tuple[str, Prop], ...]:
     """Parse a typing context written as ``x:A, y:B``."""
     text = text.strip()
-    if not text:
-        return ()
-    p = _Parser(text, semiring)
-    out = []
-    while True:
-        x = p.name()
-        p.expect(":")
-        out.append((x, p.prop()))
-        if p.at(","):
-            p.next()
-            continue
-        break
-    p.done()
-    return tuple(out)
+    return _parse(text, semiring, _Parser.context) if text else ()
 
 
 # ---------------------------------------------------------------------------
@@ -807,12 +825,8 @@ def print_prop(a: Prop) -> str:
 
 
 def _pp(a: Prop, level: int) -> str:
-    if isinstance(a, One):
-        return "one"
-    if isinstance(a, Top):
-        return "top"
-    if isinstance(a, Zero):
-        return "zero"
+    if type(a) in _NULLARY_WORD:
+        return _NULLARY_WORD[type(a)]
     my = _PROP_LEVEL[type(a)]
     op = {Lollipop: " -o ", Plus: " (+) ", Sup: " (o) ",
           With: " & ", Tensor: " (*) "}[type(a)]

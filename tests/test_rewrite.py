@@ -645,16 +645,17 @@ def test_reduction_matches_naive_reference(corpus_entries):
         assert got == _ref_paths(t), sc.print_term(t)
         tree = _tree_steps(got)
         assert sc.paths(t, budget=tree) == got
-        assert sc.distribution(t).items == tuple((p.weight, p.value)
-                                                 for p in got)
+        assert sc.distribution(t) == _leaves(got)
+        assert sc.distribution(t, budget=tree) == _leaves(got)
         for p in got:
             for _, u in p.steps[-3:]:
                 assert sc.is_normal(u) == (_ref_leftmost(u) is None)
         assert sc.is_normal(t) == (_ref_leftmost(t) is None)
         one_less = i < edges
         if one_less and tree:
-            assert (_outcome(sc.paths, t, budget=tree - 1)
-                    == _outcome(_ref_paths, t, budget=tree - 1))
+            want = _outcome(_ref_paths, t, budget=tree - 1)
+            assert _outcome(sc.paths, t, budget=tree - 1) == want
+            assert _outcome(sc.distribution, t, budget=tree - 1) == want
         for seed in (None, i):
             want = _outcome(_ref_normalize, t, _rng(seed))
             assert _normalize(t, seed) == want, sc.print_term(t)
@@ -663,6 +664,12 @@ def test_reduction_matches_naive_reference(corpus_entries):
             if one_less:
                 assert _normalize(t, seed, need - 1) == (
                     R.BudgetExceeded, f"no normal form within {need - 1} steps")
+
+
+def _leaves(ps):
+    """The distribution whose items are the (weight, value) leaves of the
+    paths ps."""
+    return R.Distribution(tuple((p.weight, p.value) for p in ps))
 
 
 def _rng(seed):
@@ -696,8 +703,10 @@ def test_budget_errors_match_naive_reference(corpus_entries):
     terms = [e.term for e in corpus_entries[:20]] + _fork_terms()[:9]
     for t in terms:
         for budget in range(0, 30):
-            assert (_outcome(sc.paths, t, budget=budget)
-                    == _outcome(_ref_paths, t, budget=budget))
+            ref = _outcome(_ref_paths, t, budget=budget)
+            assert _outcome(sc.paths, t, budget=budget) == ref
+            assert _outcome(sc.distribution, t, budget=budget) == (
+                ("ok", _leaves(ref[1])) if ref[0] == "ok" else ref)
             assert (_outcome(sc.normalize, t, budget=budget)
                     == _outcome(_ref_normalize, t, budget=budget))
             rng_a, rng_b = random.Random(budget), random.Random(budget)
@@ -759,3 +768,42 @@ def test_deep_chain_normalizes_to_its_closed_form():
     assert sc.normalize(t) == S.Star(F(n * (n + 1) // 2))
     assert sc.distribution(_sum_chain(n, left=True)).items == (
         (F(1), S.Star(F(n * (n + 1) // 2))),)
+
+
+@pytest.mark.parametrize("src", [_fork_chain(10), _fork_tree(0, 10)],
+                         ids=["chain", "tree"])
+def test_distribution_runs_each_shared_segment_once(src, monkeypatch):
+    """The subterm right of a fork is reached by both branches as the same
+    object, and its segment is run once: contract is called fewer than half
+    as many times as the unshared tree has steps."""
+    t = term(src)
+    steps = _tree_steps(sc.paths(t))
+    calls = 0
+
+    def counted(u, semiring):
+        nonlocal calls
+        calls += 1
+        return contract(u, semiring)
+
+    contract = R.contract
+    monkeypatch.setattr(R, "contract", counted)
+    sc.distribution(t)
+    assert 0 < calls < steps / 2
+
+
+def test_distribution_of_a_long_fork_chain_exceeds_the_budget():
+    """2**40 leaves: the budget counts the unshared tree, so the run stops
+    at the default budget instead of filling memory."""
+    with pytest.raises(R.BudgetExceeded) as exc:
+        sc.distribution(term(_fork_chain(40)))
+    assert str(exc.value) == "reduction tree larger than 100000 steps"
+
+
+def test_distribution_multiplies_weights_in_path_order():
+    """Float products depend on their order: under f64 the weights equal
+    those of paths, which multiplies along each path from the root."""
+    for n in (6, 8):
+        for src in (_fork_chain(n), _fork_chain(n, left=True),
+                    _fork_tree(0, n)):
+            t = sc.parse_term(src.replace("1/3,2/3", "1/10,9/10"), sc.F64)
+            assert sc.distribution(t, sc.F64) == _leaves(sc.paths(t, sc.F64))

@@ -67,6 +67,27 @@ def test_keywords_are_reserved():
         sc.parse_term("lam(case, case)")
 
 
+@pytest.mark.parametrize("parse, src", [
+    (sc.parse_term, "sum(star(1)," * 19999 + "star(1)" + ")" * 19999),
+    (sc.parse_prop, "(" * 20000 + "one" + ")" * 20000),
+    (sc.parse_context, "x:" + "(" * 20000 + "one" + ")" * 20000),
+], ids=["term", "prop", "context"])
+def test_too_deep_input_is_a_parse_error_about_nesting(parse, src):
+    with pytest.raises(S.ParseError) as exc:
+        parse(src)
+    message = str(exc.value)
+    assert "nested too deeply" in message and "recursion" not in message
+    # the position is a token inside the nesting, not the end of input
+    assert exc.value.line == 1 and 1 < exc.value.col < len(src) // 2
+
+
+@pytest.mark.parametrize("word", sorted(S.PROP_KEYWORDS))
+def test_nullary_propositions_round_trip(word):
+    a = S._NULLARY[word]()
+    assert sc.print_prop(a) == word
+    assert sc.parse_prop(sc.print_prop(a)) == a
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -329,6 +350,38 @@ def test_context_composition():
     composed = sc.compose_contexts(outer, inner)
     assert sc.fill(composed, t) == sc.fill(outer, sc.fill(inner, t))
     assert sc.hole_count(composed) == 1
+
+
+def _ref_fill(context, t):
+    """The former definition: asks hole_count of each child at every node
+    it passes, so it is quadratic in the context's depth."""
+    if isinstance(context, S.Hole):
+        return t
+    updates = {}
+    for field in S.subterm_fields(context):
+        child = getattr(context, field)
+        if sc.hole_count(child):
+            updates[field] = _ref_fill(child, t)
+    return S._rebuild(context, updates) if updates else context
+
+
+def test_fill_matches_the_former_definition(monkeypatch):
+    deep = S.Hole()
+    for _ in range(2000):
+        deep = S.Fst(deep)
+    contexts = [deep, S.Pair(S.Hole(), S.Hole()),
+                S.Lam("x", S.App(S.Var("x"), S.Hole()))]
+    gen = TermGenerator(seed=3)
+    for _ in range(100):
+        contexts += sc.enumerate_elim_contexts(gen.random_prop(depth=3), 3)
+    assert len(contexts) > 100
+    filler = sc.parse_term("pair(star(1),star(2))")
+    want = [_ref_fill(k, filler) for k in contexts]
+    # one pass: fill no longer asks hole_count
+    monkeypatch.setattr(S, "hole_count", None)
+    assert [sc.fill(k, filler) for k in contexts] == want
+    ground = sc.parse_term("app(lam(x,x),star(3))")
+    assert sc.fill(ground, filler) is ground
 
 
 def test_hole_count():
