@@ -13,12 +13,14 @@ preorder traversal.  Strong normalization of well-typed terms makes
 exhaustive branch exploration terminating, so ``distribution`` enumerates
 the full multiset of (probability, normal form) leaves.
 
-One zipper loop, ``_reduce``, runs ``normalize``, ``normalize_random``
-and ``paths``, and ``is_normal`` asks its leftmost search.  Its redex
-choice is either the leftmost-outermost redex or a uniformly random one of
-the preorder redex list.  Neither strategy rescans the whole term after a
-step.  ``distribution`` has its own enumerator, ``_shared_run``, which
-shares sub-runs (see the end of this docstring).
+Two engines run reductions, and neither rescans the whole term after a
+step.  ``_shared_run`` is the leftmost engine: it runs ``normalize``,
+which refuses forks, and ``distribution``, which explores them, and it
+runs each subterm's segment once per call (see the end of this
+docstring).  ``_reduce`` keeps the preorder list of redex positions and
+contracts one of them: the first, for ``paths``, which explores forks and
+records each step, or a uniformly random one, for ``normalize_random``,
+which refuses forks.  ``is_normal`` asks ``contract`` at every subterm.
 
 Why the parent is enough: ``contract`` looks only at a node and the
 classes of its direct children.  A contraction at ``pos`` replaces the
@@ -26,7 +28,7 @@ subterm at ``pos`` and leaves every node outside it at its position.  Of
 those nodes only the parent of ``pos`` gets a new child, so it is the
 only one whose redex status can change.
 
-Both strategies hold the term as a focus and an immutable linked list of
+``_reduce`` holds the term as a focus and an immutable linked list of
 frames ``(parent, child index, outer frames)`` up to the root, in the
 manner of Huet's zipper (Huet, "The Zipper", JFP 1997).  Plugging a child
 back into its parent rebuilds one node; the child the parent still holds
@@ -34,13 +36,7 @@ at that index may be stale, and the plug replaces it.  The two branches of
 a fork share their frames.  The whole term is rebuilt only at a leaf, and,
 for ``paths``, after each step.
 
-The leftmost search: no node before the parent of the last contractum in
-preorder is a redex.  So the search plugs the contractum and checks the
-parent, then walks the focus subtree in preorder, then climbs, plugging
-each ancestor and walking the right siblings of each one, innermost first.
-
-The random strategy keeps the preorder list of redex positions across
-steps.  Invariant: after every step the kept list equals the positions of
+Invariant of the kept list: after every step it equals the positions of
 ``_redexes`` on the current term.  Lexicographic order on position tuples
 is preorder, so the positions under ``pos`` form one contiguous run that
 ``bisect`` finds.  A step cuts that run, splices in the contractum's redex
@@ -49,9 +45,10 @@ slot.  Positions are kept rather than contracta, since an ancestor's
 contractum would hold stale subterms; ``contract`` runs again only at the
 chosen position, which the focus reaches through the deepest common
 ancestor of the two positions.  The list has the length and order of a
-full rescan, so ``rng.choice`` makes the same draws.
+full rescan, so its first entry is the leftmost-outermost redex and
+``rng.choice`` makes the same draws.
 
-``distribution`` runs each subterm's segment once per call.  A subterm
+``_shared_run`` runs each subterm's segment once per call.  A subterm
 R's segment is R's own leftmost-outermost run, up to its first contraction
 at R's root or up to R's normal form.  It does not depend on R's context:
 contract reads only a node and the classes of its direct children, and a
@@ -264,60 +261,6 @@ def _plug_all(u: Term, frames) -> Term:
     return u
 
 
-def _position(frames) -> tuple[int, ...]:
-    """The position of the node held at frames."""
-    pos = []
-    while frames is not None:
-        _, i, frames = frames
-        pos.append(i)
-    return tuple(reversed(pos))
-
-
-def _preorder_redex(u: Term, frames, semiring: Semiring):
-    """The first redex in preorder of the subterm u held at frames, as
-    (redex, its frames, contract entries), or None."""
-    stack = [(u, frames)]
-    while stack:
-        u, frames = stack.pop()
-        entries = contract(u, semiring)
-        if entries:
-            return u, frames, entries
-        names = _CHILDREN[type(u)]
-        for i in range(len(names) - 1, -1, -1):
-            stack.append((getattr(u, names[i]), (u, i, frames)))
-    return None
-
-
-def _next_leftmost(focus: Term, frames, semiring: Semiring):
-    """The leftmost-outermost redex as (redex, its frames, contract
-    entries), or (the whole term, None, None) if there is none.
-
-    focus is either the whole term (frames None) or the contractum of the
-    last step, held at frames, so that no redex precedes its parent.
-    """
-    if frames is None:
-        found = _preorder_redex(focus, None, semiring)
-        return found or (focus, None, None)
-    parent, i, frames = frames
-    child, focus = focus, _plug(parent, i, focus)
-    entries = contract(focus, semiring)
-    if entries:
-        return focus, frames, entries
-    found = _preorder_redex(child, (focus, i, frames), semiring)
-    while found is None:
-        names = _CHILDREN[type(focus)]
-        for j in range(i + 1, len(names)):
-            found = _preorder_redex(getattr(focus, names[j]),
-                                    (focus, j, frames), semiring)
-            if found is not None:
-                return found
-        if frames is None:
-            return focus, None, None
-        parent, i, frames = frames
-        focus = _plug(parent, i, focus)
-    return found
-
-
 def _move(focus: Term, frames, at: tuple[int, ...], pos: tuple[int, ...]):
     """The node at pos and its frames, from the focus at position at:
     climb to the deepest common ancestor, plugging, then descend."""
@@ -355,83 +298,73 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
     return up, frames, up_pos, kept
 
 
-def _reduce(t: Term, semiring: Semiring, budget: int, rng=None,
-            forks: bool = False) -> list:
-    """The zipper reduction loop: a (weight, normal form, steps) triple per
+def _reduce(t: Term, semiring: Semiring, budget: int, rng=None) -> list:
+    """The kept-redex-list loop: a (weight, normal form, steps) triple per
     leaf of t's reduction tree, left branch first.
 
-    The redex is the leftmost-outermost one, or with rng a uniformly random
-    one of the preorder redex list.  With forks both branches of a
-    sup-elimination are explored and each step is recorded; without, a
-    fork raises SupBranchEncountered.  Every strategy takes at most budget
-    steps (a fork counts one per branch) and raises BudgetExceeded when it
-    would take more.
+    Without rng, the redex is the first of the kept preorder list, the
+    leftmost-outermost one; both branches of a sup-elimination are explored
+    and each step is recorded.  With rng, the redex is a uniformly random
+    one of the list, and a fork raises SupBranchEncountered.  The loop
+    takes at most budget steps (a fork counts one per branch) and raises
+    BudgetExceeded when it would take more.
 
-    Each pending state is (focus, frames, at, kept, weight, trail).  With
-    rng, at is the position of the focus and kept the redex positions; the
-    leftmost search needs neither.
+    Each pending state is (focus, frames, position of the focus, kept
+    redex positions, weight, trail).
     """
+    message = (f"reduction tree larger than {budget} steps" if rng is None
+               else f"no normal form within {budget} steps")
     leaves = []
-    kept = None if rng is None else [p for p, _ in _redexes(t, semiring)]
-    stack = [(t, None, (), kept, semiring.one, None)]
+    stack = [(t, None, (), [p for p, _ in _redexes(t, semiring)],
+              semiring.one, None)]
     used = 0
     while stack:
         focus, frames, at, kept, weight, trail = stack.pop()
         if used > budget:
-            raise BudgetExceeded(f"reduction tree larger than {budget} steps"
-                                 if forks else
-                                 f"no normal form within {budget} steps")
-        if rng is None:
-            focus, frames, entries = _next_leftmost(focus, frames, semiring)
-        elif kept:
-            pos = rng.choice(kept)
-            focus, frames = _move(focus, frames, at, pos)
-            entries = contract(focus, semiring)
-        else:
-            focus, entries = _plug_all(focus, frames), None
-        if entries is None:
+            raise BudgetExceeded(message)
+        if not kept:
             steps = []
             while trail is not None:
                 trail, step = trail
                 steps.append(step)
-            leaves.append((weight, focus, tuple(reversed(steps))))
+            leaves.append((weight, _plug_all(focus, frames),
+                           tuple(reversed(steps))))
             continue
-        if rng is None and (forks or len(entries) > 1):
-            pos = _position(frames)
-        if len(entries) > 1 and not forks:
+        pos = kept[0] if rng is None else rng.choice(kept)
+        focus, frames = _move(focus, frames, at, pos)
+        entries = contract(focus, semiring)
+        if len(entries) > 1 and rng is not None:
             raise SupBranchEncountered(
                 f"probabilistic fork at position {pos}; use distribution()")
         used += len(entries)
         # push right branch first so the left branch is explored first; a
         # step that is no fork has weight one, which leaves the weight as is
         for rule, w, contractum in reversed(entries):
-            if rng is None:
-                nxt = contractum, frames, (), None
-            else:
-                nxt = _contract_at(kept, pos, contractum, frames, semiring)
+            nxt = _contract_at(kept, pos, contractum, frames, semiring)
             stack.append((*nxt, semiring.mul(weight, w)
                           if len(entries) > 1 else weight,
                           (trail, (Step(pos, rule, w), _plug_all(*nxt[:2])))
-                          if forks else None))
+                          if rng is None else None))
     return leaves
 
 
 def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
-    return _next_leftmost(t, None, semiring)[2] is None
+    return not any(contract(u, semiring) for _, u in S.subterms(t))
 
 
 def normalize(t: Term, semiring: Semiring = QNN,
               budget: int = DEFAULT_BUDGET) -> Term:
     """Leftmost-outermost normal form of a term without reachable
     probabilistic forks."""
-    return _reduce(t, semiring, budget)[0][1]
+    (_, value), = _shared_run(t, semiring, budget, forks=False)
+    return value
 
 
 def normalize_random(t: Term, rng: random.Random, semiring: Semiring = QNN,
                      budget: int = DEFAULT_BUDGET) -> Term:
     """Normalize picking a uniformly random redex at each step (forks are
     refused, as in normalize)."""
-    return _reduce(t, semiring, budget, rng=rng)[0][1]
+    return _reduce(t, semiring, budget, rng)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +410,7 @@ def paths(t: Term, semiring: Semiring = QNN,
           budget: int = DEFAULT_BUDGET) -> list[Path]:
     """All maximal leftmost-outermost reduction paths, left branch first."""
     return [Path(source=t, steps=steps, weight=w)
-            for w, _, steps in _reduce(t, semiring, budget, forks=True)]
+            for w, _, steps in _reduce(t, semiring, budget)]
 
 
 def distribution(t: Term, semiring: Semiring = QNN,
@@ -485,7 +418,7 @@ def distribution(t: Term, semiring: Semiring = QNN,
     """Exhaustively enumerate spdv(t): reduce leftmost-outermost, forking
     at each sup-elimination with the two branch weights.  Unlike paths,
     no steps are recorded, and each subterm's segment is run once."""
-    return Distribution(tuple(_shared_run(t, semiring, budget)))
+    return Distribution(tuple(_shared_run(t, semiring, budget, forks=True)))
 
 
 # the modes of a pending state (node, i, word, mode) of _shared_run: check
@@ -513,7 +446,8 @@ def _extend(cell, base, op, cache: dict):
     return acc
 
 
-def _shared_run(t: Term, semiring: Semiring, budget: int) -> list:
+def _shared_run(t: Term, semiring: Semiring, budget: int,
+                forks: bool) -> list:
     """The (weight, normal form) leaves of t's leftmost-outermost reduction
     tree, left branch first, running each subterm's segment once.
 
@@ -526,8 +460,18 @@ def _shared_run(t: Term, semiring: Semiring, budget: int) -> list:
     frame leaves (root, [(word, result, rooted)], unshared steps) in memo,
     keyed by id(root); rooted tells a contractum of the root from a normal
     form.  Memo hits add their steps to the budget, which so counts the
-    unshared tree.
+    unshared tree.  A budget below zero raises BudgetExceeded at once.
+
+    Without forks, a root contraction with two entries raises
+    SupBranchEncountered before its steps are counted, so a fork one step
+    past the budget is reported as a fork.  The redex is the root of the
+    innermost frame; its position is the child index of each enclosing
+    frame's pending _RESUME entry, outermost first.
     """
+    message = (f"reduction tree larger than {budget} steps" if forks
+               else f"no normal form within {budget} steps")
+    if budget < 0:
+        raise BudgetExceeded(message)
     memo = {}
     used = 0
     leaves = []
@@ -543,11 +487,15 @@ def _shared_run(t: Term, semiring: Semiring, budget: int) -> list:
         if mode == _CHECK:
             entries = contract(node, semiring)
             if entries:
+                fork = len(entries) > 1
+                if fork and not forks:
+                    pos = tuple(f[1][-1][1] for f in frames[:-1])
+                    raise SupBranchEncountered(
+                        f"probabilistic fork at position {pos}; "
+                        "use distribution()")
                 used += len(entries)
                 if used > budget:
-                    raise BudgetExceeded(
-                        f"reduction tree larger than {budget} steps")
-                fork = len(entries) > 1
+                    raise BudgetExceeded(message)
                 if root is None:
                     for _, w, c in reversed(entries):
                         todo.append((c, 0, op(word, w) if fork else word,
@@ -561,6 +509,10 @@ def _shared_run(t: Term, semiring: Semiring, budget: int) -> list:
             out.append((word, node) if root is None else (word, node, False))
             continue
         child = getattr(node, names[i])
+        if not _CHILDREN[type(child)]:
+            # a leaf is no redex: its segment is empty and it stays as is
+            todo.append((node, i + 1, word, _NEXT))
+            continue
         hit = memo.get(id(child))
         if hit is None:
             todo.append((node, i, word, _RESUME))
@@ -571,8 +523,7 @@ def _shared_run(t: Term, semiring: Semiring, budget: int) -> list:
         if mode != _RESUME:
             used += steps
             if used > budget:
-                raise BudgetExceeded(
-                    f"reduction tree larger than {budget} steps")
+                raise BudgetExceeded(message)
         cache = {}
         for cell, c, rooted in reversed(results):
             w = (word if cell is None else cell if word is None

@@ -266,10 +266,6 @@ def subterm_fields(t: Term) -> tuple[str, ...]:
     return _CHILDREN[type(t)]
 
 
-def children(t: Term) -> list[Term]:
-    return [getattr(t, name) for name in _CHILDREN[type(t)]]
-
-
 def bound_names(t: Term, field: str) -> tuple[str, ...]:
     spec = _BINDERS.get(type(t), {})
     return tuple(getattr(t, v) for v in spec.get(field, ()))
@@ -411,9 +407,7 @@ def substitute(v: Term, x: str, t: Term) -> Term:
 
 
 def hole_count(t: Term) -> int:
-    if isinstance(t, Hole):
-        return 1
-    return sum(hole_count(c) for c in children(t))
+    return sum(1 for _, u in subterms(t) if type(u) is Hole)
 
 
 def fill(context: Term, t: Term) -> Term:

@@ -605,8 +605,8 @@ _STUCK_BODIES = "x.unit_elim(x,star(1)),y.unit_elim(y,sum(star(1),star(2)))"
 
 def _odd_terms():
     """Open terms whose eliminator gets stuck on a variable, so that the
-    leftmost search climbs to later siblings; and ill-typed terms where a
-    contraction makes the parent stop being a redex."""
+    leftmost-outermost redex is a later sibling's; and ill-typed terms
+    where a contraction makes the parent stop being a redex."""
     return [term(src) for src in (
         f"case(app(lam(w,w),z),{_STUCK_BODIES})",
         f"sup_elim{{1/2,1/2}}(app(lam(w,w),z),{_STUCK_BODIES})",
@@ -734,6 +734,19 @@ def test_every_strategy_runs_within_a_budget_of_its_steps(src, steps, value):
             R.BudgetExceeded, f"no normal form within {steps - 1} steps")
         assert _outcome(sc.paths, t, budget=steps - 1) == (
             R.BudgetExceeded, f"reduction tree larger than {steps - 1} steps")
+
+
+@pytest.mark.parametrize("src", ["star(1)", _fork(0)], ids=["value", "fork"])
+def test_every_strategy_refuses_a_budget_below_zero(src):
+    """A budget below zero admits no run, not even one of no steps, and
+    the budget is checked before a fork is refused."""
+    t = term(src)
+    tree = (R.BudgetExceeded, "reduction tree larger than -1 steps")
+    run = (R.BudgetExceeded, "no normal form within -1 steps")
+    assert _outcome(sc.paths, t, budget=-1) == tree
+    assert _outcome(sc.distribution, t, budget=-1) == tree
+    assert _normalize(t, None, -1) == run
+    assert _normalize(t, 0, -1) == run
 
 
 def test_kept_redex_positions_match_a_rescan(corpus_entries):

@@ -388,6 +388,12 @@ def test_hole_count():
     assert sc.hole_count(S.Hole()) == 1
     assert sc.hole_count(S.Pair(S.Hole(), S.Hole())) == 2
     assert sc.hole_count(sc.parse_term("star(1)")) == 0
+    # deeper than the recursion limit, which fill handles too
+    deep = S.Hole()
+    for _ in range(12_000):
+        deep = S.Fst(deep)
+    assert sc.hole_count(deep) == 1
+    assert sc.hole_count(S.Pair(deep, S.Hole())) == 2
 
 
 # ---------------------------------------------------------------------------
