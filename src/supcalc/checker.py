@@ -30,6 +30,15 @@ Each split records the partition and the permutation taking the ambient
 order to the premise order, which the denotational interpreter replays as
 a braiding.
 
+A checker may serve several judgments: it keeps each derivation with the
+context and the expected type it was checked in, keyed by the term
+object, and returns it when a later judgment asks for the same object in
+an equal context at an equal expected type.  Since the derivation of a
+judgment is unique, this is the derivation a fresh check would build;
+failures are not kept.  ``check_subject_reduction`` types all the reducts
+of a term with the term's own checker, so a reduct re-derives only the
+nodes its step rebuilt.
+
 ``validate`` re-typechecks a derivation's root judgment once and compares
 the derivation with the checker's own, node by node.
 """
@@ -137,22 +146,34 @@ def _absorbs(t: Term, sub) -> bool:
 
 
 class _Checker:
+    """One checker for any number of judgments in one semiring.  Per-node
+    free variables and absorption are worked out once per node, and each
+    derivation is kept with the context and expected type it was checked
+    in; all are keyed by node identity, and every entry holds its term, so
+    that no id is reused while the checker lives."""
+
     def __init__(self, semiring: Semiring):
         self.sr = semiring
-        # per-node free variables and absorption, worked out once per node;
-        # absorption is keyed by node identity, as the checker lives for
-        # one typecheck call, which holds the term
         self.free_vars = S._FreeVars()
-        self._absorb: dict[int, bool] = {}
+        self._absorb: dict[int, tuple[Term, bool]] = {}
+        self._derivs: dict[int, tuple[Context, Optional[Prop], Derivation]] = {}
+
+    def typecheck(self, ctx: Context, t: Term,
+                  expected: Optional[Prop] = None) -> Derivation:
+        ctx = tuple(ctx)
+        names = [x for x, _ in ctx]
+        if len(set(names)) != len(names):
+            raise TypingError(f"duplicate context variables in {names}")
+        return self._typecheck(ctx, t, expected)
 
     # -- context splitting ------------------------------------------------
 
     def absorbs(self, t: Term) -> bool:
         """can_absorb(t), decided once per node."""
-        ok = self._absorb.get(id(t))
-        if ok is None:
-            ok = self._absorb[id(t)] = _absorbs(t, self.absorbs)
-        return ok
+        hit = self._absorb.get(id(t))
+        if hit is None:
+            hit = self._absorb[id(t)] = (t, _absorbs(t, self.absorbs))
+        return hit[1]
 
     def split(self, ctx: Context, t: Term, left: Term,
               rights: tuple[tuple[Term, tuple[str, ...]], ...] = ()
@@ -201,9 +222,15 @@ class _Checker:
             f"expected {S.print_prop(want)}")
 
     def _typecheck(self, ctx: Context, t: Term, want: Optional[Prop]) -> Derivation:
+        # checking is deterministic and syntax directed, so a derivation
+        # depends only on (ctx, t, want); failures are not kept
+        hit = self._derivs.get(id(t))
+        if hit is not None and hit[0] == ctx and hit[1] == want:
+            return hit[2]
         d = self._go(ctx, t, want)
         if want is not None and d.prop != want:
             self._mismatch(t, d.prop, want)
+        self._derivs[id(t)] = (ctx, want, d)
         return d
 
     def _go(self, ctx: Context, t: Term, want: Optional[Prop]) -> Derivation:
@@ -399,11 +426,7 @@ class _Checker:
 def typecheck(ctx: Context, t: Term, expected: Optional[Prop] = None,
               semiring: Semiring = QNN) -> Derivation:
     """Type-check t in ctx, optionally against an expected proposition."""
-    ctx = tuple(ctx)
-    names = [x for x, _ in ctx]
-    if len(set(names)) != len(names):
-        raise TypingError(f"duplicate context variables in {names}")
-    return _Checker(semiring)._typecheck(ctx, t, expected)
+    return _Checker(semiring).typecheck(ctx, t, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +532,15 @@ def check_subject_reduction(t: Term, ctx: Context = (),
     """Every one-step reduct must re-check at the same type."""
     from . import rewrite
 
-    d = typecheck(ctx, t, expected, semiring)
+    # one checker for t and every reduct: a reduct re-derives only the
+    # nodes its step rebuilt
+    checker = _Checker(semiring)
+    d = checker.typecheck(ctx, t, expected)
     findings: list[SRFinding] = []
     steps = rewrite.step_all(t, semiring)
     for step, reduct in steps:
         try:
-            typecheck(ctx, reduct, d.prop, semiring)
+            checker.typecheck(ctx, reduct, d.prop)
         except TypingError as exc:
             findings.append(SRFinding(step.rule, step.pos, reduct, str(exc)))
     return SRReport(t, d.prop, len(steps), findings)

@@ -232,7 +232,11 @@ def _cmd_soundness(args, sr) -> int:
     if ctx:
         raise CliError("soundness expects a closed term", code=2)
     expected = S.parse_prop(args.type_, sr) if args.type_ else declared
-    report = _step_soundness(term, sr, expected=expected)
+    try:
+        report = _step_soundness(term, sr, expected=expected)
+    except TC.TypingError as exc:
+        print(f"type error: {exc}", file=sys.stderr)
+        return 1
     global_ok = _global_soundness(term, sr, expected=expected)
     if args.json:
         print(json.dumps({

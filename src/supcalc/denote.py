@@ -31,6 +31,17 @@ is checked on the whole reduct instead, so the report and its detail
 strings are those of the whole-term check.  Both checks build the matrix
 to compare with through ``_reduct_mat``: a step's one reduct, or a fork's
 two paired as by ``with_i`` and mixed by the fork's weights.
+
+One checker and one denoter serve the whole call (``_Semantics``).  The
+checker returns the derivation it keeps for a term object when the context
+and the expected type match, and the denoter the matrix it keeps for a
+derivation node.  A contractum or a reduct therefore re-derives and
+re-denotes only the nodes its contraction rebuilt, the path to each
+substituted occurrence; an argument, a closed function or a branch that
+substitution left as the same object is the root's own node, with its
+matrix.  No comparison holds by construction: the redex's matrix comes
+from its own clause (for ``apply``, evaluation after the function and the
+argument), the contractum's from the clauses of the rebuilt path.
 """
 
 from __future__ import annotations
@@ -75,17 +86,18 @@ class Interp:
 
 
 class _Denoter:
-    """One interpretation run.  Each proposition's dimension is worked out
-    once per run, keyed by identity; an entry holds its proposition, so
-    that no id is reused while the run lives.  Each node's (rows, cols) is
-    worked out once, before its clause.  With ``keep`` the run also keeps
-    every node's matrix, keyed by the node's identity."""
+    """One interpretation run, over any number of derivations.  Each
+    proposition's dimension and each node's matrix are worked out once per
+    run, keyed by identity; an entry holds its proposition or node, so
+    that no id is reused while the run lives.  A node's matrix is a
+    function of the node alone, so a node that several derivations share
+    is interpreted once.  Each node's (rows, cols) is worked out once,
+    before its clause."""
 
-    def __init__(self, semiring: Semiring, keep: bool = False):
+    def __init__(self, semiring: Semiring):
         self.sr = semiring
         self._dims: dict[int, tuple[Prop, int]] = {}
-        self.mats: Optional[dict[int, tuple[TC.Derivation, Mat]]] = (
-            {} if keep else None)
+        self.mats: dict[int, tuple[TC.Derivation, Mat]] = {}
 
     def dim(self, a: Prop) -> int:
         hit = self._dims.get(id(a))
@@ -118,6 +130,9 @@ class _Denoter:
         return M.compose(mat, M.perm_mat(self.ctx_dims(d.ctx), order, self.sr))
 
     def go(self, d: TC.Derivation) -> Mat:
+        hit = self.mats.get(id(d))
+        if hit is not None:
+            return hit[1]
         if d.rule not in self._CLAUSES:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
         # rows and cols are the dimensions of d's type and of its context
@@ -129,8 +144,7 @@ class _Denoter:
             raise M.ShapeMismatch(
                 f"internal: rule {d.rule} produced {mat.rows}x{mat.cols}, "
                 f"expected {rows}x{cols}")
-        if self.mats is not None:
-            self.mats[id(d)] = (d, mat)
+        self.mats[id(d)] = (d, mat)
         return mat
 
     # Each clause takes the node, its premises' matrices, the node's shape
@@ -213,15 +227,24 @@ def denote(d: TC.Derivation, semiring: Semiring = QNN) -> Interp:
     return Interp(d, mat.cols, mat.rows, mat)
 
 
-def _matrix(ctx: TC.Context, t: Term, expected: Optional[Prop],
-            sr: Semiring) -> Mat:
-    """The matrix of t typed in ctx, against expected if given."""
-    return denote(TC.typecheck(ctx, t, expected, sr), sr).matrix
+class _Semantics:
+    """One checker and one denoter for the judgments of one call: a term
+    built from another's subterms re-derives and re-denotes only the nodes
+    that are new."""
+
+    def __init__(self, semiring: Semiring):
+        self.checker = TC._Checker(semiring)
+        self.denoter = _Denoter(semiring)
+
+    def matrix(self, ctx: TC.Context, t: Term,
+               expected: Optional[Prop] = None) -> Mat:
+        """The matrix of t typed in ctx, against expected if given."""
+        return self.denoter.go(self.checker.typecheck(ctx, t, expected))
 
 
 def denote_closed(t: Term, expected: Optional[Prop] = None,
                   semiring: Semiring = QNN) -> Mat:
-    return _matrix((), t, expected, semiring)
+    return _Semantics(semiring).matrix((), t, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +267,7 @@ def check_substitution(t_deriv: TC.Derivation, v_deriv: TC.Derivation,
         raise TC.TypingError(f"contexts share variables {sorted(overlap)}")
     new_ctx = gamma + v_deriv.ctx
     subst_term = S.substitute(v_deriv.term, x, t_deriv.term)
-    lhs = _matrix(new_ctx, subst_term, t_deriv.prop, semiring)
+    lhs = _Semantics(semiring).matrix(new_ctx, subst_term, t_deriv.prop)
     t_mat = denote(t_deriv, semiring).matrix
     v_mat = denote(v_deriv, semiring).matrix
     g = denote_ctx(gamma)
@@ -283,18 +306,17 @@ def check_step_soundness(t: Term, semiring: Semiring = QNN,
     Each redex is checked in its own sub-derivation, and a position whose
     local check does not pass is checked again on the whole term (see the
     module docstring)."""
-    sr = semiring
-    d = TC.typecheck(ctx, t, expected, sr)
-    den = _Denoter(sr, keep=True)
-    base = den.go(d)
+    sem = _Semantics(semiring)
+    d = sem.checker.typecheck(ctx, t, expected)
+    base = sem.denoter.go(d)
     checks: list[StepCheck] = []
     # _redexes lists positions in preorder, which is their sorted order
-    for pos, entries in rewrite._redexes(t, sr):
+    for pos, entries in rewrite._redexes(t, semiring):
         sd = _node_at(d, pos)
-        if sd is not None and _locally_sound(sd, entries, den, sr):
+        if sd is not None and _locally_sound(sd, entries, sem):
             checks.append(StepCheck(pos, tuple(r for r, _, _ in entries), True))
         else:
-            checks.append(_whole_term_check(t, d, base, pos, entries, sr))
+            checks.append(_whole_term_check(t, d, base, pos, entries, sem))
     return SoundnessReport(t, checks)
 
 
@@ -313,37 +335,37 @@ def _node_at(d: TC.Derivation,
 
 
 def _reduct_mat(entries, reduct, ctx: TC.Context, prop: Prop,
-                sr: Semiring) -> Mat:
+                sem: _Semantics) -> Mat:
     """The matrix a redex's contraction entries must keep: each contractum
     c made into the term reduct(c) and typed in ctx at prop, the one
     reduct's matrix, or a fork's two paired as by with_i and mixed by the
     fork's weights."""
-    mats = [_matrix(ctx, reduct(c), prop, sr) for _, _, c in entries]
+    mats = [sem.matrix(ctx, reduct(c), prop) for _, _, c in entries]
     if len(mats) == 1:
         return mats[0]
-    mix = M.weighted_codiag(tuple(w for _, w, _ in entries), mats[0].rows, sr)
+    mix = M.weighted_codiag(tuple(w for _, w, _ in entries), mats[0].rows,
+                            sem.denoter.sr)
     return M.compose(mix, M.pair_mat(*mats))
 
 
-def _locally_sound(sd: TC.Derivation, entries, den: _Denoter,
-                   sr: Semiring) -> bool:
+def _locally_sound(sd: TC.Derivation, entries, sem: _Semantics) -> bool:
     """Whether the contracta of the redex derived by sd, typed in sd's
-    context at sd's type, keep the matrix den kept for sd."""
+    context at sd's type, keep the matrix sem kept for sd."""
     try:
-        other = _reduct_mat(entries, lambda c: c, sd.ctx, sd.prop, sr)
+        other = _reduct_mat(entries, lambda c: c, sd.ctx, sd.prop, sem)
     except (TC.TypingError, WeightError):
         return False
-    return den.mats[id(sd)][1].equal(other)
+    return sem.denoter.mats[id(sd)][1].equal(other)
 
 
 def _whole_term_check(t: Term, d: TC.Derivation, base: Mat,
                       pos: tuple[int, ...], entries,
-                      sr: Semiring) -> StepCheck:
+                      sem: _Semantics) -> StepCheck:
     """The check of the redex at pos on the whole term: each reduct is
     typed and denoted from the root and compared with base, the matrix of
     t's derivation d."""
     other = _reduct_mat(entries, lambda c: S.replace_at(t, pos, c), d.ctx,
-                        d.prop, sr)
+                        d.prop, sem)
     ok = base.equal(other)
     return StepCheck(pos, tuple(r for r, _, _ in entries), ok,
                      "" if ok else f"{base!r} != {other!r}")
@@ -353,11 +375,11 @@ def check_global_soundness(t: Term, semiring: Semiring = QNN,
                            expected: Optional[Prop] = None) -> bool:
     """The matrix of a closed term equals the matrix of the weighted sum
     of its run results."""
-    sr = semiring
-    d = TC.typecheck((), t, expected, sr)
-    dist = rewrite.distribution(t, sr)
-    summed = rewrite.sum_of_distribution(dist, sr)
-    return denote(d, sr).matrix.equal(_matrix((), summed, d.prop, sr))
+    sem = _Semantics(semiring)
+    d = sem.checker.typecheck((), t, expected)
+    dist = rewrite.distribution(t, semiring)
+    summed = rewrite.sum_of_distribution(dist, semiring)
+    return sem.denoter.go(d).equal(sem.matrix((), summed, d.prop))
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +397,11 @@ def adequacy_compare(t: Term, u: Term, a: Prop,
                      semiring: Semiring = QNN) -> AdequacyVerdict:
     """Equal matrices must imply observational indistinguishability; the
     converse direction is not claimed."""
-    sr = semiring
-    if not _matrix((), t, a, sr).equal(_matrix((), u, a, sr)):
+    sem = _Semantics(semiring)
+    if not sem.matrix((), t, a).equal(sem.matrix((), u, a)):
         return AdequacyVerdict(False, None, "distinct denotations")
     try:
-        mixed = rewrite.mixed_equiv(t, u, a, sr)
+        mixed = rewrite.mixed_equiv(t, u, a, semiring)
     except rewrite.UnsupportedType:
         return AdequacyVerdict(True, None,
                                "consistent (fragment check unavailable)")

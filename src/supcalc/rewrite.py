@@ -349,7 +349,7 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None) -> list:
 
 
 def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
-    return not any(contract(u, semiring) for _, u in S.subterms(t))
+    return not any(contract(u, semiring) for u in S.nodes(t))
 
 
 def normalize(t: Term, semiring: Semiring = QNN,

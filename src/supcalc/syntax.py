@@ -291,6 +291,17 @@ def subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
             stack.append((pos + (i,), getattr(u, names[i])))
 
 
+def nodes(t: Term) -> Iterator[Term]:
+    """All subterms, in the order of ``subterms``, without their positions."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        names = _CHILDREN[type(u)]
+        for i in range(len(names) - 1, -1, -1):
+            stack.append(getattr(u, names[i]))
+
+
 def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     spine = []
     for i in pos:
@@ -407,7 +418,7 @@ def substitute(v: Term, x: str, t: Term) -> Term:
 
 
 def hole_count(t: Term) -> int:
-    return sum(1 for _, u in subterms(t) if type(u) is Hole)
+    return sum(1 for u in nodes(t) if type(u) is Hole)
 
 
 def fill(context: Term, t: Term) -> Term:

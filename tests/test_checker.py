@@ -9,6 +9,7 @@ import pytest
 
 import supcalc as sc
 from supcalc import checker as C
+from supcalc import rewrite as R
 from supcalc import syntax as S
 from supcalc.gen import TermGenerator
 
@@ -426,3 +427,67 @@ def test_context_splits_are_linear_in_nesting_depth(monkeypatch):
 
     at_500, at_1000 = calls_at(500), calls_at(1000)
     assert 0 < at_500 and at_1000 < 2.5 * at_500
+
+
+# ---------------------------------------------------------------------------
+# derivations kept by judgment
+
+
+def test_a_shared_object_is_derived_in_each_of_its_contexts():
+    # the left unit absorbs x, the right one is typed in the empty context
+    u = S.Unit()
+    ctx = sc.parse_context("x:one")
+    d = sc.typecheck(ctx, S.Tens(u, u))
+    assert [k.ctx for k in d.children] == [ctx, ()]
+    copy = sc.typecheck(ctx, S.Tens(S.Unit(), S.Unit()))
+    assert d == copy
+    assert sc.validate(d).ok
+    assert sc.denote(d).matrix.equal(sc.denote(copy).matrix)
+
+
+def test_a_shared_object_is_derived_at_each_expected_type():
+    ident = S.Lam("x", S.Var("x"))
+    a = sc.parse_prop("(one -o one) & ((one & one) -o (one & one))")
+    d = sc.typecheck((), S.Pair(ident, ident), a)
+    assert d.prop == a
+    copy = sc.typecheck((), sc.parse_term("pair(lam(x,x),lam(x,x))"), a)
+    assert d == copy
+    assert sc.validate(d).ok
+    # one term object, two derivations, two matrices (1x1 and 4x1)
+    assert sc.denote(d).matrix.equal(sc.denote(copy).matrix)
+
+
+def fresh_subject_reduction(t, ctx, semiring, expected):
+    """check_subject_reduction with a fresh typecheck call per reduct."""
+    d = sc.typecheck(ctx, t, expected, semiring)
+    findings = []
+    steps = sc.step_all(t, semiring)
+    for step, reduct in steps:
+        try:
+            sc.typecheck(ctx, reduct, d.prop, semiring)
+        except C.TypingError as exc:
+            findings.append(C.SRFinding(step.rule, step.pos, reduct,
+                                        str(exc)))
+    return C.SRReport(t, d.prop, len(steps), findings)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_subject_reduction_matches_a_fresh_typecheck_per_reduct(
+        monkeypatch, corpus_entries, broken):
+    if broken:
+        # fst and supfst contract to their whole pair, which does not keep
+        # the type
+        contract = R.contract
+        monkeypatch.setattr(R, "contract", lambda t, sr: [
+            (r, w, t.pair if r in ("fst", "supfst") else c)
+            for r, w, c in contract(t, sr)])
+    gen = TermGenerator(seed=23, allow_sup_elim=True, max_depth=4)
+    judgments = [(e.term, e.ctx, e.prop) for e in corpus_entries]
+    judgments += [(t, (), a) for t, a in (gen.closed() for _ in range(300))]
+    flagged = 0
+    for t, ctx, a in judgments:
+        got = C.check_subject_reduction(t, ctx, sc.QNN, a)
+        assert got == fresh_subject_reduction(t, ctx, sc.QNN, a), (
+            sc.print_term(t))
+        flagged += len(got.findings)
+    assert bool(flagged) == broken

@@ -117,6 +117,18 @@ def test_soundness_report(ufile, capsys):
     assert "sup_elim_left" in out and "whole-run identity: ok" in out
 
 
+@pytest.mark.parametrize("command", ["check", "denote", "soundness"])
+def test_an_ill_typed_file_is_a_type_error_in_every_checking_command(
+        tmp_path, capsys, command):
+    p = tmp_path / "bad.lsup"
+    p.write_text("app(star(1),star(2))\n")
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("type error: star(1) has type one, which is not "
+                            "a function type\n")
+
+
 def test_encode_then_apply(tmp_path, capsys):
     assert main(["encode", "--matrix", "[[1,2],[3,4]]",
                  "--from", "one & one", "--to", "one & one"]) == 0

@@ -394,6 +394,77 @@ def test_swapped_fork_weights_are_flagged_where_the_whole_term_check_does(
                                         "sup_elim_left", breaks)
 
 
+def test_an_ill_typed_contractum_fails_as_in_the_whole_term_check(
+        monkeypatch, corpus_entries):
+    # fst and supfst contract to their whole pair, which does not keep the
+    # type: where the whole-term check raises, so must the local one, even
+    # after its own attempt to type the contractum has failed
+    inputs = [(t, a) for family in ("corpus", "generated", "reachable")
+              for t, a in _soundness_inputs(family, corpus_entries)
+              if any(step.rule in ("fst", "supfst")
+                     for step, _ in sc.step_all(t))]
+    inputs.append((term("fst(pair(star(1),star(2)))"), S.One()))
+    contract = R.contract
+    monkeypatch.setattr(R, "contract", lambda t, sr: [
+        (r, w, t.pair if r in ("fst", "supfst") else c)
+        for r, w, c in contract(t, sr)])
+    raised = 0
+    for t, a in inputs:
+        outcomes = []
+        for check in (sc.check_step_soundness, whole_term_step_soundness):
+            try:
+                outcomes.append(check(t, SR, expected=a))
+            except C.TypingError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], sc.print_term(t)
+        raised += isinstance(outcomes[0], tuple)
+    assert raised
+
+
+def _encoded_application(n):
+    """An encoded n x n map applied to an encoded vector, at its type."""
+    rng = random.Random(n)
+    m = [[F(rng.randrange(10), rng.randrange(1, 4)) for _ in range(n)]
+         for _ in range(n)]
+    u = [F(rng.randrange(10), rng.randrange(1, 4)) for _ in range(n)]
+    enc = sc.encode_matrix(m, _vprop(n), _vprop(n))
+    vec = sc.from_vector(sc.SVector(tuple(u), _vprop(n)))
+    return S.App(enc, vec), _vprop(n)
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+def test_step_soundness_derives_and_denotes_only_rebuilt_nodes(monkeypatch,
+                                                               n):
+    # a contractum shares every node that substitution left as it was with
+    # the root, so the whole check costs a small multiple of one typecheck
+    # and denote, however many redexes the term has
+    counts = {"visits": 0, "clauses": 0}
+    go = C._Checker._go
+
+    def visit(self, *args):
+        counts["visits"] += 1
+        return go(self, *args)
+
+    def counted(clause):
+        def apply(*args):
+            counts["clauses"] += 1
+            return clause(*args)
+        return apply
+
+    monkeypatch.setattr(C._Checker, "_go", visit)
+    monkeypatch.setattr(D._Denoter, "_CLAUSES", {
+        rule: (counted(clause), arg)
+        for rule, (clause, arg) in D._Denoter._CLAUSES.items()})
+    t, a = _encoded_application(n)
+    sc.denote(sc.typecheck((), t, a))
+    once = dict(counts)
+    counts.update(visits=0, clauses=0)
+    report = sc.check_step_soundness(t, SR, expected=a)
+    assert report.ok and len(report.checks) > n
+    for key in counts:
+        assert counts[key] <= 2.5 * once[key], (key, counts, once)
+
+
 # ---------------------------------------------------------------------------
 # whole-run soundness
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -394,6 +395,38 @@ def test_hole_count():
         deep = S.Fst(deep)
     assert sc.hole_count(deep) == 1
     assert sc.hole_count(S.Pair(deep, S.Hole())) == 2
+
+
+def test_nodes_walks_subterms_in_order(corpus_entries):
+    gen = TermGenerator(seed=3, allow_sup_elim=True, max_depth=4)
+    terms = [e.term for e in corpus_entries] + [gen.closed()[0]
+                                                for _ in range(100)]
+    for t in terms:
+        assert list(S.nodes(t)) == [u for _, u in S.subterms(t)]
+
+
+def _fst_context(depth):
+    deep = S.Hole()
+    for _ in range(depth):
+        deep = S.Fst(deep)
+    return deep
+
+
+@pytest.mark.parametrize("walk, want", [(sc.is_normal, True),
+                                        (sc.hole_count, 1)])
+def test_whole_term_walks_are_linear_in_depth(walk, want):
+    # a walk that built a position per node would take time quadratic in
+    # depth: 8 times the depth would then take about 64 times as long
+    def best_of_three(depth):
+        deep = _fst_context(depth)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            assert walk(deep) == want
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(24_000) < 24 * best_of_three(3_000)
 
 
 # ---------------------------------------------------------------------------
