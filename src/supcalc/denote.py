@@ -306,12 +306,17 @@ def check_step_soundness(t: Term, semiring: Semiring = QNN,
     Each redex is checked in its own sub-derivation, and a position whose
     local check does not pass is checked again on the whole term (see the
     module docstring)."""
-    sem = _Semantics(semiring)
+    return _step_soundness(_Semantics(semiring), t, ctx, expected)
+
+
+def _step_soundness(sem: _Semantics, t: Term, ctx: TC.Context,
+                    expected: Optional[Prop]) -> SoundnessReport:
+    """check_step_soundness through sem's checker and denoter."""
     d = sem.checker.typecheck(ctx, t, expected)
     base = sem.denoter.go(d)
     checks: list[StepCheck] = []
     # _redexes lists positions in preorder, which is their sorted order
-    for pos, entries in rewrite._redexes(t, semiring):
+    for pos, entries in rewrite._redexes(t, sem.denoter.sr):
         sd = _node_at(d, pos)
         if sd is not None and _locally_sound(sd, entries, sem):
             checks.append(StepCheck(pos, tuple(r for r, _, _ in entries), True))
@@ -375,10 +380,16 @@ def check_global_soundness(t: Term, semiring: Semiring = QNN,
                            expected: Optional[Prop] = None) -> bool:
     """The matrix of a closed term equals the matrix of the weighted sum
     of its run results."""
-    sem = _Semantics(semiring)
+    return _global_soundness(_Semantics(semiring), t, expected)
+
+
+def _global_soundness(sem: _Semantics, t: Term,
+                      expected: Optional[Prop]) -> bool:
+    """check_global_soundness through sem's checker and denoter, which
+    keep the root's derivation and matrix from an earlier check."""
     d = sem.checker.typecheck((), t, expected)
-    dist = rewrite.distribution(t, semiring)
-    summed = rewrite.sum_of_distribution(dist, semiring)
+    dist = rewrite.distribution(t, sem.denoter.sr)
+    summed = rewrite.sum_of_distribution(dist, sem.denoter.sr)
     return sem.denoter.go(d).equal(sem.matrix((), summed, d.prop))
 
 

@@ -97,7 +97,7 @@ def format_scalar(v: Scalar) -> str:
 
 
 def _qnn_literal(f: Fraction) -> Fraction:
-    if f < 0:
+    if f.numerator < 0:  # a Fraction's denominator is positive
         raise LiteralError(f"semiring qnn has no negative scalar {f}")
     return f
 

@@ -14,9 +14,11 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional
 
-from .semiring import QNN, Semiring, format_scalar, make_weight_pair
+from .semiring import (QNN, Semiring, SemiringError, format_scalar,
+                       make_weight_pair)
 
 # weighted-sum terms over large run distributions are left-associated chains
 # whose depth is the number of run results; give the recursive AST walks room
@@ -513,7 +515,7 @@ def canonical(t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# Concrete syntax: tokenizer
+# Concrete syntax: tokens
 
 
 class ParseError(Exception):
@@ -525,65 +527,40 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'name', 'int', 'punct', 'eof'
-    text: str
-    line: int
-    col: int
+# One match per token: whitespace (" \t\r\n"), then a punctuation mark, a
+# name or a decimal integer literal, in groups 1 to 3 (so a token is the
+# tuple (punct, name, int) with one field set).  Any other character
+# matches with no group set, and no parser rule accepts it.  A name starts
+# with a letter (str.isalpha) or "_" and goes on with str.isalnum
+# characters or "_"; no pattern class is exactly str.isalpha, so group 2
+# also starts at the other non-decimal numeric characters, such as "²",
+# and _lexical_error refuses those.  Punctuation, the commonest token,
+# comes first in the pattern, which makes it quicker to match.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(-o|\([*+o]\)|[(){},.:/&])|([^\W\d]\w*)"
+                    r"|(-?\d+)|[^ \t\r\n])")
+_END = ("", "", "")  # after the last token; the parser never reads past it
 
 
-def tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
+
+
+def _lexical_error(text: str) -> Optional[ParseError]:
+    """The error at the first character of text that starts no token, if
+    there is one."""
+    for m in _TOKEN.finditer(text):
+        name = m.group(2)
+        if m.lastindex is None:
+            offset = m.end() - 1
+        elif name and not (name[0].isalpha() or name[0] == "_"):
+            offset = m.start(2)
+        else:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("-o", i):
-            toks.append(Token("punct", "-o", line, col))
-            i += 2
-            col += 2
-            continue
-        if c == "(" and i + 2 < n and text[i + 1] in "*+o" and text[i + 2] == ")":
-            toks.append(Token("punct", text[i:i + 3], line, col))
-            i += 3
-            col += 3
-            continue
-        if c in "(){},.:/&":
-            toks.append(Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "-" or c.isdigit():
-            j = i + 1 if c == "-" else i
-            if j >= n or not text[j].isdigit():
-                raise ParseError(f"stray {c!r}", line, col)
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
-    return toks
+        c = text[offset]
+        message = f"stray {c!r}" if c == "-" else f"unexpected character {c!r}"
+        return ParseError(message, *_line_col(text, offset))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -625,183 +602,188 @@ _NULLARY_WORD = {cls: word for word, cls in _NULLARY.items()}
 PROP_KEYWORDS = set(_NULLARY)
 KEYWORDS = TERM_KEYWORDS | PROP_KEYWORDS
 
+# The binary connectives by their word: the class, its binding level and
+# the least level its right operand is read at.  -o binds loosest and
+# associates to the right; (+) and (o), then &, then (*) bind tighter and
+# associate to the left.  The printer reads the same table.
+_CONNECTIVES = {"-o": (Lollipop, 0, 0), "(+)": (Plus, 1, 2),
+                "(o)": (Sup, 1, 2), "&": (With, 2, 3), "(*)": (Tensor, 3, 4)}
+_CONNECTIVE_WORD = {cls: word for word, (cls, _, _) in _CONNECTIVES.items()}
+_PROP_LEVEL = {cls: level for cls, level, _ in _CONNECTIVES.values()}
+
 
 # ---------------------------------------------------------------------------
 # Concrete syntax: parser
 
 
 class _Parser:
+    """Recursive descent over the token tuples of one text, recursing once
+    per nesting level.  A rule takes the index of its first token and
+    returns what it read with the index of the token after it.  A token's
+    line and column are worked out only for an error, by matching the text
+    again up to that token."""
+
     def __init__(self, text: str, semiring: Semiring):
-        self.toks = tokenize(text)
-        self.pos = 0
+        self.text = text
+        self.toks = _TOKEN.findall(text)
+        self.toks.append(_END)
         self.sr = semiring
+        self.deepest = 0  # the innermost rule's token at a RecursionError
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
+    def error(self, message: str, i: int, expected=()) -> ParseError:
+        """message at token i, unless the text holds a tokenizer error,
+        which comes first."""
+        lexical = _lexical_error(self.text)
+        if lexical is not None:
+            return lexical
+        m = next(islice(_TOKEN.finditer(self.text), i, None), None)
+        offset = len(self.text) if m is None else m.start(m.lastindex)
+        return ParseError(message, *_line_col(self.text, offset), expected)
 
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, i: int, expected) -> ParseError:
+        got = "".join(self.toks[i]) or "end of input"
+        return self.error(f"unexpected {got!r}", i, expected)
 
-    def fail(self, expected) -> ParseError:
-        tok = self.peek()
-        got = tok.text or "end of input"
-        return ParseError(f"unexpected {got!r}", tok.line, tok.col, expected)
+    def name(self, i: int) -> tuple[str, int]:
+        name = self.toks[i][1]
+        if not name or name in KEYWORDS:
+            raise self.fail(i, ("variable name",))
+        return name, i + 1
 
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == text:
-            return self.next()
-        raise self.fail((text,))
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def name(self) -> str:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text not in KEYWORDS:
-            return self.next().text
-        raise self.fail(("variable name",))
-
-    def scalar(self):
-        tok = self.peek()
-        if tok.kind != "int":
-            raise self.fail(("scalar literal",))
-        self.next()
-        num = int(tok.text)
-        if self.at("/"):
-            self.next()
-            dtok = self.peek()
-            if dtok.kind != "int":
-                raise self.fail(("denominator",))
-            self.next()
-            den = int(dtok.text)
-            if den == 0:
-                raise ParseError("zero denominator", dtok.line, dtok.col)
-            frac = Fraction(num, den)
-        else:
-            frac = Fraction(num)
+    def scalar(self, i: int):
+        """The literal n or n/d at token i, as a carrier value."""
+        toks = self.toks
+        num = toks[i][2]
+        if not num:
+            raise self.fail(i, ("scalar literal",))
+        den, end = "", i + 1
+        if toks[end][0] == "/":
+            den, end = toks[i + 2][2], i + 3
+            if not den:
+                raise self.fail(i + 2, ("denominator",))
         try:
-            return self.sr.from_literal(frac)
-        except RecursionError:
-            raise
-        except Exception as exc:
-            raise ParseError(str(exc), tok.line, tok.col) from None
+            n, d = int(num), int(den or 1)
+        except ValueError:  # beyond the interpreter's digit limit for int()
+            raise self.error("scalar literal has too many digits", i) from None
+        if d == 0:
+            raise self.error("zero denominator", i + 2)
+        try:
+            return self.sr.from_literal(Fraction(n, d) if den else
+                                        Fraction(n)), end
+        except (SemiringError, ArithmeticError) as exc:
+            raise self.error(str(exc), i) from None
 
-    # -- propositions: -o is right associative and loosest; then (+) and (o),
-    # then &, then (*); all left associative.
+    def ann(self, i: int) -> tuple[Optional[Prop], int]:
+        if self.toks[i][0] != "{":
+            return None, i
+        a, i = self.prop(i + 1)
+        if self.toks[i][0] != "}":
+            raise self.fail(i, ("}",))
+        return a, i + 1
 
-    def prop(self) -> Prop:
-        left = self.prop_additive()
-        if self.at("-o"):
-            self.next()
-            return Lollipop(left, self.prop())
-        return left
-
-    def prop_additive(self) -> Prop:
-        left = self.prop_with()
-        while self.at("(+)") or self.at("(o)"):
-            op = self.next().text
-            right = self.prop_with()
-            left = Plus(left, right) if op == "(+)" else Sup(left, right)
-        return left
-
-    def prop_with(self) -> Prop:
-        left = self.prop_tensor()
-        while self.at("&"):
-            self.next()
-            left = With(left, self.prop_tensor())
-        return left
-
-    def prop_tensor(self) -> Prop:
-        left = self.prop_atom()
-        while self.at("(*)"):
-            self.next()
-            left = Tensor(left, self.prop_atom())
-        return left
-
-    def prop_atom(self) -> Prop:
-        tok = self.peek()
-        if tok.kind == "name" and tok.text in _NULLARY:
-            self.next()
-            return _NULLARY[tok.text]()
-        if self.at("("):
-            self.next()
-            inner = self.prop()
-            self.expect(")")
-            return inner
-        raise self.fail((*_NULLARY, "("))
-
-    # -- terms
-
-    def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind != "name":
-            raise self.fail(("term",))
-        word = tok.text
-        if word not in KEYWORDS:
-            self.next()
-            return Var(word)
-        if word not in _KEYWORD_CLASS:
-            raise self.fail(("term keyword",))
-        self.next()
-        cls, at = _KEYWORD_CLASS[word], self.peek()
-        values = {}
-        for kind, text in _FORMS[cls][1:]:
-            if kind == "lit":
-                self.expect(text)
-            elif kind == "ann":
-                values[text] = self._ann()
+    def prop(self, i: int, level: int = 0) -> tuple[Prop, int]:
+        """The proposition at token i, whose connectives outside
+        parentheses bind at level or tighter."""
+        toks = self.toks
+        try:
+            punct, word, _ = toks[i]
+            if word in _NULLARY:
+                left, i = _NULLARY[word](), i + 1
+            elif punct == "(":
+                left, i = self.prop(i + 1)
+                if toks[i][0] != ")":
+                    raise self.fail(i, (")",))
+                i += 1
             else:
-                values[text] = getattr(self, kind)()
-        args = [values[name] for name in _FIELDS[cls]]
-        if cls is not SupElim:
-            return cls(*args)
-        try:
-            return sup_elim(*args, self.sr)
+                raise self.fail(i, (*_NULLARY, "("))
+            while True:
+                conn = _CONNECTIVES.get(toks[i][0])
+                if conn is None or conn[1] < level:
+                    return left, i
+                right, i = self.prop(i + 1, conn[2])
+                left = conn[0](left, right)
         except RecursionError:
+            if i > self.deepest:
+                self.deepest = i
             raise
-        except Exception as exc:
-            raise ParseError(str(exc), at.line, at.col) from None
 
-    def _ann(self) -> Optional[Prop]:
-        if self.at("{"):
-            self.next()
-            ann = self.prop()
-            self.expect("}")
-            return ann
-        return None
+    def term(self, i: int) -> tuple[Term, int]:
+        toks = self.toks
+        try:
+            word = toks[i][1]
+            form = _KEYWORD_FORM.get(word)
+            if form is None:
+                if word and word not in KEYWORDS:
+                    return Var(word), i + 1
+                raise self.fail(i, ("term keyword",) if word else ("term",))
+            cls, pieces, order = form
+            at = i = i + 1
+            args = []
+            for text, rule in pieces:
+                if rule is None:
+                    if toks[i][0] != text:
+                        raise self.fail(i, (text,))
+                    i += 1
+                else:
+                    value, i = rule(self, i)
+                    args.append(value)
+            if order is not None:
+                args = [args[k] for k in order]
+            if cls is not SupElim:
+                return cls(*args), i
+        except RecursionError:
+            if i > self.deepest:
+                self.deepest = i
+            raise
+        try:
+            return sup_elim(*args, self.sr), i
+        except SemiringError as exc:
+            raise self.error(str(exc), at) from None
 
-    def context(self) -> tuple[tuple[str, Prop], ...]:
+    def context(self, i: int) -> tuple[tuple[tuple[str, Prop], ...], int]:
         out = []
         while True:
-            x = self.name()
-            self.expect(":")
-            out.append((x, self.prop()))
-            if not self.at(","):
-                return tuple(out)
-            self.next()
+            x, i = self.name(i)
+            if self.toks[i][0] != ":":
+                raise self.fail(i, (":",))
+            a, i = self.prop(i + 1)
+            out.append((x, a))
+            if self.toks[i][0] != ",":
+                return tuple(out), i
+            i += 1
 
-    def done(self):
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise self.fail(("end of input",))
+
+def _read_form(cls) -> tuple:
+    """The parser's entry for cls: the class; the pieces after its keyword,
+    each (punctuation, None) or (field, the rule that reads it); and the
+    index among the fields read of each constructor field, or None where
+    that is the order read."""
+    rules = {"term": _Parser.term, "name": _Parser.name,
+             "scalar": _Parser.scalar, "ann": _Parser.ann}
+    pieces = tuple((text, rules.get(kind)) for kind, text in _FORMS[cls][1:])
+    read = [text for text, rule in pieces if rule is not None]
+    order = tuple(read.index(name) for name in _FIELDS[cls])
+    return cls, pieces, None if order == tuple(range(len(order))) else order
+
+
+_KEYWORD_FORM = {word: _read_form(cls) for word, cls in _KEYWORD_CLASS.items()}
 
 
 def _parse(text: str, semiring: Semiring, rule):
-    """rule run on a parser of text, which must then be at its end.  The
-    parser recurses once per nesting level, so input nested deeper than
-    the interpreter's recursion limit is refused at the last token read."""
+    """rule run on the tokens of text, which it must read to the end.
+    Input nested deeper than the interpreter's recursion limit is refused
+    at the innermost rule's token."""
+    if not text.isascii():  # where a name may start with a non-letter
+        lexical = _lexical_error(text)
+        if lexical is not None:
+            raise lexical
     p = _Parser(text, semiring)
     try:
-        out = rule(p)
+        out, i = rule(p, 0)
     except RecursionError:
-        tok = p.toks[max(p.pos - 1, 0)]
-        raise ParseError("input is nested too deeply", tok.line,
-                         tok.col) from None
-    p.done()
+        raise p.error("input is nested too deeply", p.deepest) from None
+    if i != len(p.toks) - 1:
+        raise p.fail(i, ("end of input",))
     return out
 
 
@@ -822,8 +804,6 @@ def parse_context(text: str, semiring: Semiring = QNN) -> tuple[tuple[str, Prop]
 # ---------------------------------------------------------------------------
 # Printer
 
-_PROP_LEVEL = {Lollipop: 0, Plus: 1, Sup: 1, With: 2, Tensor: 3}
-
 
 def print_prop(a: Prop) -> str:
     return _pp(a, 0)
@@ -833,8 +813,7 @@ def _pp(a: Prop, level: int) -> str:
     if type(a) in _NULLARY_WORD:
         return _NULLARY_WORD[type(a)]
     my = _PROP_LEVEL[type(a)]
-    op = {Lollipop: " -o ", Plus: " (+) ", Sup: " (o) ",
-          With: " & ", Tensor: " (*) "}[type(a)]
+    op = f" {_CONNECTIVE_WORD[type(a)]} "
     if isinstance(a, Lollipop):
         s = _pp(a.left, my + 1) + op + _pp(a.right, my)  # right associative
     else:

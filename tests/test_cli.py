@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supcalc.cli import main
 
@@ -117,6 +121,23 @@ def test_soundness_report(ufile, capsys):
     assert "sup_elim_left" in out and "whole-run identity: ok" in out
 
 
+def test_soundness_types_and_denotes_through_one_checker(ufile, capsys,
+                                                         monkeypatch):
+    # the whole-run check reuses the per-step check's root derivation
+    from supcalc import checker
+    made = []
+    real = checker._Checker.__init__
+
+    def counting(self, *args):
+        made.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(checker._Checker, "__init__", counting)
+    assert main(["soundness", ufile]) == 0
+    assert capsys.readouterr().out.endswith("whole-run identity: ok\n")
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("command", ["check", "denote", "soundness"])
 def test_an_ill_typed_file_is_a_type_error_in_every_checking_command(
         tmp_path, capsys, command):
@@ -181,6 +202,16 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert "syntax error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["parse"], ["parse", "--prop"], ["check"]])
+def test_a_non_decimal_digit_is_one_syntax_error_line(tmp_path, capsys, argv):
+    p = tmp_path / "digit.lsup"
+    p.write_text("star(²)\n", encoding="utf-8")
+    assert main([argv[0], str(p), *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "syntax error: 1:6: unexpected character '²'\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["laws", "--max-dim", "0"],
     ["laws", "--trials", "0"],
@@ -230,3 +261,69 @@ def test_apply_rejects_a_lone_from_or_to(flag, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.strip().count("\n") == 0
     assert "both --from and --to" in captured.err
+
+
+def _fill(template):
+    return lambda parts: template.format(*parts)
+
+
+# Term files drawn from the grammar, with characters near its tokens in
+# the places of scalars, names and propositions: a superscript and a
+# fullwidth digit, a vulgar fraction, a non-ASCII letter, a lone "-", "(o"
+# without its ")"; whitespace and line breaks between the pieces; header
+# lines; and any text at all.
+_SCALARS = st.sampled_from(["0", "1", "7", "1/2", "3/0", "-1", "１", "²",
+                            "1/²", "½", "1²", "-", ""])
+_NAMES = st.sampled_from(["x", "y", "é", "x²", "_", "one", "²", "1", ""])
+_GAPS = st.sampled_from(["", "", " ", "\n", "\t", "\r\n"])
+_PROPS = st.recursive(
+    st.sampled_from(["one", "top", "zero", "²", "(o", ""]),
+    lambda p: st.tuples(p, st.sampled_from([" & ", " -o ", " (+) ", " (o) ",
+                                            "(*)", "-", ""]), p).map("".join)
+    | p.map("({})".format),
+    max_leaves=6)
+
+
+def _forms(t):
+    return st.one_of(
+        st.tuples(t, _GAPS, t).map(_fill("sum({},{}{})")),
+        st.tuples(_SCALARS, t).map(_fill("scal({},{})")),
+        st.tuples(_NAMES, t).map(_fill("lam({},{})")),
+        st.tuples(_PROPS, _NAMES, t).map(_fill("lam{{{}}}({},{})")),
+        st.tuples(t, _GAPS, t).map(_fill("app({},{}{})")),
+        st.tuples(t, t).map(_fill("pair({},{})")),
+        st.tuples(t, _NAMES, _NAMES, t).map(_fill("let_tens({},{},{},{})")),
+        st.tuples(_SCALARS, _SCALARS, t, _NAMES, t, _NAMES, t).map(
+            _fill("sup_elim{{{},{}}}({},{}.{},{}.{})")),
+        t.map("fst({})".format),
+    )
+
+
+_TERMS = st.recursive(
+    st.one_of(_NAMES, _SCALARS.map("star({})".format), st.just("unit")),
+    _forms, max_leaves=8)
+_FILES = st.one_of(
+    st.tuples(st.sampled_from(["", "-- ctx: x:", "-- type: "]), _PROPS,
+              _GAPS, _TERMS).map(lambda p: (p[0] + p[1] + "\n" if p[0] else "")
+                                 + p[2] + p[3]),
+    _PROPS,
+    st.text(max_size=60),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "f.lsup"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_FILES, argv=st.sampled_from([["parse"], ["parse", "--prop"],
+                                          ["check"]]))
+def test_any_file_gets_an_exit_code_and_at_most_one_error_line(
+        fuzz_file, text, argv):
+    fuzz_file.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([argv[0], str(fuzz_file), *argv[1:]])
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from fractions import Fraction as F
 
@@ -61,6 +62,32 @@ def test_parse_whitespace_insensitive():
 def test_parse_zero_denominator():
     with pytest.raises(S.ParseError):
         sc.parse_term("star(1/0)")
+
+
+@pytest.mark.parametrize("src, line, col", [
+    ("star(²)", 1, 6), ("star(1/²)", 1, 8),
+    ("pair(star(1),\n  star(1²))", 2, 9),
+])
+def test_a_non_decimal_digit_is_an_unexpected_character(src, line, col):
+    # "²" is a digit to str.isdigit but not a decimal one; int() refuses it
+    with pytest.raises(S.ParseError) as exc:
+        sc.parse_term(src)
+    err = exc.value
+    assert str(err) == f"{line}:{col}: unexpected character '²'"
+    assert (err.line, err.col, err.expected) == (line, col, ())
+
+
+def test_fullwidth_decimal_digits_are_read():
+    assert sc.parse_term("star(１/２)") == S.Star(F(1, 2))
+
+
+def test_a_literal_beyond_the_int_digit_limit_is_a_parse_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() has no digit limit in this interpreter")
+    with pytest.raises(S.ParseError) as exc:
+        sc.parse_term("star(1/" + "7" * (limit + 1) + ")")
+    assert str(exc.value) == "1:6: scalar literal has too many digits"
 
 
 def test_keywords_are_reserved():
