@@ -5,7 +5,8 @@ laws.  Exit codes: 0 success, 1 check failure, 2 usage error.
 
 Term files use the ``.lsup`` extension: one term per file, with optional
 header lines ``-- ctx: x:A, y:B`` and ``-- type: A`` (plain ``--`` lines
-are comments).
+are comments).  ``parse --prop`` reads a proposition file and drops the
+same lines.
 """
 
 from __future__ import annotations
@@ -38,21 +39,28 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}", code=2) from None
 
 
-def load_term_file(path: str, sr):
-    """Parse a .lsup file into (term, ctx, declared_type)."""
-    ctx, declared = (), None
-    body_lines = []
+def _split_file(path: str) -> tuple[list[str], str]:
+    """The text after "--" of each header or comment line of a file, and
+    the text of its other lines."""
+    headers, body_lines = [], []
     for line in _read_file(path).splitlines():
         stripped = line.strip()
         if stripped.startswith("--"):
-            rest = stripped[2:].strip()
-            if rest.startswith("ctx:"):
-                ctx = S.parse_context(rest[4:], sr)
-            elif rest.startswith("type:"):
-                declared = S.parse_prop(rest[5:], sr)
-            continue
-        body_lines.append(line)
-    text = "\n".join(body_lines).strip()
+            headers.append(stripped[2:].strip())
+        else:
+            body_lines.append(line)
+    return headers, "\n".join(body_lines).strip()
+
+
+def load_term_file(path: str, sr):
+    """Parse a .lsup file into (term, ctx, declared_type)."""
+    ctx, declared = (), None
+    headers, text = _split_file(path)
+    for rest in headers:
+        if rest.startswith("ctx:"):
+            ctx = S.parse_context(rest[4:], sr)
+        elif rest.startswith("type:"):
+            declared = S.parse_prop(rest[5:], sr)
     if not text:
         raise CliError(f"{path} contains no term", code=2)
     return S.parse_term(text, sr), ctx, declared
@@ -138,7 +146,10 @@ def _parse_scalar_text(text: str, sr):
 
 def _cmd_parse(args, sr) -> int:
     if args.prop:
-        print(S.print_prop(S.parse_prop(_read_file(args.file).strip(), sr)))
+        text = _split_file(args.file)[1]
+        if not text:
+            raise CliError(f"{args.file} contains no proposition", code=2)
+        print(S.print_prop(S.parse_prop(text, sr)))
         return 0
     term, _, _ = load_term_file(args.file, sr)
     print(S.print_term(term))

@@ -241,6 +241,29 @@ def _redexes(t: Term, semiring: Semiring) -> list:
             if (entries := contract(sub, semiring))]
 
 
+def _redex_positions(t: Term, semiring: Semiring,
+                     pos: tuple[int, ...]) -> list:
+    """pos + q for the position q of every redex of t, in preorder.  The
+    walk keeps one list of child indices and builds a tuple only for a
+    redex; childless nodes are no redexes and are not visited."""
+    out = []
+    path = list(pos)
+    stack = [(t, len(pos), None)]
+    while stack:
+        u, depth, i = stack.pop()
+        if i is not None:
+            del path[depth - 1:]
+            path.append(i)
+        if contract(u, semiring):
+            out.append(tuple(path))
+        names = _CHILDREN[type(u)]
+        for j in range(len(names) - 1, -1, -1):
+            child = getattr(u, names[j])
+            if _CHILDREN[type(child)]:
+                stack.append((child, depth + 1, j))
+    return out
+
+
 def step_all(t: Term, semiring: Semiring = QNN) -> list[tuple[Step, Term]]:
     """Every redex at every position, paired with the rewritten whole term."""
     return [(Step(pos, rule, weight), S.replace_at(t, pos, contractum))
@@ -282,8 +305,7 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
     rebuilt parent of pos, or the contractum at the root."""
     lo = bisect_left(kept, pos)
     hi = bisect_left(kept, pos[:-1] + (pos[-1] + 1,)) if pos else len(kept)
-    kept = kept[:lo] + [pos + q for q, u in S.subterms(contractum)
-                        if contract(u, semiring)] + kept[hi:]
+    kept = kept[:lo] + _redex_positions(contractum, semiring, pos) + kept[hi:]
     if frames is None:
         return contractum, None, pos, kept
     parent, i, frames = frames
@@ -315,7 +337,7 @@ def _reduce(t: Term, semiring: Semiring, budget: int, rng=None) -> list:
     message = (f"reduction tree larger than {budget} steps" if rng is None
                else f"no normal form within {budget} steps")
     leaves = []
-    stack = [(t, None, (), [p for p, _ in _redexes(t, semiring)],
+    stack = [(t, None, (), _redex_positions(t, semiring, ()),
               semiring.one, None)]
     used = 0
     while stack:
@@ -384,6 +406,17 @@ class Path:
         return self.steps[-1][1] if self.steps else self.source
 
 
+def _leaf_key(v: Term) -> str:
+    """``print_term(canonical(v))``, the key under which values equal up
+    to alpha are one.  canonical only renames binders and the variables
+    they bind, so a value with no binder prints as its canonical form and
+    is not canonicalised: a childless value (``star(c)``, ``unit``) is
+    printed at once, any other is walked once to look for a binder."""
+    if _CHILDREN[type(v)] and any(type(u) in S._BINDERS for u in S.nodes(v)):
+        v = S.canonical(v)
+    return S.print_term(v)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """The multiset of (probability, normal form) leaves of a term's
@@ -395,10 +428,12 @@ class Distribution:
         return semiring.sum([w for w, _ in self.items])
 
     def aggregate(self, semiring: Semiring) -> list[tuple[object, Term]]:
-        """Merge duplicate values (up to alpha) by summing their weights."""
+        """Merge duplicate values (up to alpha) by summing their weights in
+        leaf order.  Each value is its first leaf's term, and the values
+        are sorted by their printed canonical form (``_leaf_key``)."""
         buckets: dict[str, list] = {}
         for w, v in self.items:
-            key = S.print_term(S.canonical(v))
+            key = _leaf_key(v)
             if key in buckets:
                 buckets[key][0] = semiring.add(buckets[key][0], w)
             else:
@@ -543,7 +578,7 @@ def sum_of_distribution(d: Distribution, semiring: Semiring = QNN) -> Term:
     if not d.items:
         raise EmptyDistribution("cannot sum an empty distribution")
     pieces = [S.Scal(w, v) for w, v in d.items]
-    pieces.sort(key=lambda u: S.print_term(S.canonical(u)))
+    pieces.sort(key=_leaf_key)
     acc = pieces[0]
     for piece in pieces[1:]:
         acc = S.Sum(acc, piece)

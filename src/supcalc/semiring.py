@@ -5,6 +5,18 @@ exact signed rationals (``q``), the two-point or/and algebra (``bool``),
 and machine floats with tolerant equality (``f64``).  Scalar literals in
 source text are always rationals; each instance decides which literals it
 accepts via :meth:`Semiring.from_literal`.
+
+The two exact instances multiply and add through :func:`mul` and
+:func:`add`, not through ``Fraction``'s operators.  Every run distribution
+leaf costs a few products (fork weights in path order, ``scal_star``
+contractions), and the operator spends most of each one on dispatch
+(``Fraction.__mul__`` is a generic forward to ``_mul``) and on
+``Fraction.__new__``.  When both operands are exactly ``Fraction``, the
+kernel runs the standard library's own gcd-reduced algorithm on the two
+slots and fills a new instance's slots directly, so its result is the
+operator's: the same normalised numerator and denominator, of type
+``Fraction``.  Any other operand (an ``int`` entry of ``encode_matrix``,
+a ``Fraction`` subclass) goes through the operator unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable, Sequence
 
 Scalar = Any  # carrier value of some Semiring instance
@@ -111,13 +124,61 @@ def _bool_literal(f: Fraction) -> bool:
 
 
 _F = Fraction
+_new = object.__new__
+
+
+def mul(a: Scalar, b: Scalar) -> Scalar:
+    """a * b: Fraction's own product, without its operator dispatch and
+    constructor when both operands are Fractions; the operator otherwise."""
+    if type(a) is not _F or type(b) is not _F:
+        return a * b
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    r = _new(_F)
+    r._numerator = na * nb
+    r._denominator = da * db
+    return r
+
+
+def add(a: Scalar, b: Scalar) -> Scalar:
+    """a + b: Fraction's own sum, without its operator dispatch and
+    constructor when both operands are Fractions; the operator otherwise."""
+    if type(a) is not _F or type(b) is not _F:
+        return a + b
+    na, da = a._numerator, a._denominator
+    nb, db = b._numerator, b._denominator
+    r = _new(_F)
+    g = gcd(da, db)
+    if g == 1:
+        r._numerator = na * db + da * nb
+        r._denominator = da * db
+        return r
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        r._numerator = t
+        r._denominator = s * db
+    else:
+        r._numerator = t // g2
+        r._denominator = s * (db // g2)
+    return r
+
 
 QNN = Semiring(
     name="qnn",
     zero=_F(0),
     one=_F(1),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
+    add=add,
+    mul=mul,
     eq=lambda a, b: a == b,
     is_zero=operator.not_,
     from_literal=_qnn_literal,
@@ -136,8 +197,8 @@ Q = Semiring(
     name="q",
     zero=_F(0),
     one=_F(1),
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
+    add=add,
+    mul=mul,
     eq=lambda a, b: a == b,
     is_zero=operator.not_,
     from_literal=lambda f: f,

@@ -43,6 +43,16 @@ def test_parse_prop(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "one & one -o one"
 
 
+def test_parse_prop_drops_header_and_comment_lines(tmp_path, capsys):
+    p = tmp_path / "a.prop"
+    p.write_text("-- c\none & one\n  -- type: one\n")
+    assert main(["parse", str(p), "--prop"]) == 0
+    assert capsys.readouterr().out.strip() == "one & one"
+    p.write_text("-- c\n")
+    assert main(["parse", str(p), "--prop"]) == 2
+    assert capsys.readouterr().err.strip().endswith("contains no proposition")
+
+
 def test_check_prints_the_type(tfile, capsys):
     assert main(["check", tfile]) == 0
     assert capsys.readouterr().out.strip() == "one"
@@ -316,14 +326,18 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "f.lsup"
 
 
-@settings(max_examples=400, deadline=None)
+# 700 examples give each of the five commands about 140, each under one of
+# the four semirings.
+@settings(max_examples=700, deadline=None)
 @given(text=_FILES, argv=st.sampled_from([["parse"], ["parse", "--prop"],
-                                          ["check"]]))
+                                          ["check"], ["run"], ["distro"]]),
+       semiring=st.sampled_from(["qnn", "q", "bool", "f64"]))
 def test_any_file_gets_an_exit_code_and_at_most_one_error_line(
-        fuzz_file, text, argv):
+        fuzz_file, text, argv, semiring):
     fuzz_file.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([argv[0], str(fuzz_file), *argv[1:]])
+        code = main([argv[0], str(fuzz_file), *argv[1:],
+                     "--semiring", semiring])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1, err.getvalue()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import operator
 import random
 from fractions import Fraction as F
 
@@ -820,3 +821,142 @@ def test_distribution_multiplies_weights_in_path_order():
                     _fork_tree(0, n)):
             t = sc.parse_term(src.replace("1/3,2/3", "1/10,9/10"), sc.F64)
             assert sc.distribution(t, sc.F64) == _leaves(sc.paths(t, sc.F64))
+
+
+# ---------------------------------------------------------------------------
+# The exact kernel and the leaf key against the operators and the former key
+
+
+def _by_operators(sr):
+    """sr with Fraction's operators in place of the exact kernel; bool and
+    f64 never used it."""
+    if sr in (sc.QNN, sc.Q):
+        return dataclasses.replace(sr, add=operator.add, mul=operator.mul)
+    return sr
+
+
+def _former_aggregate(d, sr):
+    """Distribution.aggregate as it was, keying every leaf by its printed
+    canonical form."""
+    buckets = {}
+    for w, v in d.items:
+        key = S.print_term(S.canonical(v))
+        if key in buckets:
+            buckets[key][0] = sr.add(buckets[key][0], w)
+        else:
+            buckets[key] = [w, v]
+    return [(w, v) for _, (w, v) in sorted(buckets.items())]
+
+
+def _former_sum_of_distribution(d):
+    """sum_of_distribution as it was, sorting by the former key."""
+    pieces = sorted((S.Scal(w, v) for w, v in d.items),
+                    key=lambda u: S.print_term(S.canonical(u)))
+    acc = pieces[0]
+    for piece in pieces[1:]:
+        acc = S.Sum(acc, piece)
+    return acc
+
+
+def _exactly(items):
+    """Items with each weight as its type, numerator and denominator (or
+    its float), and each value as printed."""
+    return [(type(w), (w.numerator, w.denominator)
+             if isinstance(w, F) else w, S.print_term(v)) for w, v in items]
+
+
+def _sr_fork(sr, i):
+    """Fork number i over sr's own weight pairs and test scalars."""
+    p, q = sr.weight_pool[i % len(sr.weight_pool)]
+    pool = sr.test_pool
+    a, b = pool[(2 * i + 1) % len(pool)], pool[(2 * i + 2) % len(pool)]
+    fs = sc.format_scalar
+    return (f"sup_elim{{{fs(p)},{fs(q)}}}(sup(star({fs(a)}),star({fs(b)})),"
+            "x.x,y.y)")
+
+
+def _sr_fork_terms(sr):
+    """Fork chains nested both ways, chains of one repeated fork and
+    balanced trees, of up to 12 forks, over sr's scalars."""
+    def chain(n, left=False, same=False):
+        src = _sr_fork(sr, 0)
+        for i in range(1, n):
+            f = _sr_fork(sr, 0 if same else i)
+            src = f"unit_elim({src},{f})" if left else f"unit_elim({f},{src})"
+        return src
+
+    def tree(lo, hi):
+        if hi - lo == 1:
+            return _sr_fork(sr, lo)
+        mid = (lo + hi) // 2
+        return f"unit_elim({tree(lo, mid)},{tree(mid, hi)})"
+
+    return [sc.parse_term(src, sr) for n in (1, 2, 3, 5, 8, 12)
+            for src in (chain(n), chain(n, left=True), chain(n, same=True),
+                        tree(0, n))]
+
+
+def _sr_corpus_terms(corpus_entries, sr):
+    """The corpus entries that parse under sr, and 300 generated terms."""
+    out = []
+    for e in corpus_entries:
+        try:
+            out.append(sc.parse_term(sc.print_term(e.term), sr))
+        except S.ParseError:
+            pass
+    gen = TermGenerator(seed=11, semiring=sr, allow_sup_elim=True,
+                        max_depth=4)
+    return out + [gen.closed()[0] for _ in range(300)]
+
+
+@pytest.mark.parametrize("sr", (sc.QNN, sc.Q, sc.BOOL, sc.F64),
+                         ids=lambda s: s.name)
+def test_kernel_and_leaf_key_leave_distributions_as_they_were(
+        corpus_entries, sr):
+    """distribution's items, in order, with each weight's numerator and
+    denominator, equal those of a run under Fraction's operators, and
+    aggregate and sum_of_distribution equal the former key's results."""
+    ref = _by_operators(sr)
+    terms = _sr_corpus_terms(corpus_entries, sr) + _sr_fork_terms(sr)
+    leaves = 0
+    for t in terms:
+        got, want = sc.distribution(t, sr), sc.distribution(t, ref)
+        assert _exactly(got.items) == _exactly(want.items), sc.print_term(t)
+        assert _exactly(got.aggregate(sr)) == _exactly(
+            _former_aggregate(want, ref))
+        assert sc.print_term(sc.sum_of_distribution(got, sr)) == (
+            sc.print_term(_former_sum_of_distribution(want)))
+        leaves += len(got.items)
+    assert leaves > 4 * 4096
+
+
+@pytest.mark.parametrize("sr", (sc.QNN, sc.Q), ids=lambda s: s.name)
+def test_kernel_leaves_budget_errors_as_they_were(sr):
+    """A chain one fork too long and a tree one step short of its budget
+    raise where the run under Fraction's operators raises."""
+    ref = _by_operators(sr)
+    chain = term(_fork_chain(13))
+    assert (_outcome(sc.distribution, chain, sr)
+            == _outcome(sc.distribution, chain, ref)
+            == (R.BudgetExceeded, "reduction tree larger than 100000 steps"))
+    t = term(_fork_tree(0, 8))
+    tree = _tree_steps(sc.paths(t))
+    got = _outcome(sc.distribution, t, sr, budget=tree - 1)
+    assert got == _outcome(sc.distribution, t, ref, budget=tree - 1)
+    assert got[0] is R.BudgetExceeded
+
+
+def test_leaf_key_is_the_printed_canonical_form(corpus_entries):
+    """On values with and without binders, and on the scalar products that
+    sum_of_distribution sorts."""
+    gen = TermGenerator(seed=17, allow_sup_elim=True, max_depth=4)
+    values = [e.term for e in corpus_entries]
+    values += [gen.closed()[0] for _ in range(200)]
+    values += [v for t in values[:]
+               for _, v in sc.distribution(t).items]
+    values += [S.Scal(F(1, 2), v) for v in values[:]]
+    values += [S.Star(F(-3, 4)), S.Unit(), S.Var("x"), S.Hole(),
+               term("lam(x,lam(y,app(x,y)))"), term("pair(star(1),unit)")]
+    assert any(type(u) in S._BINDERS for v in values for u in S.nodes(v))
+    for v in values:
+        assert R._leaf_key(v) == S.print_term(S.canonical(v))

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supcalc as sc
-from supcalc.semiring import LiteralError
+from supcalc.semiring import LiteralError, add, mul
 
 
 EXACT = (sc.QNN, sc.Q, sc.BOOL)
@@ -113,3 +116,31 @@ def test_get_semiring():
     assert sc.get_semiring("qnn") is sc.QNN
     with pytest.raises(sc.SemiringError):
         sc.get_semiring("tropical")
+
+
+# The exact kernel behind QNN and Q, against Fraction's own operators:
+# zero, signs, numerators and denominators above 2**64, and int operands,
+# which take the operator.
+
+_BIG = 2 ** 64
+_INTS = st.integers(-3 * _BIG, 3 * _BIG) | st.integers(-12, 12)
+_FRACTIONS = st.builds(F, _INTS, st.integers(1, 3 * _BIG) | st.integers(1, 12))
+_OPERANDS = _FRACTIONS | _INTS | st.sampled_from([F(0), F(1), F(-1), 0, 1])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_OPERANDS, b=_OPERANDS)
+def test_kernel_equals_fractions_operators(a, b):
+    for kernel, op in ((mul, operator.mul), (add, operator.add)):
+        got, want = kernel(a, b), op(a, b)
+        assert got == want
+        assert type(got) is type(want)
+        assert (got.numerator, got.denominator) == (want.numerator,
+                                                    want.denominator)
+        if type(a) is F and type(b) is F:
+            assert type(got) is F
+
+
+def test_exact_instances_use_the_kernel():
+    assert sc.QNN.mul is mul and sc.QNN.add is add
+    assert sc.Q.mul is mul and sc.Q.add is add
