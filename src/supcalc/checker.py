@@ -99,12 +99,6 @@ class Derivation:
     children: tuple["Derivation", ...] = ()
     split: Optional[SplitPlan] = None
 
-    def pretty(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        ctx = ", ".join(f"{x}:{S.print_prop(a)}" for x, a in self.ctx)
-        line = f"{pad}[{self.rule}] {ctx} |- {S.print_term(self.term)} : {S.print_prop(self.prop)}"
-        return "\n".join([line] + [c.pretty(indent + 1) for c in self.children])
-
 
 RULE_TAGS = (
     "ax", "one_i", "sum", "scal", "one_e", "tens_i", "tens_e",

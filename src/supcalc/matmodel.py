@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .semiring import QNN, Semiring, WeightPair
+from .semiring import QNN, Semiring
 
 
 class ShapeMismatch(Exception):
@@ -376,12 +376,10 @@ def scalar_map(s, a: int, sr: Semiring) -> Mat:
     return _mat(a, a, [{i: s} for i in range(a)], sr)
 
 
-def weighted_codiag(w: WeightPair | tuple, a: int, sr: Semiring) -> Mat:
-    """[p^, q^] : A (+) A -> A, the weighted mix of two branches."""
-    if isinstance(w, tuple):
-        p, q = w
-    else:
-        p, q = w.p, w.q
+def weighted_codiag(w: tuple, a: int, sr: Semiring) -> Mat:
+    """[p^, q^] : A (+) A -> A, the weighted mix of two branches; w is the
+    pair (p, q)."""
+    p, q = w
     return copair_mat(scalar_map(p, a, sr), scalar_map(q, a, sr))
 
 

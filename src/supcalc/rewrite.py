@@ -13,14 +13,14 @@ preorder traversal.  Strong normalization of well-typed terms makes
 exhaustive branch exploration terminating, so ``distribution`` enumerates
 the full multiset of (probability, normal form) leaves.
 
-Two engines run reductions, and neither rescans the whole term after a
-step.  ``_shared_run`` is the leftmost engine: it runs ``normalize``,
-which refuses forks, and ``distribution``, which explores them, and it
-runs each subterm's segment once per call (see the end of this
-docstring).  ``_reduce`` keeps the preorder list of redex positions and
-contracts one of them: the first, for ``paths``, which explores forks and
-records each step, or a uniformly random one, for ``normalize_random``,
-which refuses forks.  ``is_normal`` asks ``contract`` at every subterm.
+One engine, ``_shared_run``, runs the leftmost-outermost strategy, and
+it never rescans the whole term after a step.  ``normalize`` runs it and
+refuses the first fork; ``distribution`` explores the forks and runs each
+subterm's segment once per call; ``paths`` explores them too and records
+each step with the whole term after it, which makes it run every step of
+the unshared tree (see the end of this docstring).  ``normalize_random``
+contracts a uniformly random redex, so it keeps the preorder list of redex
+positions instead.  ``is_normal`` asks ``contract`` at every subterm.
 
 Why the parent is enough: ``contract`` looks only at a node and the
 classes of its direct children.  A contraction at ``pos`` replaces the
@@ -28,13 +28,12 @@ subterm at ``pos`` and leaves every node outside it at its position.  Of
 those nodes only the parent of ``pos`` gets a new child, so it is the
 only one whose redex status can change.
 
-``_reduce`` holds the term as a focus and an immutable linked list of
-frames ``(parent, child index, outer frames)`` up to the root, in the
-manner of Huet's zipper (Huet, "The Zipper", JFP 1997).  Plugging a child
-back into its parent rebuilds one node; the child the parent still holds
-at that index may be stale, and the plug replaces it.  The two branches of
-a fork share their frames.  The whole term is rebuilt only at a leaf, and,
-for ``paths``, after each step.
+``normalize_random`` holds the term as a focus and an immutable linked
+list of frames ``(parent, child index, outer frames)`` up to the root, in
+the manner of Huet's zipper (Huet, "The Zipper", JFP 1997).  Plugging a
+child back into its parent rebuilds one node; the child the parent still
+holds at that index may be stale, and the plug replaces it.  The whole
+term is rebuilt only at the normal form.
 
 Invariant of the kept list: after every step it equals the positions of
 ``_redexes`` on the current term.  Lexicographic order on position tuples
@@ -45,8 +44,7 @@ slot.  Positions are kept rather than contracta, since an ancestor's
 contractum would hold stale subterms; ``contract`` runs again only at the
 chosen position, which the focus reaches through the deepest common
 ancestor of the two positions.  The list has the length and order of a
-full rescan, so its first entry is the leftmost-outermost redex and
-``rng.choice`` makes the same draws.
+full rescan, so ``rng.choice`` makes the same draws.
 
 ``_shared_run`` runs each subterm's segment once per call.  A subterm
 R's segment is R's own leftmost-outermost run, up to its first contraction
@@ -59,9 +57,11 @@ kept by object identity, with R held so that its id is not reused, and
 they give back the same objects, which carries the sharing into the next
 segments.  The leaves come out in the order of the unshared tree, and the
 budget counts that tree's steps: a kept segment adds its stored count, so
-BudgetExceeded is raised at exactly the budgets at which ``paths`` raises
-it.  Branch weights are multiplied in path order, as in ``paths``, so that
-inexact carriers give the same products too.
+sharing changes neither the budgets at which BudgetExceeded is raised nor
+its message.  Branch weights are multiplied in path order, along each
+path from the root, so that inexact carriers give the same products
+whether or not a segment is shared.  A recorded step's whole term
+depends on R's context, so ``paths`` shares no segment.
 """
 
 from __future__ import annotations
@@ -320,56 +320,6 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
     return up, frames, up_pos, kept
 
 
-def _reduce(t: Term, semiring: Semiring, budget: int, rng=None) -> list:
-    """The kept-redex-list loop: a (weight, normal form, steps) triple per
-    leaf of t's reduction tree, left branch first.
-
-    Without rng, the redex is the first of the kept preorder list, the
-    leftmost-outermost one; both branches of a sup-elimination are explored
-    and each step is recorded.  With rng, the redex is a uniformly random
-    one of the list, and a fork raises SupBranchEncountered.  The loop
-    takes at most budget steps (a fork counts one per branch) and raises
-    BudgetExceeded when it would take more.
-
-    Each pending state is (focus, frames, position of the focus, kept
-    redex positions, weight, trail).
-    """
-    message = (f"reduction tree larger than {budget} steps" if rng is None
-               else f"no normal form within {budget} steps")
-    leaves = []
-    stack = [(t, None, (), _redex_positions(t, semiring, ()),
-              semiring.one, None)]
-    used = 0
-    while stack:
-        focus, frames, at, kept, weight, trail = stack.pop()
-        if used > budget:
-            raise BudgetExceeded(message)
-        if not kept:
-            steps = []
-            while trail is not None:
-                trail, step = trail
-                steps.append(step)
-            leaves.append((weight, _plug_all(focus, frames),
-                           tuple(reversed(steps))))
-            continue
-        pos = kept[0] if rng is None else rng.choice(kept)
-        focus, frames = _move(focus, frames, at, pos)
-        entries = contract(focus, semiring)
-        if len(entries) > 1 and rng is not None:
-            raise SupBranchEncountered(
-                f"probabilistic fork at position {pos}; use distribution()")
-        used += len(entries)
-        # push right branch first so the left branch is explored first; a
-        # step that is no fork has weight one, which leaves the weight as is
-        for rule, w, contractum in reversed(entries):
-            nxt = _contract_at(kept, pos, contractum, frames, semiring)
-            stack.append((*nxt, semiring.mul(weight, w)
-                          if len(entries) > 1 else weight,
-                          (trail, (Step(pos, rule, w), _plug_all(*nxt[:2])))
-                          if rng is None else None))
-    return leaves
-
-
 def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
     return not any(contract(u, semiring) for u in S.nodes(t))
 
@@ -378,15 +328,28 @@ def normalize(t: Term, semiring: Semiring = QNN,
               budget: int = DEFAULT_BUDGET) -> Term:
     """Leftmost-outermost normal form of a term without reachable
     probabilistic forks."""
-    (_, value), = _shared_run(t, semiring, budget, forks=False)
+    (_, value, _), = _shared_run(t, semiring, budget, forks=False)
     return value
 
 
 def normalize_random(t: Term, rng: random.Random, semiring: Semiring = QNN,
                      budget: int = DEFAULT_BUDGET) -> Term:
     """Normalize picking a uniformly random redex at each step (forks are
-    refused, as in normalize)."""
-    return _reduce(t, semiring, budget, rng)[0][1]
+    refused, as in normalize) and taking at most budget steps."""
+    focus, frames, at = t, None, ()
+    kept = _redex_positions(t, semiring, ())
+    for _ in range(budget + 1):
+        if not kept:
+            return _plug_all(focus, frames)
+        pos = rng.choice(kept)
+        focus, frames = _move(focus, frames, at, pos)
+        entries = contract(focus, semiring)
+        if len(entries) > 1:
+            raise SupBranchEncountered(
+                f"probabilistic fork at position {pos}; use distribution()")
+        focus, frames, at, kept = _contract_at(kept, pos, entries[0][2],
+                                               frames, semiring)
+    raise BudgetExceeded(f"no normal form within {budget} steps")
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +407,8 @@ class Distribution:
 def paths(t: Term, semiring: Semiring = QNN,
           budget: int = DEFAULT_BUDGET) -> list[Path]:
     """All maximal leftmost-outermost reduction paths, left branch first."""
-    return [Path(source=t, steps=steps, weight=w)
-            for w, _, steps in _reduce(t, semiring, budget)]
+    return [Path(source=t, steps=steps, weight=w) for w, _, steps
+            in _shared_run(t, semiring, budget, forks=True, record=True)]
 
 
 def distribution(t: Term, semiring: Semiring = QNN,
@@ -453,13 +416,25 @@ def distribution(t: Term, semiring: Semiring = QNN,
     """Exhaustively enumerate spdv(t): reduce leftmost-outermost, forking
     at each sup-elimination with the two branch weights.  Unlike paths,
     no steps are recorded, and each subterm's segment is run once."""
-    return Distribution(tuple(_shared_run(t, semiring, budget, forks=True)))
+    return Distribution(tuple(
+        (w, v) for w, v, _ in _shared_run(t, semiring, budget, forks=True)))
 
 
-# the modes of a pending state (node, i, word, mode) of _shared_run: check
-# node's root first; go to child i; go to child i, whose segment has just
-# been run and counted
+# the modes of a pending state (node, i, word, mode, trail) of _shared_run:
+# check node's root first; go to child i; go to child i, whose segment has
+# just been run and counted
 _CHECK, _NEXT, _RESUME = range(3)
+
+
+def _recorded(trail: tuple, frames, rule: str, w, c: Term) -> tuple:
+    """trail extended by the step that contracts the innermost frame's root
+    to c.  Its position is the child index of each enclosing frame's
+    pending _RESUME entry, outermost first, and its whole term is c
+    plugged through those entries' nodes."""
+    pending = [f[1][-1] for f in frames[:-1]]
+    for entry in reversed(pending):
+        c = _plug(entry[0], entry[1], c)
+    return trail + ((Step(tuple([e[1] for e in pending]), rule, w), c),)
 
 
 def _cons(word, w):
@@ -481,27 +456,33 @@ def _extend(cell, base, op, cache: dict):
     return acc
 
 
-def _shared_run(t: Term, semiring: Semiring, budget: int,
-                forks: bool) -> list:
-    """The (weight, normal form) leaves of t's leftmost-outermost reduction
-    tree, left branch first, running each subterm's segment once.
+def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
+                record: bool = False) -> list:
+    """The (weight, normal form, trail) leaves of t's leftmost-outermost
+    reduction tree, left branch first, running each subterm's segment once.
 
     A frame runs one segment, of its root; the first frame runs the whole
     term instead, going on from each contractum of its root.  Its pending
-    states are (node, i, word, mode): node is the current form of the
-    root, children before i are normal.  Words are the fork weights taken
-    since the frame began, as cons cells, except in the first frame, where
-    they are products in the semiring taken in path order.  A finished
-    frame leaves (root, [(word, result, rooted)], unshared steps) in memo,
-    keyed by id(root); rooted tells a contractum of the root from a normal
-    form.  Memo hits add their steps to the budget, which so counts the
-    unshared tree.  A budget below zero raises BudgetExceeded at once.
+    states are (node, i, word, mode, trail): node is the current form of
+    the root, children before i are normal.  Words are the fork weights
+    taken since the frame began, as cons cells, except in the first frame,
+    where they are products in the semiring taken in path order.  A
+    finished frame leaves (root, [(word, result, rooted, trail)], unshared
+    steps) in memo, keyed by id(root); rooted tells a contractum of the
+    root from a normal form.  Memo hits add their steps to the budget,
+    which so counts the unshared tree.  A budget below zero raises
+    BudgetExceeded at once.
 
     Without forks, a root contraction with two entries raises
     SupBranchEncountered before its steps are counted, so a fork one step
     past the budget is reported as a fork.  The redex is the root of the
     innermost frame; its position is the child index of each enclosing
     frame's pending _RESUME entry, outermost first.
+
+    Trails are None unless recording.  A recorded trail is the tuple of
+    (Step, whole term) pairs since t, and a new frame starts from its
+    parent state's trail.  Such a trail is absolute, so in recording mode
+    a stored segment is read only by the _RESUME entry that ran it.
     """
     message = (f"reduction tree larger than {budget} steps" if forks
                else f"no normal form within {budget} steps")
@@ -510,7 +491,8 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
     memo = {}
     used = 0
     leaves = []
-    frames = [(None, [(t, 0, semiring.one, _CHECK)], leaves, 0, semiring.mul)]
+    frames = [(None, [(t, 0, semiring.one, _CHECK, () if record else None)],
+               leaves, 0, semiring.mul)]
     while frames:
         root, todo, out, start, op = frames[-1]
         if not todo:
@@ -518,7 +500,7 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
             if root is not None:
                 memo[id(root)] = (root, out, used - start)
             continue
-        node, i, word, mode = todo.pop()
+        node, i, word, mode, trail = todo.pop()
         if mode == _CHECK:
             entries = contract(node, semiring)
             if entries:
@@ -532,27 +514,32 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
                 if used > budget:
                     raise BudgetExceeded(message)
                 if root is None:
-                    for _, w, c in reversed(entries):
+                    for rule, w, c in reversed(entries):
                         todo.append((c, 0, op(word, w) if fork else word,
-                                     _CHECK))
+                                     _CHECK, _recorded(trail, frames, rule,
+                                                       w, c)
+                                     if record else None))
                 else:
-                    out.extend((op(word, w) if fork else word, c, True)
-                               for _, w, c in entries)
+                    out.extend((op(word, w) if fork else word, c, True,
+                                _recorded(trail, frames, rule, w, c)
+                                if record else None)
+                               for rule, w, c in entries)
                 continue
         names = _CHILDREN[type(node)]
         if i == len(names):
-            out.append((word, node) if root is None else (word, node, False))
+            out.append((word, node, trail) if root is None
+                       else (word, node, False, trail))
             continue
         child = getattr(node, names[i])
         if not _CHILDREN[type(child)]:
             # a leaf is no redex: its segment is empty and it stays as is
-            todo.append((node, i + 1, word, _NEXT))
+            todo.append((node, i + 1, word, _NEXT, trail))
             continue
-        hit = memo.get(id(child))
+        hit = memo.pop(id(child), None) if record else memo.get(id(child))
         if hit is None:
-            todo.append((node, i, word, _RESUME))
-            frames.append((child, [(child, 0, None, _CHECK)], [], used,
-                           _cons))
+            todo.append((node, i, word, _RESUME, trail))
+            frames.append((child, [(child, 0, None, _CHECK, trail)], [],
+                           used, _cons))
             continue
         _, results, steps = hit
         if mode != _RESUME:
@@ -560,14 +547,14 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
             if used > budget:
                 raise BudgetExceeded(message)
         cache = {}
-        for cell, c, rooted in reversed(results):
+        for cell, c, rooted, trail in reversed(results):
             w = (word if cell is None else cell if word is None
                  else _extend(cell, word, op, cache))
             if rooted:
-                todo.append((_plug(node, i, c), i, w, _CHECK))
+                todo.append((_plug(node, i, c), i, w, _CHECK, trail))
             else:
                 todo.append((node if c is child else _plug(node, i, c),
-                             i + 1, w, _NEXT))
+                             i + 1, w, _NEXT, trail))
     return leaves
 
 

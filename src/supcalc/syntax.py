@@ -488,30 +488,43 @@ def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
 
 
 def canonical(t: Term) -> Term:
-    """Rename every binder to v0, v1, ... in traversal order.
+    """Rename every binder to v0, v1, ... in traversal order, and leave
+    free names as they are.  If a free name is one of those binder names,
+    the binders are named vv0, vv1, ... instead, and so on, so that no
+    free occurrence is captured.
 
     Alpha-equivalent terms have identical canonical forms, so the printed
-    canonical form is a valid multiset key for closed values.
+    canonical form is a valid multiset key for values.
     """
-    counter = [0]
+    prefix = "v"
+    names: list[str] = []
+    free: set[str] = set()
 
     def go(u: Term, env: dict[str, str]) -> Term:
         if isinstance(u, Var):
-            return Var(env.get(u.name, u.name))
+            if u.name in env:
+                return Var(env[u.name])
+            free.add(u.name)
+            return u
         updates: dict[str, object] = {}
         spec = _BINDERS.get(type(u), {})
         for field in subterm_fields(u):
             body = getattr(u, field)
             local = dict(env)
             for b in spec.get(field, ()):
-                new = f"v{counter[0]}"
-                counter[0] += 1
+                new = f"{prefix}{len(names)}"
+                names.append(new)
                 local[getattr(u, b)] = new
                 updates[b] = new
             updates[field] = go(body, local)
         return _rebuild(u, updates) if updates else u
 
-    return go(t, {})
+    out = go(t, {})
+    while not free.isdisjoint(names):
+        prefix += "v"
+        names.clear()
+        out = go(t, {})
+    return out
 
 
 # ---------------------------------------------------------------------------

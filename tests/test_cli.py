@@ -326,11 +326,12 @@ def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "f.lsup"
 
 
-# 700 examples give each of the five commands about 140, each under one of
-# the four semirings.
-@settings(max_examples=700, deadline=None)
+# 980 examples give each of the seven commands about 140, each under one
+# of the four semirings.
+@settings(max_examples=980, deadline=None)
 @given(text=_FILES, argv=st.sampled_from([["parse"], ["parse", "--prop"],
-                                          ["check"], ["run"], ["distro"]]),
+                                          ["check"], ["run"], ["distro"],
+                                          ["denote"], ["soundness"]]),
        semiring=st.sampled_from(["qnn", "q", "bool", "f64"]))
 def test_any_file_gets_an_exit_code_and_at_most_one_error_line(
         fuzz_file, text, argv, semiring):

@@ -491,9 +491,9 @@ def _ref_redexes(t):
     return [(p, e) for p, u in _ref_subterms(t) if (e := R.contract(u, SR))]
 
 
-def _ref_leftmost(t):
+def _ref_leftmost(t, semiring=SR):
     return next(((p, e) for p, u in _ref_subterms(t)
-                 if (e := R.contract(u, SR))), None)
+                 if (e := R.contract(u, semiring))), None)
 
 
 def _ref_run(t, rng=None):
@@ -524,11 +524,11 @@ def _ref_normalize(t, rng=None, budget=R.DEFAULT_BUDGET):
     raise R.BudgetExceeded(f"no normal form within {budget} steps")
 
 
-def _ref_paths(t, budget=R.DEFAULT_BUDGET):
-    out, stack, used = [], [(t, (), F(1))], 0
+def _ref_paths(t, budget=R.DEFAULT_BUDGET, semiring=SR):
+    out, stack, used = [], [(t, (), semiring.one)], 0
     while stack:
         u, trail, w = stack.pop()
-        found = _ref_leftmost(u)
+        found = _ref_leftmost(u, semiring)
         if found is None:
             out.append(R.Path(source=t, steps=trail, weight=w))
             continue
@@ -538,7 +538,8 @@ def _ref_paths(t, budget=R.DEFAULT_BUDGET):
             raise R.BudgetExceeded(f"reduction tree larger than {budget} steps")
         for rule, sw, c in reversed(entries):
             nxt = _ref_replace_at(u, pos, c)
-            stack.append((nxt, trail + ((R.Step(pos, rule, sw), nxt),), w * sw))
+            stack.append((nxt, trail + ((R.Step(pos, rule, sw), nxt),),
+                          semiring.mul(w, sw)))
     return out
 
 
@@ -814,13 +815,16 @@ def test_distribution_of_a_long_fork_chain_exceeds_the_budget():
 
 
 def test_distribution_multiplies_weights_in_path_order():
-    """Float products depend on their order: under f64 the weights equal
-    those of paths, which multiplies along each path from the root."""
+    """Float products depend on their order: under f64 the weights of
+    paths and of distribution equal those of the naive reference, which
+    multiplies along each path from the root."""
     for n in (6, 8):
         for src in (_fork_chain(n), _fork_chain(n, left=True),
                     _fork_tree(0, n)):
             t = sc.parse_term(src.replace("1/3,2/3", "1/10,9/10"), sc.F64)
-            assert sc.distribution(t, sc.F64) == _leaves(sc.paths(t, sc.F64))
+            want = _ref_paths(t, semiring=sc.F64)
+            assert sc.paths(t, sc.F64) == want
+            assert sc.distribution(t, sc.F64) == _leaves(want)
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,30 @@ def test_canonical_is_alpha_invariant():
     assert sc.canonical(a) == sc.canonical(b)
 
 
+def test_canonical_binders_capture_no_free_name():
+    """A free name spelled like a canonical binder name stays free, so
+    values that differ up to alpha keep distinct keys and are not merged;
+    the renaming still handles a 9000-deep binder chain (of one name, so
+    that its environment stays small)."""
+    a, b = sc.parse_term("lam(x,v0)"), sc.parse_term("lam(x,x)")
+    assert not sc.alpha_eq(a, b)
+    assert sc.canonical(a) != sc.canonical(b)
+    assert sc.alpha_eq(sc.canonical(a), a)
+    assert sc.canonical(sc.parse_term("lam(y,v0)")) == sc.canonical(a)
+    t = sc.parse_term("sup_elim{1/2,1/2}(sup(lam(x,v0),lam(x,x)),p.p,q.q)")
+    assert sc.distribution(t).aggregate(sc.QNN) == [
+        (F(1, 2), b), (F(1, 2), a)]
+    deep = S.Var("v3")
+    for i in range(9000):
+        deep = S.Lam("x", deep)
+    u = sc.canonical(deep)
+    for i in range(9000):
+        assert u.var == f"vv{i}"
+        u = u.body
+    assert u == S.Var("v3")
+    assert len(sc.Distribution(((F(1), deep),)).aggregate(sc.QNN)) == 1
+
+
 def test_sup_is_distinct_from_with():
     assert S.Sup(S.One(), S.One()) != S.With(S.One(), S.One())
     assert sc.parse_prop("one (o) one") != sc.parse_prop("one & one")
