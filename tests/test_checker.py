@@ -5,13 +5,18 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction as F
 
+import hashlib
+import json
+
 import pytest
 
 import supcalc as sc
 from supcalc import checker as C
 from supcalc import rewrite as R
 from supcalc import syntax as S
+from supcalc.cli import _derivation_json
 from supcalc.gen import TermGenerator
+from supcalc.semiring import SemiringError
 
 
 def check(src, type_src=None, ctx_src=""):
@@ -491,3 +496,48 @@ def test_subject_reduction_matches_a_fresh_typecheck_per_reduct(
             sc.print_term(t))
         flagged += len(got.findings)
     assert bool(flagged) == broken
+
+
+# ---------------------------------------------------------------------------
+# outcomes pinned
+
+
+def _pinned_judgments(corpus_entries):
+    """Each corpus entry and generated term at its type, with no type, at
+    A & A and with an unused one or top variable, and up to 40 of its
+    subterms alone in the empty context."""
+    items = [(e.term, e.ctx, e.prop) for e in corpus_entries]
+    gen = TermGenerator(seed=3, allow_sup_elim=True, max_depth=4)
+    items += [(t, (), a) for t, a in (gen.closed() for _ in range(300))]
+    for t, ctx, a in items:
+        yield ctx, t, a
+        yield ctx, t, None
+        yield ctx, t, S.With(a, a)
+        yield ctx + (("z_", S.One()),), t, a
+        yield ctx + (("z_", S.Top()),), t, a
+        for u in list(S.nodes(t))[:40]:
+            yield (), u, None
+
+
+def test_checker_outcomes_are_pinned(corpus_entries):
+    # derivations with their split plans, and the class and message of
+    # every error, in the order the checker meets them
+    digest = hashlib.sha256()
+    kinds = {}
+    for semiring in (sc.QNN, sc.BOOL):
+        for ctx, t, a in _pinned_judgments(corpus_entries):
+            try:
+                d = sc.typecheck(ctx, t, a, semiring)
+            except (C.TypingError, SemiringError) as exc:
+                kind = type(exc).__name__
+                outcome = f"{kind}: {exc}"
+            else:
+                kind = "Derivation"
+                outcome = json.dumps(_derivation_json(d))
+            kinds[kind] = kinds.get(kind, 0) + 1
+            digest.update(outcome.encode() + b"\n")
+    assert kinds == {"Derivation": 14582, "UnboundVariable": 7412,
+                     "LinearViolation": 1310, "WeightError": 1147,
+                     "TypeMismatch": 579, "AmbiguousType": 100}
+    assert digest.hexdigest() == (
+        "0a207a47b6e612b42f3798fe9072e1bba0a2a3822e77fe09e41a3e15b1b0a3f1")
