@@ -5,26 +5,19 @@ The checker is bidirectional: most forms synthesize their type, while
 annotation or an expected type flowing in.  Checking is deterministic and
 syntax directed; when a judgment holds, its type is unique.
 
-The multiplicative rules split the ambient context between a left premise
-and the right premises: ``unit_elim``, ``app``, ``tens`` and ``let_tens``
-have one right premise, ``case`` and ``sup_elim`` have the scrutinee on the
-left and both branches on the right, and ``zero_elim`` has none.  A
-variable goes to the side that uses it, that is, where it is free outside
-the names the premise binds; a variable used on both sides is a linearity
-violation.  A variable used by neither side goes left if the left premise
-can absorb it, else right if every right premise can, and is otherwise a
-linearity violation.  Whether a term can absorb follows from the kind of
-its rule:
-
-- ``unit`` and ``zero_elim`` absorb any context;
-- a multiplicative form (``tens``, ``app``, ``unit_elim``, ``let_tens``)
-  absorbs if any premise does, since the unused variables can be routed
-  to that premise;
-- ``case`` and ``sup_elim`` absorb if the scrutinee does, or if both
-  branches do;
-- any other form with subterms shares its context with all of them, so
-  it absorbs if all of them do;
-- a variable or a ``star`` absorbs nothing.
+The multiplicative rules split the ambient context between a left
+premise, the form's first subterm, and right premises, its other
+subterms: ``unit_elim``, ``app``, ``tens`` and ``let_tens`` have one right
+premise, ``case`` and ``sup_elim`` have both branches, and ``zero_elim``
+has none.  A variable goes to the side that uses it, that is, where it is
+free outside the names the premise binds; a variable used on both sides is
+a linearity violation.  A variable used by neither side goes left if the
+left premise can absorb it, else right if every right premise can, and is
+otherwise a linearity violation.  So absorption is the split rule itself:
+a split form absorbs if its left premise or every right premise does
+(``zero_elim`` always does), ``unit`` absorbs, any other form with
+subterms absorbs if all of them do, and a variable or a ``star`` absorbs
+nothing.
 
 Each split records the partition and the permutation taking the ambient
 order to the premise order, which the denotational interpreter replays as
@@ -100,43 +93,29 @@ class Derivation:
     split: Optional[SplitPlan] = None
 
 
-RULE_TAGS = (
-    "ax", "one_i", "sum", "scal", "one_e", "tens_i", "tens_e",
-    "lolli_i", "lolli_e", "top_i", "zero_e", "with_i", "with_e1", "with_e2",
-    "plus_i1", "plus_i2", "plus_e", "sup_i", "sup_e1", "sup_e2", "sup_e",
-)
-
-
-# the rule of each projection of a pair
-_PROJECTION_RULES = {S.Fst: "with_e1", S.Snd: "with_e2",
-                     S.SupFst: "sup_e1", S.SupSnd: "sup_e2"}
-
-# the rule of each injection, and how to annotate it
-_INJECTION_RULES = {S.Inl: ("plus_i1", "inl{B}(t)"),
-                    S.Inr: ("plus_i2", "inr{A}(t)")}
-
-
 def can_absorb(t: Term) -> bool:
     """Whether a typing of t can consume context variables it never uses."""
     return _absorbs(t, can_absorb)
 
 
+# the forms whose rule splits its context (see the module docstring)
+_SPLITS = {S.UnitElim, S.App, S.Tens, S.TensElim, S.ZeroElim, S.Case,
+           S.SupElim}
+
+
 def _absorbs(t: Term, sub) -> bool:
     """can_absorb(t), with ``sub`` deciding it for the subterms of t."""
-    if isinstance(t, (S.Unit, S.ZeroElim)):
-        return True
-    if isinstance(t, (S.Case, S.SupElim)):
-        return sub(t.scrutinee) or (sub(t.left_body) and sub(t.right_body))
     names = S._CHILDREN[type(t)]
-    if isinstance(t, (S.Tens, S.App, S.UnitElim, S.TensElim)):
-        for n in names:
-            if sub(getattr(t, n)):
-                return True
-        return False
+    if type(t) in _SPLITS:
+        if sub(getattr(t, names[0])):
+            return True
+        names = names[1:]
+    elif not names:
+        return type(t) is S.Unit
     for n in names:
         if not sub(getattr(t, n)):
             return False
-    return bool(names)
+    return True
 
 
 class _Checker:
@@ -158,7 +137,10 @@ class _Checker:
         names = [x for x, _ in ctx]
         if len(set(names)) != len(names):
             raise TypingError(f"duplicate context variables in {names}")
-        return self._typecheck(ctx, t, expected)
+        try:
+            return self._typecheck(ctx, t, expected)
+        except RecursionError:
+            raise TypingError("term is nested too deeply") from None
 
     # -- context splitting ------------------------------------------------
 
@@ -169,18 +151,21 @@ class _Checker:
             hit = self._absorb[id(t)] = (t, _absorbs(t, self.absorbs))
         return hit[1]
 
-    def split(self, ctx: Context, t: Term, left: Term,
-              rights: tuple[tuple[Term, tuple[str, ...]], ...] = ()
-              ) -> tuple[Context, Context, SplitPlan]:
+    def split(self, ctx: Context,
+              t: Term) -> tuple[Context, Context, SplitPlan]:
         """Split ctx for the node t between its left premise and its right
-        premises, given as (term, names it binds) pairs, by the split rule
-        stated above."""
+        premises, less the names each binds, by the split rule stated
+        above."""
+        first, *rest = S._CHILDREN[type(t)]
+        left = getattr(t, first)
         fv_left = self.free_vars(left)
-        fv_right: set[str] = set()
-        for r, bound in rights:
-            fv_right |= self.free_vars(r).difference(bound)
         absorb_left = self.absorbs(left)
-        absorb_right = all(self.absorbs(r) for r, _ in rights)
+        fv_right: set[str] = set()
+        absorb_right = True
+        for n in rest:
+            r = getattr(t, n)
+            fv_right |= self.free_vars(r).difference(S.bound_names(t, n))
+            absorb_right = absorb_right and self.absorbs(r)
         left_idx: list[int] = []
         right_idx: list[int] = []
         for i, (x, _) in enumerate(ctx):
@@ -200,20 +185,13 @@ class _Checker:
             else:
                 raise LinearViolation(
                     f"variable {x} is never used in {S.print_term(t)}")
-        mk = lambda idx: tuple(ctx[i] for i in idx)
-        plan = SplitPlan(
-            left=tuple(ctx[i][0] for i in left_idx),
-            right=tuple(ctx[i][0] for i in right_idx),
-            perm=tuple(left_idx + right_idx),
-        )
-        return mk(left_idx), mk(right_idx), plan
+        lctx = tuple(ctx[i] for i in left_idx)
+        rctx = tuple(ctx[i] for i in right_idx)
+        plan = SplitPlan(tuple(x for x, _ in lctx), tuple(x for x, _ in rctx),
+                         tuple(left_idx + right_idx))
+        return lctx, rctx, plan
 
     # -- bidirectional checking -------------------------------------------
-
-    def _mismatch(self, t: Term, got: Prop, want: Prop):
-        raise TypeMismatch(
-            f"{S.print_term(t)} has type {S.print_prop(got)}, "
-            f"expected {S.print_prop(want)}")
 
     def _typecheck(self, ctx: Context, t: Term, want: Optional[Prop]) -> Derivation:
         # checking is deterministic and syntax directed, so a derivation
@@ -221,174 +199,74 @@ class _Checker:
         hit = self._derivs.get(id(t))
         if hit is not None and hit[0] == ctx and hit[1] == want:
             return hit[2]
-        d = self._go(ctx, t, want)
+        entry = self._CLAUSES.get(type(t))
+        if entry is None:
+            raise TypingError(f"cannot type {t!r}")
+        rule, clause = entry
+        d = clause(self, ctx, t, want, rule)
         if want is not None and d.prop != want:
-            self._mismatch(t, d.prop, want)
+            raise TypeMismatch(
+                f"{S.print_term(t)} has type {S.print_prop(d.prop)}, "
+                f"expected {S.print_prop(want)}")
         self._derivs[id(t)] = (ctx, want, d)
         return d
 
-    def _go(self, ctx: Context, t: Term, want: Optional[Prop]) -> Derivation:
-        sr = self.sr
+    # Each clause takes the context, the term, the expected type or None
+    # and its rule tag.  It calls _typecheck on its premises itself, so that
+    # a nesting level costs two stack frames and deep terms still check.
 
-        if isinstance(t, S.Var):
-            if all(x != t.name for x, _ in ctx):
-                raise UnboundVariable(f"unbound variable {t.name}")
-            if len(ctx) != 1:
-                extra = [x for x, _ in ctx if x != t.name]
-                raise LinearViolation(
-                    f"variable(s) {', '.join(extra)} unused at occurrence of {t.name}")
-            return Derivation("ax", ctx, t, ctx[0][1])
+    def _ax(self, ctx, t, want, rule):
+        if all(x != t.name for x, _ in ctx):
+            raise UnboundVariable(f"unbound variable {t.name}")
+        if len(ctx) != 1:
+            extra = [x for x, _ in ctx if x != t.name]
+            raise LinearViolation(
+                f"variable(s) {', '.join(extra)} unused at occurrence of {t.name}")
+        return Derivation(rule, ctx, t, ctx[0][1])
 
-        if isinstance(t, S.Star):
-            if ctx:
-                raise LinearViolation(
-                    f"variable(s) {', '.join(x for x, _ in ctx)} unused at "
-                    f"{S.print_term(t)}")
-            return Derivation("one_i", ctx, t, S.One())
+    def _star(self, ctx, t, want, rule):
+        if ctx:
+            raise LinearViolation(
+                f"variable(s) {', '.join(x for x, _ in ctx)} unused at "
+                f"{S.print_term(t)}")
+        return Derivation(rule, ctx, t, S.One())
 
-        if isinstance(t, S.Unit):
-            return Derivation("top_i", ctx, t, S.Top())
+    def _unit(self, ctx, t, want, rule):
+        return Derivation(rule, ctx, t, S.Top())
 
-        if isinstance(t, S.Sum):
-            d1 = self._typecheck(ctx, t.left, want)
-            d2 = self._typecheck(ctx, t.right, d1.prop)
-            return Derivation("sum", ctx, t, d1.prop, (d1, d2))
+    def _linear_sum(self, ctx, t, want, rule):
+        # sum and scal share their context and their type with every premise
+        ds: list[Derivation] = []
+        for n in S._CHILDREN[type(t)]:
+            ds.append(self._typecheck(ctx, getattr(t, n), want))
+            want = ds[0].prop
+        return Derivation(rule, ctx, t, want, tuple(ds))
 
-        if isinstance(t, S.Scal):
-            d1 = self._typecheck(ctx, t.body, want)
-            return Derivation("scal", ctx, t, d1.prop, (d1,))
+    def _unit_elim(self, ctx, t, want, rule):
+        lctx, rctx, plan = self.split(ctx, t)
+        d1 = self._typecheck(lctx, t.unit, S.One())
+        d2 = self._typecheck(rctx, t.body, want)
+        return Derivation(rule, ctx, t, d2.prop, (d1, d2), plan)
 
-        if isinstance(t, S.UnitElim):
-            lctx, rctx, plan = self.split(ctx, t, t.unit, ((t.body, ()),))
-            d1 = self._typecheck(lctx, t.unit, S.One())
-            d2 = self._typecheck(rctx, t.body, want)
-            return Derivation("one_e", ctx, t, d2.prop, (d1, d2), plan)
-
-        if isinstance(t, S.Lam):
-            ann = t.ann
-            if ann is None:
-                if want is None:
-                    raise AmbiguousType(
-                        f"cannot infer the argument type of {S.print_term(t)}; "
-                        f"annotate as lam{{A}}(x, t) or check against a type")
-                if not isinstance(want, S.Lollipop):
-                    raise TypeMismatch(
-                        f"{S.print_term(t)} is a function but the expected "
-                        f"type is {S.print_prop(want)}")
-                ann = want.left
-            elif want is not None:
-                if not isinstance(want, S.Lollipop) or want.left != ann:
-                    raise TypeMismatch(
-                        f"annotation {S.print_prop(ann)} does not match "
-                        f"expected {S.print_prop(want)}")
-            body_want = want.right if isinstance(want, S.Lollipop) else None
-            return self._lolli_i(ctx, t, ann, body_want)
-
-        if isinstance(t, S.App):
-            lctx, rctx, plan = self.split(ctx, t, t.fn, ((t.arg, ()),))
-            try:
-                d1 = self._typecheck(lctx, t.fn, None)
-            except AmbiguousType:
-                # redex-style application: type the argument first
-                d2 = self._typecheck(rctx, t.arg, None)
-                if want is not None:
-                    d1 = self._typecheck(lctx, t.fn, S.Lollipop(d2.prop, want))
-                elif isinstance(t.fn, S.Lam) and t.fn.ann is None:
-                    d1 = self._lolli_i(lctx, t.fn, d2.prop, None)
-                else:
-                    raise
-            else:
-                if not isinstance(d1.prop, S.Lollipop):
-                    raise TypeMismatch(
-                        f"{S.print_term(t.fn)} has type {S.print_prop(d1.prop)}, "
-                        f"which is not a function type")
-                d2 = self._typecheck(rctx, t.arg, d1.prop.left)
-            return Derivation("lolli_e", ctx, t, d1.prop.right, (d1, d2), plan)
-
-        if isinstance(t, S.Tens):
-            lctx, rctx, plan = self.split(ctx, t, t.left, ((t.right, ()),))
-            lw = want.left if isinstance(want, S.Tensor) else None
-            rw = want.right if isinstance(want, S.Tensor) else None
-            d1 = self._typecheck(lctx, t.left, lw)
-            d2 = self._typecheck(rctx, t.right, rw)
-            return Derivation("tens_i", ctx, t, S.Tensor(d1.prop, d2.prop),
-                              (d1, d2), plan)
-
-        if isinstance(t, S.TensElim):
-            lctx, rctx, plan = self.split(
-                ctx, t, t.pair, ((t.body, (t.left_var, t.right_var)),))
-            d1 = self._typecheck(lctx, t.pair, None)
-            if not isinstance(d1.prop, S.Tensor):
-                raise TypeMismatch(
-                    f"{S.print_term(t.pair)} has type {S.print_prop(d1.prop)}, "
-                    f"expected a tensor")
-            if t.left_var == t.right_var:
-                raise TypingError("tensor eliminator binders must be distinct")
-            for b in (t.left_var, t.right_var):
-                if any(x == b for x, _ in rctx):
-                    raise TypingError(f"binder {b} shadows a context variable")
-            body_ctx = rctx + ((t.left_var, d1.prop.left),
-                               (t.right_var, d1.prop.right))
-            d2 = self._typecheck(body_ctx, t.body, want)
-            return Derivation("tens_e", ctx, t, d2.prop, (d1, d2), plan)
-
-        if isinstance(t, S.ZeroElim):
-            ann = t.ann if t.ann is not None else want
-            if ann is None:
+    def _lam(self, ctx, t, want, rule):
+        ann = t.ann
+        if ann is None:
+            if want is None:
                 raise AmbiguousType(
-                    f"cannot infer the result type of {S.print_term(t)}; "
-                    f"annotate as zero_elim{{C}}(t)")
-            lctx, _, plan = self.split(ctx, t, t.absurd)
-            d1 = self._typecheck(lctx, t.absurd, S.Zero())
-            return Derivation("zero_e", ctx, t, ann, (d1,), plan)
-
-        if type(t) in S._PAIR_PROP:
-            conn = S._PAIR_PROP[type(t)]
-            lw = want.left if isinstance(want, conn) else None
-            rw = want.right if isinstance(want, conn) else None
-            d1 = self._typecheck(ctx, t.left, lw)
-            d2 = self._typecheck(ctx, t.right, rw)
-            rule = "with_i" if conn is S.With else "sup_i"
-            return Derivation(rule, ctx, t, conn(d1.prop, d2.prop), (d1, d2))
-
-        if type(t) in S._PROJECTION:
-            pair, side = S._PROJECTION[type(t)]
-            conn = S._PAIR_PROP[pair]
-            d1 = self._typecheck(ctx, t.pair, None)
-            if not isinstance(d1.prop, conn):
-                noun = "with-pair" if conn is S.With else "sup-pair"
+                    f"cannot infer the argument type of {S.print_term(t)}; "
+                    f"annotate as lam{{A}}(x, t) or check against a type")
+            if not isinstance(want, S.Lollipop):
                 raise TypeMismatch(
-                    f"{S.print_term(t.pair)} has type {S.print_prop(d1.prop)}, "
-                    f"expected a {noun}")
-            return Derivation(_PROJECTION_RULES[type(t)], ctx, t,
-                              getattr(d1.prop, side), (d1,))
-
-        if type(t) in _INJECTION_RULES:
-            rule, form = _INJECTION_RULES[type(t)]
-            side, other = S._INJECTIONS[type(t)]
-            plus = want if isinstance(want, S.Plus) else None
-            absent = t.ann
-            if absent is None:
-                if plus is None:
-                    raise AmbiguousType(
-                        f"cannot infer the {other} component of "
-                        f"{S.print_term(t)}; annotate as {form}")
-                absent = getattr(plus, other)
-            d1 = self._typecheck(ctx, t.body,
-                                 None if plus is None else getattr(plus, side))
-            return Derivation(rule, ctx, t,
-                              S.Plus(**{side: d1.prop, other: absent}), (d1,))
-
-        if isinstance(t, S.Case):
-            return self._branching(ctx, t, want, "plus_e", S.Plus)
-
-        if isinstance(t, S.SupElim):
-            if not sr.eq(sr.add(t.p, t.q), sr.one):
-                raise WeightError(
-                    f"sup-elimination weights do not sum to 1 in {sr.name}")
-            return self._branching(ctx, t, want, "sup_e", S.Sup)
-
-        raise TypingError(f"cannot type {t!r}")
+                    f"{S.print_term(t)} is a function but the expected "
+                    f"type is {S.print_prop(want)}")
+            ann = want.left
+        elif want is not None:
+            if not isinstance(want, S.Lollipop) or want.left != ann:
+                raise TypeMismatch(
+                    f"annotation {S.print_prop(ann)} does not match "
+                    f"expected {S.print_prop(want)}")
+        body_want = want.right if isinstance(want, S.Lollipop) else None
+        return self._lolli_i(ctx, t, ann, body_want)
 
     def _lolli_i(self, ctx: Context, t: S.Lam, ann: Prop,
                  body_want: Optional[Prop]) -> Derivation:
@@ -398,10 +276,108 @@ class _Checker:
         d1 = self._typecheck(ctx + ((t.var, ann),), t.body, body_want)
         return Derivation("lolli_i", ctx, t, S.Lollipop(ann, d1.prop), (d1,))
 
-    def _branching(self, ctx: Context, t, want, rule: str, conn) -> Derivation:
-        lctx, rctx, plan = self.split(
-            ctx, t, t.scrutinee, ((t.left_body, (t.left_var,)),
-                                  (t.right_body, (t.right_var,))))
+    def _app(self, ctx, t, want, rule):
+        lctx, rctx, plan = self.split(ctx, t)
+        try:
+            d1 = self._typecheck(lctx, t.fn, None)
+        except AmbiguousType:
+            # redex-style application: type the argument first
+            d2 = self._typecheck(rctx, t.arg, None)
+            if want is not None:
+                d1 = self._typecheck(lctx, t.fn, S.Lollipop(d2.prop, want))
+            elif type(t.fn) is S.Lam and t.fn.ann is None:
+                d1 = self._lolli_i(lctx, t.fn, d2.prop, None)
+            else:
+                raise
+        else:
+            if not isinstance(d1.prop, S.Lollipop):
+                raise TypeMismatch(
+                    f"{S.print_term(t.fn)} has type {S.print_prop(d1.prop)}, "
+                    f"which is not a function type")
+            d2 = self._typecheck(rctx, t.arg, d1.prop.left)
+        return Derivation(rule, ctx, t, d1.prop.right, (d1, d2), plan)
+
+    def _tens(self, ctx, t, want, rule):
+        lctx, rctx, plan = self.split(ctx, t)
+        lw = want.left if isinstance(want, S.Tensor) else None
+        rw = want.right if isinstance(want, S.Tensor) else None
+        d1 = self._typecheck(lctx, t.left, lw)
+        d2 = self._typecheck(rctx, t.right, rw)
+        return Derivation(rule, ctx, t, S.Tensor(d1.prop, d2.prop),
+                          (d1, d2), plan)
+
+    def _let_tens(self, ctx, t, want, rule):
+        lctx, rctx, plan = self.split(ctx, t)
+        d1 = self._typecheck(lctx, t.pair, None)
+        if not isinstance(d1.prop, S.Tensor):
+            raise TypeMismatch(
+                f"{S.print_term(t.pair)} has type {S.print_prop(d1.prop)}, "
+                f"expected a tensor")
+        if t.left_var == t.right_var:
+            raise TypingError("tensor eliminator binders must be distinct")
+        for b in (t.left_var, t.right_var):
+            if any(x == b for x, _ in rctx):
+                raise TypingError(f"binder {b} shadows a context variable")
+        body_ctx = rctx + ((t.left_var, d1.prop.left),
+                           (t.right_var, d1.prop.right))
+        d2 = self._typecheck(body_ctx, t.body, want)
+        return Derivation(rule, ctx, t, d2.prop, (d1, d2), plan)
+
+    def _zero_elim(self, ctx, t, want, rule):
+        ann = t.ann if t.ann is not None else want
+        if ann is None:
+            raise AmbiguousType(
+                f"cannot infer the result type of {S.print_term(t)}; "
+                f"annotate as zero_elim{{C}}(t)")
+        lctx, _, plan = self.split(ctx, t)
+        d1 = self._typecheck(lctx, t.absurd, S.Zero())
+        return Derivation(rule, ctx, t, ann, (d1,), plan)
+
+    def _pair(self, ctx, t, want, rule):
+        conn = S._PAIR_PROP[type(t)]
+        lw = want.left if isinstance(want, conn) else None
+        rw = want.right if isinstance(want, conn) else None
+        d1 = self._typecheck(ctx, t.left, lw)
+        d2 = self._typecheck(ctx, t.right, rw)
+        return Derivation(rule, ctx, t, conn(d1.prop, d2.prop), (d1, d2))
+
+    def _project(self, ctx, t, want, rule):
+        pair, side = S._PROJECTION[type(t)]
+        conn = S._PAIR_PROP[pair]
+        d1 = self._typecheck(ctx, t.pair, None)
+        if not isinstance(d1.prop, conn):
+            noun = "with-pair" if conn is S.With else "sup-pair"
+            raise TypeMismatch(
+                f"{S.print_term(t.pair)} has type {S.print_prop(d1.prop)}, "
+                f"expected a {noun}")
+        return Derivation(rule, ctx, t, getattr(d1.prop, side), (d1,))
+
+    def _inject(self, ctx, t, want, rule):
+        side, other = S._INJECTIONS[type(t)]
+        plus = want if isinstance(want, S.Plus) else None
+        absent = t.ann
+        if absent is None:
+            if plus is None:
+                form = S._FORMS[type(t)][0][1] + (
+                    "{B}(t)" if other == "right" else "{A}(t)")
+                raise AmbiguousType(
+                    f"cannot infer the {other} component of "
+                    f"{S.print_term(t)}; annotate as {form}")
+            absent = getattr(plus, other)
+        d1 = self._typecheck(ctx, t.body,
+                             None if plus is None else getattr(plus, side))
+        return Derivation(rule, ctx, t,
+                          S.Plus(**{side: d1.prop, other: absent}), (d1,))
+
+    def _branching(self, ctx, t, want, rule):
+        # case eliminates a plus; sup_elim a sup, whose weights must sum to 1
+        conn = S.Plus
+        if rule == "sup_e":
+            sr, conn = self.sr, S.Sup
+            if not sr.eq(sr.add(t.p, t.q), sr.one):
+                raise WeightError(
+                    f"sup-elimination weights do not sum to 1 in {sr.name}")
+        lctx, rctx, plan = self.split(ctx, t)
         d1 = self._typecheck(lctx, t.scrutinee, None)
         if not isinstance(d1.prop, conn):
             raise TypeMismatch(
@@ -415,6 +391,24 @@ class _Checker:
         d3 = self._typecheck(((t.right_var, d1.prop.right),) + rctx,
                              t.right_body, d2.prop)
         return Derivation(rule, ctx, t, d2.prop, (d1, d2, d3), plan)
+
+    # each form's rule tag and clause; twin forms share a clause
+    _CLAUSES = {
+        S.Var: ("ax", _ax), S.Star: ("one_i", _star),
+        S.Sum: ("sum", _linear_sum), S.Scal: ("scal", _linear_sum),
+        S.UnitElim: ("one_e", _unit_elim), S.Tens: ("tens_i", _tens),
+        S.TensElim: ("tens_e", _let_tens), S.Lam: ("lolli_i", _lam),
+        S.App: ("lolli_e", _app), S.Unit: ("top_i", _unit),
+        S.ZeroElim: ("zero_e", _zero_elim), S.Pair: ("with_i", _pair),
+        S.Fst: ("with_e1", _project), S.Snd: ("with_e2", _project),
+        S.Inl: ("plus_i1", _inject), S.Inr: ("plus_i2", _inject),
+        S.Case: ("plus_e", _branching), S.SupPair: ("sup_i", _pair),
+        S.SupFst: ("sup_e1", _project), S.SupSnd: ("sup_e2", _project),
+        S.SupElim: ("sup_e", _branching),
+    }
+
+
+RULE_TAGS = tuple(rule for rule, _ in _Checker._CLAUSES.values())
 
 
 def typecheck(ctx: Context, t: Term, expected: Optional[Prop] = None,

@@ -457,11 +457,24 @@ def compose_contexts(outer: Term, inner: Term) -> Term:
 # Alpha equivalence and canonical renaming
 
 
+def _unbind(env: dict, undo: list) -> None:
+    """Give back the entries of env that the (name, former value or None)
+    pairs of undo replaced, the last first."""
+    for x, old in reversed(undo):
+        if old is None:
+            del env[x]
+        else:
+            env[x] = old
+
+
 def alpha_eq(t: Term, u: Term) -> bool:
     return _alpha(t, u, {}, {}, 0)
 
 
 def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
+    """Whether t and u are alike, where envt and envu map each name bound
+    around t and u to the depth of its binder.  A field's binders are
+    bound for its walk only."""
     if type(t) is not type(u):
         return False
     if isinstance(t, Var):
@@ -469,15 +482,18 @@ def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
     for name in _FIELDS[type(t)]:
         a, b = getattr(t, name), getattr(u, name)
         if isinstance(a, Term):
-            bt = bound_names(t, name)
-            bu = bound_names(u, name)
-            et, eu = envt, envu
+            undo_t: list = []
+            undo_u: list = []
             d = depth
-            for x, y in zip(bt, bu):
-                et = {**et, x: d}
-                eu = {**eu, y: d}
+            for x, y in zip(bound_names(t, name), bound_names(u, name)):
+                undo_t.append((x, envt.get(x)))
+                undo_u.append((y, envu.get(y)))
+                envt[x] = envu[y] = d
                 d += 1
-            if not _alpha(a, b, et, eu, d):
+            same = _alpha(a, b, envt, envu, d)
+            _unbind(envt, undo_t)
+            _unbind(envu, undo_u)
+            if not same:
                 return False
         elif isinstance(a, str) and name in _BINDER_FIELDS[type(t)]:
             continue  # binder names are compared via the environment
@@ -501,6 +517,8 @@ def canonical(t: Term) -> Term:
     free: set[str] = set()
 
     def go(u: Term, env: dict[str, str]) -> Term:
+        # env maps each name bound around u to its new name; a field's
+        # binders are bound for its walk only
         if isinstance(u, Var):
             if u.name in env:
                 return Var(env[u.name])
@@ -509,14 +527,16 @@ def canonical(t: Term) -> Term:
         updates: dict[str, object] = {}
         spec = _BINDERS.get(type(u), {})
         for field in subterm_fields(u):
-            body = getattr(u, field)
-            local = dict(env)
+            undo = []
             for b in spec.get(field, ()):
                 new = f"{prefix}{len(names)}"
                 names.append(new)
-                local[getattr(u, b)] = new
+                x = getattr(u, b)
+                undo.append((x, env.get(x)))
+                env[x] = new
                 updates[b] = new
-            updates[field] = go(body, local)
+            updates[field] = go(getattr(u, field), env)
+            _unbind(env, undo)
         return _rebuild(u, updates) if updates else u
 
     out = go(t, {})

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import supcalc as sc
 from supcalc.cli import main
 
 T_SOURCE = "sup_elim{1/2,1/2}(sup(star(1/2),star(1/2)),x.x,y.y)\n"
@@ -273,6 +274,28 @@ def test_apply_rejects_a_lone_from_or_to(flag, tmp_path, capsys):
     assert "both --from and --to" in captured.err
 
 
+def _sum_chain(depth, nesting):
+    """A depth-deep chain of sums of star(1), nested to the right or left."""
+    n = depth - 1
+    if nesting == "right":
+        return "sum(star(1)," * n + "star(1)" + ")" * n
+    return "sum(" * n + "star(1)" + ",star(1))" * n
+
+
+@pytest.mark.parametrize("depth", [5000, 8000])
+@pytest.mark.parametrize("nesting", ["right", "left"])
+@pytest.mark.parametrize("command", ["check", "denote", "soundness"])
+def test_a_term_too_deep_to_type_check_is_one_type_error_line(
+        tmp_path, capsys, command, nesting, depth):
+    # the parser reads such a chain, the checker's recursion cannot
+    p = tmp_path / "deep.lsup"
+    p.write_text(_sum_chain(depth, nesting) + "\n")
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "type error: term is nested too deeply\n"
+
+
 def _fill(template):
     return lambda parts: template.format(*parts)
 
@@ -320,25 +343,79 @@ _FILES = st.one_of(
     st.text(max_size=60),
 )
 
+_V2 = sc.parse_prop("one & one")
+# the files of apply, which the other commands' files fuzz the parsing of:
+# function terms with a declared type, annotated, or neither, and an open
+# one
+_FUNCTIONS = st.sampled_from([
+    "-- ctx: y:one\nlam{one}(x,unit_elim(y,x))\n",
+    "-- type: one -o one\nlam(x,x)\n",
+    "lam(x,x)\n",
+    "lam{one & one}(x,pair(snd(x),fst(x)))\n",
+    "-- type: one (+) one -o one (+) one\nlam(x,x)\n",
+    "-- type: (one & one) -o (one & one)\n" + sc.print_term(
+        sc.encode_matrix([[1, 2], [3, 4]], _V2, _V2)) + "\n",
+])
+
+# Option values for apply, encode and laws, each passed as --opt=value so
+# that a drawn "-1" is never read as an option.
+_VECS = st.one_of(
+    st.lists(st.sampled_from(["1", "2", "1/2", "0"]) | _SCALARS,
+             max_size=4).map(lambda xs: "(" + ",".join(xs) + ")"),
+    st.sampled_from(["[1,2]", "[[1]]", "[", "5,6", "(1,,2)", ""]))
+_DOMAINS = st.sampled_from(["one", "one & one", "(one & one) & one",
+                           "top", "one (+) one"]) | _PROPS
+_ENTRIES = st.one_of(st.integers(-2, 9), _SCALARS,
+                     st.sampled_from([0.5, True, None, [1]]))
+_MATRICES = st.one_of(
+    st.lists(st.lists(_ENTRIES, max_size=3), max_size=3).map(json.dumps),
+    st.sampled_from(["5", "[1,2]", "[[1,", "{}", ""]))
+_COUNTS = st.integers(-1, 3)
+_JSON = st.sampled_from([[], ["--json"]])
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+# One strategy per command, each drawing a file text and an argument list
+# in which None stands for the file.
+_RUNS = st.sampled_from([
+    *(st.tuples(_FILES, st.just([argv[0], None, *argv[1:]]))
+      for argv in (["parse"], ["parse", "--prop"], ["check"], ["run"],
+                   ["distro"], ["denote"], ["soundness"])),
+    st.tuples(_FUNCTIONS, st.tuples(
+        _VECS, _maybe("--from", _DOMAINS), _maybe("--to", _DOMAINS),
+        _JSON).map(
+            lambda d: ["apply", None, f"--vec={d[0]}", *d[1], *d[2], *d[3]])),
+    st.tuples(st.just(""), st.tuples(_MATRICES, _DOMAINS, _DOMAINS).map(
+        lambda d: ["encode", f"--matrix={d[0]}", f"--from={d[1]}",
+                   f"--to={d[2]}"])),
+    st.tuples(st.just(""), st.tuples(_COUNTS, _COUNTS, st.integers(0, 9),
+                                     _JSON).map(
+        lambda d: ["laws", f"--trials={d[0]}", f"--max-dim={d[1]}",
+                   f"--seed={d[2]}", *d[3]])),
+]).flatmap(lambda run: run)
+
 
 @pytest.fixture(scope="module")
 def fuzz_file(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "f.lsup"
 
 
-# 980 examples give each of the seven commands about 140, each under one
-# of the four semirings.
-@settings(max_examples=980, deadline=None)
-@given(text=_FILES, argv=st.sampled_from([["parse"], ["parse", "--prop"],
-                                          ["check"], ["run"], ["distro"],
-                                          ["denote"], ["soundness"]]),
-       semiring=st.sampled_from(["qnn", "q", "bool", "f64"]))
+# 1400 examples give each of the ten commands about 140, each under one
+# of the four semirings: the seven that read only a file, apply with
+# drawn vectors and domains, encode with drawn matrices, and laws with
+# drawn counts.
+@settings(max_examples=1400, deadline=None)
+@given(run=_RUNS, semiring=st.sampled_from(["qnn", "q", "bool", "f64"]))
 def test_any_file_gets_an_exit_code_and_at_most_one_error_line(
-        fuzz_file, text, argv, semiring):
+        fuzz_file, run, semiring):
+    text, argv = run
     fuzz_file.write_text(text, encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([argv[0], str(fuzz_file), *argv[1:],
-                     "--semiring", semiring])
+        code = main([str(fuzz_file) if a is None else a for a in argv]
+                    + [f"--semiring={semiring}"])
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1, err.getvalue()

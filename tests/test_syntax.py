@@ -504,6 +504,119 @@ def test_canonical_binders_capture_no_free_name():
     assert len(sc.Distribution(((F(1), deep),)).aggregate(sc.QNN)) == 1
 
 
+def _former_alpha_eq(t, u):
+    """alpha_eq as it was, copying both environments at every binder."""
+    return _former_alpha(t, u, {}, {}, 0)
+
+
+def _former_alpha(t, u, envt, envu, depth):
+    if type(t) is not type(u):
+        return False
+    if isinstance(t, S.Var):
+        return envt.get(t.name, t.name) == envu.get(u.name, u.name)
+    for name in S._FIELDS[type(t)]:
+        a, b = getattr(t, name), getattr(u, name)
+        if isinstance(a, S.Term):
+            et, eu, d = envt, envu, depth
+            for x, y in zip(S.bound_names(t, name), S.bound_names(u, name)):
+                et = {**et, x: d}
+                eu = {**eu, y: d}
+                d += 1
+            if not _former_alpha(a, b, et, eu, d):
+                return False
+        elif isinstance(a, str) and name in S._BINDER_FIELDS[type(t)]:
+            continue
+        elif a != b:
+            return False
+    return True
+
+
+def _former_canonical(t):
+    """canonical as it was, copying its environment for every field."""
+    prefix = "v"
+    names = []
+    free = set()
+
+    def go(u, env):
+        if isinstance(u, S.Var):
+            if u.name in env:
+                return S.Var(env[u.name])
+            free.add(u.name)
+            return u
+        updates = {}
+        spec = S._BINDERS.get(type(u), {})
+        for field in S.subterm_fields(u):
+            local = dict(env)
+            for b in spec.get(field, ()):
+                new = f"{prefix}{len(names)}"
+                names.append(new)
+                local[getattr(u, b)] = new
+                updates[b] = new
+            updates[field] = go(getattr(u, field), local)
+        return S._rebuild(u, updates) if updates else u
+
+    out = go(t, {})
+    while not free.isdisjoint(names):
+        prefix += "v"
+        names.clear()
+        out = go(t, {})
+    return out
+
+
+def _agrees_with_the_former_definitions(t, u):
+    assert sc.canonical(t) == _former_canonical(t)
+    for a, b in ((t, u), (t, sc.canonical(t)), (u, sc.canonical(t)),
+                 (sc.canonical(t), sc.canonical(u)), (t, t)):
+        assert sc.alpha_eq(a, b) == _former_alpha_eq(a, b)
+
+
+def test_canonical_and_alpha_eq_match_the_former_definitions(corpus_entries):
+    terms = [e.term for e in corpus_entries]
+    gen = TermGenerator(seed=41, allow_sup_elim=True, max_depth=4)
+    terms += [gen.closed()[0] for _ in range(200)]
+    for t, u in zip(terms, terms[1:] + terms[:1]):
+        _agrees_with_the_former_definitions(t, u)
+
+
+# binders that shadow one another, and free names spelled like the
+# canonical binder names
+_ALPHA_NAMES = st.sampled_from(["x", "y", "v0", "v1", "vv0"])
+_ALPHA_TERMS = st.recursive(
+    st.one_of(_ALPHA_NAMES.map(S.Var), st.just(S.Unit())),
+    lambda t: st.builds(S.Lam, _ALPHA_NAMES, t)
+    | st.builds(S.Tens, t, t)
+    | st.builds(S.TensElim, t, _ALPHA_NAMES, _ALPHA_NAMES, t)
+    | st.builds(S.Case, t, _ALPHA_NAMES, t, _ALPHA_NAMES, t),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ALPHA_TERMS, _ALPHA_TERMS)
+def test_canonical_and_alpha_eq_match_the_former_definitions_on_shadowing(
+        t, u):
+    _agrees_with_the_former_definitions(t, u)
+
+
+@pytest.mark.parametrize("walk", [sc.canonical,
+                                  lambda t: sc.alpha_eq(t, t)])
+def test_canonical_and_alpha_eq_are_linear_in_binder_depth(walk):
+    # copying an environment per binder would take time quadratic in the
+    # depth of a chain of distinct binders: 4 times the depth would then
+    # take about 16 times as long
+    def best_of_three(depth):
+        deep = S.Var("x0")
+        for i in range(depth):
+            deep = S.Lam(f"x{i}", deep)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            walk(deep)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best_of_three(8_000) < 8 * best_of_three(2_000)
+
+
 def test_sup_is_distinct_from_with():
     assert S.Sup(S.One(), S.One()) != S.With(S.One(), S.One())
     assert sc.parse_prop("one (o) one") != sc.parse_prop("one & one")
