@@ -344,9 +344,8 @@ _FILES = st.one_of(
 )
 
 _V2 = sc.parse_prop("one & one")
-# the files of apply, which the other commands' files fuzz the parsing of:
-# function terms with a declared type, annotated, or neither, and an open
-# one
+# apply's files: function terms with a declared type, annotated, or
+# neither, and an open one (the other commands' files fuzz the parser)
 _FUNCTIONS = st.sampled_from([
     "-- ctx: y:one\nlam{one}(x,unit_elim(y,x))\n",
     "-- type: one -o one\nlam(x,x)\n",
