@@ -23,14 +23,14 @@ Each split records the partition and the permutation taking the ambient
 order to the premise order, which the denotational interpreter replays as
 a braiding.
 
-A checker may serve several judgments: it keeps each derivation with the
-context and the expected type it was checked in, keyed by the term
-object, and returns it when a later judgment asks for the same object in
-an equal context at an equal expected type.  Since the derivation of a
-judgment is unique, this is the derivation a fresh check would build;
-failures are not kept.  ``check_subject_reduction`` types all the reducts
-of a term with the term's own checker, so a reduct re-derives only the
-nodes its step rebuilt.
+The checker keeps nothing itself.  A term node keeps its free variables,
+whether it absorbs, and a weak link (a derivation holds its term) to the
+last derivation built for it, with the semiring, context and expected
+type.  While something else holds that derivation, a check of the node in
+that semiring and an equal context gets it back at that expected type, or
+at its own type if it was built with none: checking a term against the
+type it synthesizes derives the same.  Failures are not kept.  So a
+reduct re-derives only the nodes its step rebuilt.
 
 ``validate`` re-typechecks a derivation's root judgment once and compares
 the derivation with the checker's own, node by node.
@@ -38,6 +38,7 @@ the derivation with the checker's own, node by node.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -92,10 +93,13 @@ class Derivation:
     children: tuple["Derivation", ...] = ()
     split: Optional[SplitPlan] = None
 
+    # Kept beside the fields, and left out of a copy or a pickle: _built,
+    # the (semiring, expected type) the checker built the node for, and
+    # _mat, the matrix that denote gave it in its semiring.
+    _mat = None
 
-def can_absorb(t: Term) -> bool:
-    """Whether a typing of t can consume context variables it never uses."""
-    return _absorbs(t, can_absorb)
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
 
 
 # the forms whose rule splits its context (see the module docstring)
@@ -103,53 +107,35 @@ _SPLITS = {S.UnitElim, S.App, S.Tens, S.TensElim, S.ZeroElim, S.Case,
            S.SupElim}
 
 
-def _absorbs(t: Term, sub) -> bool:
-    """can_absorb(t), with ``sub`` deciding it for the subterms of t."""
+def can_absorb(t: Term) -> bool:
+    """Whether a typing of t can consume context variables it never uses.
+    A node decides it once, from its subterms', and keeps the answer."""
+    try:
+        return t._absorbs
+    except AttributeError:
+        pass
     names = S._CHILDREN[type(t)]
     if type(t) in _SPLITS:
-        if sub(getattr(t, names[0])):
-            return True
-        names = names[1:]
-    elif not names:
-        return type(t) is S.Unit
+        names = () if can_absorb(getattr(t, names[0])) else names[1:]
+        out = True
+    else:
+        out = bool(names) or type(t) is S.Unit
     for n in names:
-        if not sub(getattr(t, n)):
-            return False
-    return True
+        if not can_absorb(getattr(t, n)):
+            out = False
+            break
+    object.__setattr__(t, "_absorbs", out)
+    return out
 
 
 class _Checker:
-    """One checker for any number of judgments in one semiring.  Per-node
-    free variables and absorption are worked out once per node, and each
-    derivation is kept with the context and expected type it was checked
-    in; all are keyed by node identity, and every entry holds its term, so
-    that no id is reused while the checker lives."""
+    """One checker for any number of judgments in one semiring; what it
+    learns, it leaves on the nodes (see the module docstring)."""
 
     def __init__(self, semiring: Semiring):
         self.sr = semiring
-        self.free_vars = S._FreeVars()
-        self._absorb: dict[int, tuple[Term, bool]] = {}
-        self._derivs: dict[int, tuple[Context, Optional[Prop], Derivation]] = {}
-
-    def typecheck(self, ctx: Context, t: Term,
-                  expected: Optional[Prop] = None) -> Derivation:
-        ctx = tuple(ctx)
-        names = [x for x, _ in ctx]
-        if len(set(names)) != len(names):
-            raise TypingError(f"duplicate context variables in {names}")
-        try:
-            return self._typecheck(ctx, t, expected)
-        except RecursionError:
-            raise TypingError("term is nested too deeply") from None
 
     # -- context splitting ------------------------------------------------
-
-    def absorbs(self, t: Term) -> bool:
-        """can_absorb(t), decided once per node."""
-        hit = self._absorb.get(id(t))
-        if hit is None:
-            hit = self._absorb[id(t)] = (t, _absorbs(t, self.absorbs))
-        return hit[1]
 
     def split(self, ctx: Context,
               t: Term) -> tuple[Context, Context, SplitPlan]:
@@ -158,14 +144,14 @@ class _Checker:
         above."""
         first, *rest = S._CHILDREN[type(t)]
         left = getattr(t, first)
-        fv_left = self.free_vars(left)
-        absorb_left = self.absorbs(left)
+        fv_left = S.free_vars(left)
+        absorb_left = can_absorb(left)
         fv_right: set[str] = set()
         absorb_right = True
         for n in rest:
             r = getattr(t, n)
-            fv_right |= self.free_vars(r).difference(S.bound_names(t, n))
-            absorb_right = absorb_right and self.absorbs(r)
+            fv_right |= S.free_vars(r).difference(S.bound_names(t, n))
+            absorb_right = absorb_right and can_absorb(r)
         left_idx: list[int] = []
         right_idx: list[int] = []
         for i, (x, _) in enumerate(ctx):
@@ -194,11 +180,13 @@ class _Checker:
     # -- bidirectional checking -------------------------------------------
 
     def _typecheck(self, ctx: Context, t: Term, want: Optional[Prop]) -> Derivation:
-        # checking is deterministic and syntax directed, so a derivation
-        # depends only on (ctx, t, want); failures are not kept
-        hit = self._derivs.get(id(t))
-        if hit is not None and hit[0] == ctx and hit[1] == want:
-            return hit[2]
+        # a derivation depends only on (semiring, ctx, t, want), and one
+        # synthesized serves a check at its own type; failures are not kept
+        link = getattr(t, "_deriv", None)
+        d = link and link()
+        if d is not None and d._built[0] is self.sr and d.ctx == ctx and (
+                d._built[1] == want or d._built[1] is None and d.prop == want):
+            return d
         entry = self._CLAUSES.get(type(t))
         if entry is None:
             raise TypingError(f"cannot type {t!r}")
@@ -208,7 +196,8 @@ class _Checker:
             raise TypeMismatch(
                 f"{S.print_term(t)} has type {S.print_prop(d.prop)}, "
                 f"expected {S.print_prop(want)}")
-        self._derivs[id(t)] = (ctx, want, d)
+        object.__setattr__(d, "_built", (self.sr, want))
+        object.__setattr__(t, "_deriv", weakref.ref(d))
         return d
 
     # Each clause takes the context, the term, the expected type or None
@@ -414,7 +403,14 @@ RULE_TAGS = tuple(rule for rule, _ in _Checker._CLAUSES.values())
 def typecheck(ctx: Context, t: Term, expected: Optional[Prop] = None,
               semiring: Semiring = QNN) -> Derivation:
     """Type-check t in ctx, optionally against an expected proposition."""
-    return _Checker(semiring).typecheck(ctx, t, expected)
+    ctx = tuple(ctx)
+    names = [x for x, _ in ctx]
+    if len(set(names)) != len(names):
+        raise TypingError(f"duplicate context variables in {names}")
+    try:
+        return _Checker(semiring)._typecheck(ctx, t, expected)
+    except RecursionError:
+        raise TypingError("term is nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +516,13 @@ def check_subject_reduction(t: Term, ctx: Context = (),
     """Every one-step reduct must re-check at the same type."""
     from . import rewrite
 
-    # one checker for t and every reduct: a reduct re-derives only the
-    # nodes its step rebuilt
-    checker = _Checker(semiring)
-    d = checker.typecheck(ctx, t, expected)
+    # d holds t's derivation, whose nodes the reducts share
+    d = typecheck(ctx, t, expected, semiring)
     findings: list[SRFinding] = []
     steps = rewrite.step_all(t, semiring)
     for step, reduct in steps:
         try:
-            checker.typecheck(ctx, reduct, d.prop)
+            typecheck(ctx, reduct, d.prop, semiring)
         except TypingError as exc:
             findings.append(SRFinding(step.rule, step.pos, reduct, str(exc)))
     return SRReport(t, d.prop, len(steps), findings)

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .denote import (_Semantics, _global_soundness, _step_soundness,
+from .denote import (check_global_soundness, check_step_soundness,
                      denote as _denote)
 from . import matmodel as M
 from . import rewrite as RW
@@ -244,15 +244,15 @@ def _cmd_soundness(args, sr) -> int:
     if ctx:
         raise CliError("soundness expects a closed term", code=2)
     expected = S.parse_prop(args.type_, sr) if args.type_ else declared
-    # one checker and denoter: the whole-run check reuses the root's
-    # derivation and matrix from the per-step check
-    sem = _Semantics(sr)
+    # holding the root's derivation lets both checks reuse it, and the
+    # matrix the first check leaves on it
     try:
-        report = _step_soundness(sem, term, (), expected)
+        root = TC.typecheck((), term, expected, sr)
+        report = check_step_soundness(term, sr, expected=expected)
     except TC.TypingError as exc:
         print(f"type error: {exc}", file=sys.stderr)
         return 1
-    global_ok = _global_soundness(sem, term, expected)
+    global_ok = check_global_soundness(term, sr, expected)
     if args.json:
         print(json.dumps({
             "steps": [{"pos": list(c.pos), "rules": list(c.rules),

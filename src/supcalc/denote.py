@@ -32,16 +32,16 @@ strings are those of the whole-term check.  Both checks build the matrix
 to compare with through ``_reduct_mat``: a step's one reduct, or a fork's
 two paired as by ``with_i`` and mixed by the fork's weights.
 
-One checker and one denoter serve the whole call (``_Semantics``).  The
-checker returns the derivation it keeps for a term object when the context
-and the expected type match, and the denoter the matrix it keeps for a
-derivation node.  A contractum or a reduct therefore re-derives and
-re-denotes only the nodes its contraction rebuilt, the path to each
+A derivation node keeps its matrix, which names its semiring, for the
+node's life, and a term node a weak link to its derivation (see ``checker``).
+So while the root's derivation lives, a contractum or a reduct re-derives
+and re-denotes only the nodes its contraction rebuilt, the path to each
 substituted occurrence; an argument, a closed function or a branch that
 substitution left as the same object is the root's own node, with its
-matrix.  No comparison holds by construction: the redex's matrix comes
-from its own clause (for ``apply``, evaluation after the function and the
-argument), the contractum's from the clauses of the rebuilt path.
+derivation and matrix.  No comparison holds by construction: the redex's
+matrix comes from its own clause (for ``apply``, evaluation after the
+function and the argument), the contractum's from the clauses of the
+rebuilt path.
 """
 
 from __future__ import annotations
@@ -87,17 +87,15 @@ class Interp:
 
 class _Denoter:
     """One interpretation run, over any number of derivations.  Each
-    proposition's dimension and each node's matrix are worked out once per
-    run, keyed by identity; an entry holds its proposition or node, so
-    that no id is reused while the run lives.  A node's matrix is a
-    function of the node alone, so a node that several derivations share
-    is interpreted once.  Each node's (rows, cols) is worked out once,
-    before its clause."""
+    proposition's dimension is worked out once per run, keyed by identity;
+    an entry holds its proposition, so that no id is reused while the run
+    lives.  A node keeps its matrix (see the module docstring), so a node
+    that several derivations share is interpreted once.  Each node's
+    (rows, cols) is worked out once, before its clause."""
 
     def __init__(self, semiring: Semiring):
         self.sr = semiring
         self._dims: dict[int, tuple[Prop, int]] = {}
-        self.mats: dict[int, tuple[TC.Derivation, Mat]] = {}
 
     def dim(self, a: Prop) -> int:
         hit = self._dims.get(id(a))
@@ -129,10 +127,15 @@ class _Denoter:
             return mat
         return M.compose(mat, M.perm_mat(self.ctx_dims(d.ctx), order, self.sr))
 
+    def matrix(self, ctx: TC.Context, t: Term,
+               expected: Optional[Prop] = None) -> Mat:
+        """The matrix of t typed in ctx, against expected if given."""
+        return self.go(TC.typecheck(ctx, t, expected, self.sr))
+
     def go(self, d: TC.Derivation) -> Mat:
-        hit = self.mats.get(id(d))
-        if hit is not None:
-            return hit[1]
+        hit = d._mat
+        if hit is not None and hit.sr is self.sr:
+            return hit
         if d.rule not in self._CLAUSES:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
         # rows and cols are the dimensions of d's type and of its context
@@ -144,7 +147,7 @@ class _Denoter:
             raise M.ShapeMismatch(
                 f"internal: rule {d.rule} produced {mat.rows}x{mat.cols}, "
                 f"expected {rows}x{cols}")
-        self.mats[id(d)] = (d, mat)
+        object.__setattr__(d, "_mat", mat)
         return mat
 
     # Each clause takes the node, its premises' matrices, the node's shape
@@ -227,24 +230,9 @@ def denote(d: TC.Derivation, semiring: Semiring = QNN) -> Interp:
     return Interp(d, mat.cols, mat.rows, mat)
 
 
-class _Semantics:
-    """One checker and one denoter for the judgments of one call: a term
-    built from another's subterms re-derives and re-denotes only the nodes
-    that are new."""
-
-    def __init__(self, semiring: Semiring):
-        self.checker = TC._Checker(semiring)
-        self.denoter = _Denoter(semiring)
-
-    def matrix(self, ctx: TC.Context, t: Term,
-               expected: Optional[Prop] = None) -> Mat:
-        """The matrix of t typed in ctx, against expected if given."""
-        return self.denoter.go(self.checker.typecheck(ctx, t, expected))
-
-
 def denote_closed(t: Term, expected: Optional[Prop] = None,
                   semiring: Semiring = QNN) -> Mat:
-    return _Semantics(semiring).matrix((), t, expected)
+    return _Denoter(semiring).matrix((), t, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,7 @@ def check_substitution(t_deriv: TC.Derivation, v_deriv: TC.Derivation,
         raise TC.TypingError(f"contexts share variables {sorted(overlap)}")
     new_ctx = gamma + v_deriv.ctx
     subst_term = S.substitute(v_deriv.term, x, t_deriv.term)
-    lhs = _Semantics(semiring).matrix(new_ctx, subst_term, t_deriv.prop)
+    lhs = _Denoter(semiring).matrix(new_ctx, subst_term, t_deriv.prop)
     t_mat = denote(t_deriv, semiring).matrix
     v_mat = denote(v_deriv, semiring).matrix
     g = denote_ctx(gamma)
@@ -306,22 +294,17 @@ def check_step_soundness(t: Term, semiring: Semiring = QNN,
     Each redex is checked in its own sub-derivation, and a position whose
     local check does not pass is checked again on the whole term (see the
     module docstring)."""
-    return _step_soundness(_Semantics(semiring), t, ctx, expected)
-
-
-def _step_soundness(sem: _Semantics, t: Term, ctx: TC.Context,
-                    expected: Optional[Prop]) -> SoundnessReport:
-    """check_step_soundness through sem's checker and denoter."""
-    d = sem.checker.typecheck(ctx, t, expected)
-    base = sem.denoter.go(d)
+    denoter = _Denoter(semiring)
+    d = TC.typecheck(ctx, t, expected, semiring)
+    base = denoter.go(d)
     checks: list[StepCheck] = []
     # _redexes lists positions in preorder, which is their sorted order
-    for pos, entries in rewrite._redexes(t, sem.denoter.sr):
+    for pos, entries in rewrite._redexes(t, semiring):
         sd = _node_at(d, pos)
-        if sd is not None and _locally_sound(sd, entries, sem):
+        if sd is not None and _locally_sound(sd, entries, denoter):
             checks.append(StepCheck(pos, tuple(r for r, _, _ in entries), True))
         else:
-            checks.append(_whole_term_check(t, d, base, pos, entries, sem))
+            checks.append(_whole_term_check(t, d, base, pos, entries, denoter))
     return SoundnessReport(t, checks)
 
 
@@ -340,37 +323,37 @@ def _node_at(d: TC.Derivation,
 
 
 def _reduct_mat(entries, reduct, ctx: TC.Context, prop: Prop,
-                sem: _Semantics) -> Mat:
+                denoter: _Denoter) -> Mat:
     """The matrix a redex's contraction entries must keep: each contractum
     c made into the term reduct(c) and typed in ctx at prop, the one
     reduct's matrix, or a fork's two paired as by with_i and mixed by the
     fork's weights."""
-    mats = [sem.matrix(ctx, reduct(c), prop) for _, _, c in entries]
+    mats = [denoter.matrix(ctx, reduct(c), prop) for _, _, c in entries]
     if len(mats) == 1:
         return mats[0]
     mix = M.weighted_codiag(tuple(w for _, w, _ in entries), mats[0].rows,
-                            sem.denoter.sr)
+                            denoter.sr)
     return M.compose(mix, M.pair_mat(*mats))
 
 
-def _locally_sound(sd: TC.Derivation, entries, sem: _Semantics) -> bool:
+def _locally_sound(sd: TC.Derivation, entries, denoter: _Denoter) -> bool:
     """Whether the contracta of the redex derived by sd, typed in sd's
-    context at sd's type, keep the matrix sem kept for sd."""
+    context at sd's type, keep sd's matrix."""
     try:
-        other = _reduct_mat(entries, lambda c: c, sd.ctx, sd.prop, sem)
+        other = _reduct_mat(entries, lambda c: c, sd.ctx, sd.prop, denoter)
     except (TC.TypingError, WeightError):
         return False
-    return sem.denoter.mats[id(sd)][1].equal(other)
+    return denoter.go(sd).equal(other)
 
 
 def _whole_term_check(t: Term, d: TC.Derivation, base: Mat,
                       pos: tuple[int, ...], entries,
-                      sem: _Semantics) -> StepCheck:
+                      denoter: _Denoter) -> StepCheck:
     """The check of the redex at pos on the whole term: each reduct is
     typed and denoted from the root and compared with base, the matrix of
     t's derivation d."""
     other = _reduct_mat(entries, lambda c: S.replace_at(t, pos, c), d.ctx,
-                        d.prop, sem)
+                        d.prop, denoter)
     ok = base.equal(other)
     return StepCheck(pos, tuple(r for r, _, _ in entries), ok,
                      "" if ok else f"{base!r} != {other!r}")
@@ -379,18 +362,12 @@ def _whole_term_check(t: Term, d: TC.Derivation, base: Mat,
 def check_global_soundness(t: Term, semiring: Semiring = QNN,
                            expected: Optional[Prop] = None) -> bool:
     """The matrix of a closed term equals the matrix of the weighted sum
-    of its run results."""
-    return _global_soundness(_Semantics(semiring), t, expected)
-
-
-def _global_soundness(sem: _Semantics, t: Term,
-                      expected: Optional[Prop]) -> bool:
-    """check_global_soundness through sem's checker and denoter, which
-    keep the root's derivation and matrix from an earlier check."""
-    d = sem.checker.typecheck((), t, expected)
-    dist = rewrite.distribution(t, sem.denoter.sr)
-    summed = rewrite.sum_of_distribution(dist, sem.denoter.sr)
-    return sem.denoter.go(d).equal(sem.matrix((), summed, d.prop))
+    of its run results; t's derivation, while held, is reused."""
+    denoter = _Denoter(semiring)
+    d = TC.typecheck((), t, expected, semiring)
+    dist = rewrite.distribution(t, semiring)
+    summed = rewrite.sum_of_distribution(dist, semiring)
+    return denoter.go(d).equal(denoter.matrix((), summed, d.prop))
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +385,8 @@ def adequacy_compare(t: Term, u: Term, a: Prop,
                      semiring: Semiring = QNN) -> AdequacyVerdict:
     """Equal matrices must imply observational indistinguishability; the
     converse direction is not claimed."""
-    sem = _Semantics(semiring)
-    if not sem.matrix((), t, a).equal(sem.matrix((), u, a)):
+    denoter = _Denoter(semiring)
+    if not denoter.matrix((), t, a).equal(denoter.matrix((), u, a)):
         return AdequacyVerdict(False, None, "distinct denotations")
     try:
         mixed = rewrite.mixed_equiv(t, u, a, semiring)

@@ -6,6 +6,13 @@ based and whitespace insensitive; see the package README for the full
 grammar.  ``lam``, ``inl``, ``inr`` and ``zero_elim`` accept an optional
 ``{type}`` annotation, which the bidirectional checker uses where a type
 cannot be synthesized from the term alone.
+
+A term node keeps facts about itself, each worked out when first asked
+for and kept for the node's life: its free variables (``free_vars``),
+whether it absorbs (``checker.can_absorb``) and a weak link to its last
+derivation.  Later calls reuse what earlier ones learned about the same
+object; an equal but distinct node learns its own.  Facts live in slots,
+outside the fields, so ``_rebuild``, copies and pickles carry none.
 """
 
 from __future__ import annotations
@@ -85,10 +92,14 @@ class Sup(Prop):
 
 
 class Term:
-    __slots__ = ()
+    # the facts a node keeps about itself (see the module docstring)
+    __slots__ = ("_fv", "_absorbs", "_deriv")
 
     def __str__(self) -> str:
         return print_term(self)
+
+    def __getstate__(self):
+        return self.__dict__
 
 
 @dataclass(frozen=True)
@@ -276,7 +287,8 @@ def bound_names(t: Term, field: str) -> tuple[str, ...]:
 def _rebuild(t: Term, updates: dict[str, object]) -> Term:
     """t with some fields replaced.  Term classes have no __post_init__, so
     filling a new instance's fields directly makes the node the constructor
-    would, without the constructor's frozen per-field writes."""
+    would, without the constructor's frozen per-field writes.  The facts
+    live in slots, not in __dict__, so the new node inherits none."""
     new = object.__new__(type(t))
     new.__dict__.update(t.__dict__, **updates)
     return new
@@ -324,32 +336,31 @@ def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
     return f"{base}{i}"
 
 
-class _FreeVars:
-    """Free variables, worked out once per node from its subterms' and kept
-    for the life of the object.  Entries are keyed by node identity and
-    hold their node, so that no id is reused by a term built while the
-    object lives."""
-
-    def __init__(self):
-        self._free: dict[int, tuple[Term, frozenset[str]]] = {}
-
-    def __call__(self, t: Term) -> frozenset[str]:
-        hit = self._free.get(id(t))
-        if hit is not None:
-            return hit[1]
-        if isinstance(t, Var):
-            fv = frozenset((t.name,))
-        else:
-            acc: set[str] = set()
-            for n in _CHILDREN[type(t)]:
-                acc |= self(getattr(t, n)).difference(bound_names(t, n))
-            fv = frozenset(acc)
-        self._free[id(t)] = (t, fv)
-        return fv
+_NO_NAMES: frozenset[str] = frozenset()
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    return _FreeVars()(t)
+    """The free variables of t.  A node works them out once, from its
+    subterms', and keeps them; where they are a subterm's, it shares that
+    subterm's set."""
+    try:
+        return t._fv
+    except AttributeError:
+        pass
+    cls = type(t)
+    if cls is Var:
+        fv = frozenset((t.name,))
+    else:
+        fv = _NO_NAMES
+        for n in _CHILDREN[cls]:
+            sub = free_vars(getattr(t, n))
+            bound = bound_names(t, n)
+            if bound and not sub.isdisjoint(bound):
+                sub = sub.difference(bound) or _NO_NAMES
+            if not sub <= fv:
+                fv = sub if fv <= sub else fv | sub
+    object.__setattr__(t, "_fv", fv)
+    return fv
 
 
 def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
@@ -358,15 +369,9 @@ def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
     A binder is renamed only when it would capture a free variable of an
     image; its fresh name avoids the body's free variables, the mapped
     names, the node's binders, the names given so far and the images'
-    free variables.  Free variables are worked out once per node for the
-    whole call, so it takes time linear in the size of t and the images."""
-    return _subst(t, mapping, None)
-
-
-def _subst(t: Term, mapping: dict[str, Term],
-           fvs: Optional[_FreeVars]) -> Term:
-    """subst_parallel(t, mapping), reading free variables from fvs, which
-    is made at the first node that needs it."""
+    free variables.  Each node's free variables are worked out at most
+    once (``free_vars``), so it takes time linear in the size of t and the
+    images."""
     mapping = {x: v for x, v in mapping.items() if v != Var(x)}
     if not mapping:
         return t
@@ -374,9 +379,7 @@ def _subst(t: Term, mapping: dict[str, Term],
         return mapping.get(t.name, t)
     if isinstance(t, Hole):
         return t
-    if fvs is None:
-        fvs = _FreeVars()
-    fv = fvs(t)
+    fv = free_vars(t)
     relevant = {x: v for x, v in mapping.items() if x in fv}
     if not relevant:
         return t
@@ -387,22 +390,22 @@ def _subst(t: Term, mapping: dict[str, Term],
         body = getattr(t, field)
         bvars = binder_spec.get(field, ())
         bound = {getattr(t, b) for b in bvars}
-        fv_body = fvs(body)
+        fv_body = free_vars(body)
         local = {x: v for x, v in relevant.items()
                  if x not in bound and x in fv_body}
         # rename binders that would capture free variables of the images
         for b in bvars:
             bname = getattr(t, b)
-            if not any(bname in fvs(v) for v in local.values()):
+            if not any(bname in free_vars(v) for v in local.values()):
                 continue
             taken = set(fv_body) | set(local) | bound
             taken |= set(renames.values())
             for v in local.values():
-                taken |= fvs(v)
+                taken |= free_vars(v)
             new_name = fresh_name(bname, taken)
             renames[b] = new_name
-            body = _subst(body, {bname: Var(new_name)}, fvs)
-        new_body = _subst(body, local, fvs) if local else body
+            body = subst_parallel(body, {bname: Var(new_name)})
+        new_body = subst_parallel(body, local) if local else body
         if new_body is not body or body is not getattr(t, field):
             updates[field] = new_body
     for b, new_name in renames.items():
@@ -412,7 +415,7 @@ def _subst(t: Term, mapping: dict[str, Term],
 
 def substitute(v: Term, x: str, t: Term) -> Term:
     """The substitution of x by v in t, written (v/x)t."""
-    return _subst(t, {x: v}, None)
+    return subst_parallel(t, {x: v})
 
 
 # ---------------------------------------------------------------------------
@@ -649,19 +652,35 @@ _PROP_LEVEL = {cls: level for cls, level, _ in _CONNECTIVES.values()}
 # Concrete syntax: parser
 
 
+# The deepest nesting of term forms and propositions the parser reads,
+# below the recursion limit set above with room for the caller's frames.
+MAX_NESTING = 9000
+
+
 class _Parser:
     """Recursive descent over the token tuples of one text, recursing once
     per nesting level.  A rule takes the index of its first token and
     returns what it read with the index of the token after it.  A token's
     line and column are worked out only for an error, by matching the text
-    again up to that token."""
+    again up to that token.  The form past MAX_NESTING deep is refused at
+    its first token, so where depends on the text alone; a RecursionError,
+    which a caller deep in its own stack may meet first, at the innermost
+    rule's token."""
 
     def __init__(self, text: str, semiring: Semiring):
         self.text = text
         self.toks = _TOKEN.findall(text)
         self.toks.append(_END)
         self.sr = semiring
+        self.depth = 0  # the term forms and propositions being read
         self.deepest = 0  # the innermost rule's token at a RecursionError
+
+    def nest(self, i: int) -> int:
+        """The depth of the form at token i, refused past MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise self.error("input is nested too deeply", i)
+        self.depth += 1
+        return self.depth
 
     def error(self, message: str, i: int, expected=()) -> ParseError:
         """message at token i, unless the text holds a tokenizer error,
@@ -719,6 +738,7 @@ class _Parser:
         parentheses bind at level or tighter."""
         toks = self.toks
         try:
+            depth = self.nest(i)
             punct, word, _ = toks[i]
             if word in _NULLARY:
                 left, i = _NULLARY[word](), i + 1
@@ -732,6 +752,7 @@ class _Parser:
             while True:
                 conn = _CONNECTIVES.get(toks[i][0])
                 if conn is None or conn[1] < level:
+                    self.depth = depth - 1
                     return left, i
                 right, i = self.prop(i + 1, conn[2])
                 left = conn[0](left, right)
@@ -750,6 +771,7 @@ class _Parser:
                     return Var(word), i + 1
                 raise self.fail(i, ("term keyword",) if word else ("term",))
             cls, pieces, order = form
+            depth = self.nest(i)
             at = i = i + 1
             args = []
             for text, rule in pieces:
@@ -762,6 +784,7 @@ class _Parser:
                     args.append(value)
             if order is not None:
                 args = [args[k] for k in order]
+            self.depth = depth - 1
             if cls is not SupElim:
                 return cls(*args), i
         except RecursionError:
@@ -803,9 +826,7 @@ _KEYWORD_FORM = {word: _read_form(cls) for word, cls in _KEYWORD_CLASS.items()}
 
 
 def _parse(text: str, semiring: Semiring, rule):
-    """rule run on the tokens of text, which it must read to the end.
-    Input nested deeper than the interpreter's recursion limit is refused
-    at the innermost rule's token."""
+    """rule run on the tokens of text, which it must read to the end."""
     if not text.isascii():  # where a name may start with a non-letter
         lexical = _lexical_error(text)
         if lexical is not None:

@@ -11,6 +11,18 @@ def corpus_entries():
     return sc.corpus()
 
 
+def naive_free_vars(t) -> frozenset:
+    """The free variables of t worked out from scratch at every call, from
+    the term's fields alone, with none of the facts its nodes keep."""
+    if isinstance(t, S.Var):
+        return frozenset((t.name,))
+    out = set()
+    for name in S.subterm_fields(t):
+        out |= naive_free_vars(getattr(t, name)) - set(
+            S.bound_names(t, name))
+    return frozenset(out)
+
+
 def shape_of_value_ok(t, a) -> bool:
     """The closed-normal-form shape table: one value shape per connective,
     with sums and scalar products surviving only at tensor and plus types."""

@@ -17,6 +17,7 @@ from supcalc import syntax as S
 from supcalc.cli import _derivation_json
 from supcalc.gen import TermGenerator
 from supcalc.semiring import SemiringError
+from conftest import naive_free_vars
 
 
 def check(src, type_src=None, ctx_src=""):
@@ -395,29 +396,30 @@ def test_generated_terms_typecheck_and_validate():
 
 
 def test_checker_memo_agrees_with_free_vars_and_can_absorb(corpus_entries):
-    terms = [e.term for e in corpus_entries]
+    # the free variables and absorption a check leaves on the nodes are
+    # those worked out from scratch
+    judgments = [(e.ctx, e.term, e.prop) for e in corpus_entries]
     gen = TermGenerator(seed=12, allow_sup_elim=True, max_depth=4)
-    terms += [gen.closed()[0] for _ in range(100)]
-    for t in terms:
-        checker = C._Checker(sc.QNN)
+    judgments += [((), *gen.closed()) for _ in range(100)]
+    for ctx, t, a in judgments:
+        sc.typecheck(ctx, t, a)
         for _, u in S.subterms(t):
-            assert checker.free_vars(u) == S.free_vars(u), sc.print_term(u)
-            assert checker.absorbs(u) == C.can_absorb(u), sc.print_term(u)
+            assert S.free_vars(u) == naive_free_vars(u), sc.print_term(u)
+            assert C.can_absorb(u) == _absorbs_by_cases(u), sc.print_term(u)
 
 
 def test_context_splits_are_linear_in_nesting_depth(monkeypatch):
-    # each node's free variables are worked out once per typecheck call,
-    # so the free-variable memo (its recursive calls included) is asked a
-    # bounded number of times per node
-    real = S._FreeVars.__call__
+    # each node works out its free variables once, so free_vars (its
+    # recursive calls included) is asked a bounded number of times per node
+    real = S.free_vars
     calls = 0
 
-    def counting(self, t):
+    def counting(t):
         nonlocal calls
         calls += 1
-        return real(self, t)
+        return real(t)
 
-    monkeypatch.setattr(S._FreeVars, "__call__", counting)
+    monkeypatch.setattr(S, "free_vars", counting)
 
     def calls_at(depth):
         nonlocal calls
@@ -460,6 +462,76 @@ def test_a_shared_object_is_derived_at_each_expected_type():
     assert sc.validate(d).ok
     # one term object, two derivations, two matrices (1x1 and 4x1)
     assert sc.denote(d).matrix.equal(sc.denote(copy).matrix)
+
+
+def test_a_derivation_is_returned_in_its_own_semiring_only():
+    t = sc.parse_term("app(lam(x,pair(x,unit)),star(1))")
+    d = sc.typecheck((), t, None, sc.QNN)
+    assert sc.typecheck((), t, None, sc.QNN) is d
+    for semiring in (sc.BOOL, sc.F64):
+        other = sc.typecheck((), t, None, semiring)
+        assert other is not d and other == d
+    # the other semirings' derivations replaced the link, so qnn derives
+    # again, and its new derivation is kept
+    again = sc.typecheck((), t, None, sc.QNN)
+    assert again is not d and again == d
+    assert sc.typecheck((), t, None, sc.QNN) is again
+
+
+def test_a_copy_of_a_term_gets_a_derivation_of_its_own():
+    import copy
+    import pickle
+
+    t = sc.parse_term("lam(x,tens(x,unit))")
+    a = sc.parse_prop("one -o one (*) top")
+    d = sc.typecheck((), t, a)
+    dup = copy.copy(t)
+    got = sc.typecheck((), dup, a)
+    assert got.term is dup and got is not d and got == d
+    assert sc.typecheck((), t, a) is d
+    # a derivation that keeps its matrix still copies and pickles
+    sc.denote(d)
+    for made in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert made == d and made._mat is None
+
+
+def test_an_equal_term_that_is_another_object_is_derived_afresh():
+    t = sc.parse_term("sup_elim{1/2,1/2}(sup(star(1),star(2)),x.x,y.y)")
+    d = sc.typecheck((), t)
+    u = sc.parse_term(sc.print_term(t))
+    assert u == t and u is not t
+    got = sc.typecheck((), u)
+    assert got == d and got is not d and got.term is u
+    for a, b in zip(S.nodes(d.term), S.nodes(got.term)):
+        assert a is not b
+
+
+def test_failures_are_not_kept():
+    t = sc.parse_term("pair(star(1),unit)")
+    right, wrong = sc.parse_prop("one & top"), sc.parse_prop("one & one")
+    with pytest.raises(C.TypeMismatch):
+        sc.typecheck((), t, wrong)
+    d = sc.typecheck((), t, right)
+    with pytest.raises(C.TypeMismatch):
+        sc.typecheck((), t, wrong)
+    assert sc.typecheck((), t, right) is d
+    assert sc.typecheck((), t, None) is not d
+
+
+def test_a_synthesized_derivation_serves_a_check_at_its_type_only():
+    # checking a term against the type it synthesizes derives the same,
+    # but a derivation checked against a type says nothing of synthesis:
+    # a bare injection checks and does not synthesize
+    t = sc.parse_term("pair(star(1),unit)")
+    d = sc.typecheck((), t)
+    assert sc.typecheck((), t, d.prop) is d
+    with pytest.raises(C.TypeMismatch):
+        sc.typecheck((), t, S.With(S.One(), S.One()))
+    u = sc.parse_term("inl(star(1))")
+    checked = sc.typecheck((), u, sc.parse_prop("one (+) top"))
+    with pytest.raises(C.AmbiguousType):
+        sc.typecheck((), u)
+    assert sc.typecheck((), u, checked.prop) is checked
 
 
 def fresh_subject_reduction(t, ctx, semiring, expected):
@@ -521,23 +593,37 @@ def _pinned_judgments(corpus_entries):
 
 def test_checker_outcomes_are_pinned(corpus_entries):
     # derivations with their split plans, and the class and message of
-    # every error, in the order the checker meets them
-    digest = hashlib.sha256()
-    kinds = {}
-    for semiring in (sc.QNN, sc.BOOL):
-        for ctx, t, a in _pinned_judgments(corpus_entries):
-            try:
-                d = sc.typecheck(ctx, t, a, semiring)
-            except (C.TypingError, SemiringError) as exc:
-                kind = type(exc).__name__
-                outcome = f"{kind}: {exc}"
-            else:
-                kind = "Derivation"
-                outcome = json.dumps(_derivation_json(d))
-            kinds[kind] = kinds.get(kind, 0) + 1
-            digest.update(outcome.encode() + b"\n")
-    assert kinds == {"Derivation": 14582, "UnboundVariable": 7412,
-                     "LinearViolation": 1310, "WeightError": 1147,
-                     "TypeMismatch": 579, "AmbiguousType": 100}
-    assert digest.hexdigest() == (
-        "0a207a47b6e612b42f3798fe9072e1bba0a2a3822e77fe09e41a3e15b1b0a3f1")
+    # every error, in the order the checker meets them; a second pass over
+    # the same term objects, which keep the first pass's facts and hold
+    # links to its derivations, reads the same
+    judgments = list(_pinned_judgments(corpus_entries))
+    kept = []
+    digests = []
+    for first_pass in (True, False):
+        reused = 0
+        digest = hashlib.sha256()
+        kinds = {}
+        for semiring in (sc.QNN, sc.BOOL):
+            for ctx, t, a in judgments:
+                try:
+                    d = sc.typecheck(ctx, t, a, semiring)
+                except (C.TypingError, SemiringError) as exc:
+                    kind = type(exc).__name__
+                    outcome = f"{kind}: {exc}"
+                else:
+                    kind = "Derivation"
+                    outcome = json.dumps(_derivation_json(d))
+                    if first_pass:
+                        kept.append(d)
+                    else:
+                        reused += id(d) in kept_ids
+                kinds[kind] = kinds.get(kind, 0) + 1
+                digest.update(outcome.encode() + b"\n")
+        assert kinds == {"Derivation": 14582, "UnboundVariable": 7412,
+                         "LinearViolation": 1310, "WeightError": 1147,
+                         "TypeMismatch": 579, "AmbiguousType": 100}
+        digests.append(digest.hexdigest())
+        kept_ids = {id(d) for d in kept}
+    assert reused > 0
+    assert digests == 2 * [
+        "0a207a47b6e612b42f3798fe9072e1bba0a2a3822e77fe09e41a3e15b1b0a3f1"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -134,19 +135,55 @@ def test_soundness_report(ufile, capsys):
 
 def test_soundness_types_and_denotes_through_one_checker(ufile, capsys,
                                                          monkeypatch):
-    # the whole-run check reuses the per-step check's root derivation
-    from supcalc import checker
-    made = []
-    real = checker._Checker.__init__
+    # the command holds the root's derivation across both checks, so each
+    # judgment of it is derived once and each of its nodes denoted once;
+    # the log holds terms, not derivations, so it keeps none alive
+    from supcalc import checker, cli
+    denote = importlib.import_module("supcalc.denote")
+    judged, denoted, roots = [], [], []
 
-    def counting(self, *args):
-        made.append(self)
-        real(self, *args)
+    def logged(clause):
+        def apply(self, ctx, t, want, rule):
+            judged.append((t, ctx, want))
+            return clause(self, ctx, t, want, rule)
+        return apply
 
-    monkeypatch.setattr(checker._Checker, "__init__", counting)
+    def counted(clause):
+        def apply(self, d, *args):
+            denoted.append((d.term, d.ctx, d.prop))
+            return clause(self, d, *args)
+        return apply
+
+    def loading(*args):
+        loaded = load(*args)
+        roots.append(loaded[0])
+        return loaded
+
+    load = cli.load_term_file
+    monkeypatch.setattr(cli, "load_term_file", loading)
+    monkeypatch.setattr(checker._Checker, "_CLAUSES", {
+        cls: (rule, logged(clause))
+        for cls, (rule, clause) in checker._Checker._CLAUSES.items()})
+    monkeypatch.setattr(denote._Denoter, "_CLAUSES", {
+        rule: (counted(clause), arg)
+        for rule, (clause, arg) in denote._Denoter._CLAUSES.items()})
     assert main(["soundness", ufile]) == 0
     assert capsys.readouterr().out.endswith("whole-run identity: ok\n")
-    assert len(made) == 1
+    run, ran_denoter = list(judged), list(denoted)
+    # the root's judgments and nodes, from a derivation made afresh
+    judged.clear()
+    root = sc.typecheck((), roots[0])
+    nodes, stack = [], [root]
+    while stack:
+        nodes.append(stack.pop())
+        stack.extend(nodes[-1].children)
+    assert len(judged) == len(nodes) == 6
+    for u, ctx, want in judged:
+        assert sum(v is u and c == ctx and w == want
+                   for v, c, w in run) == 1, sc.print_term(u)
+    for n in nodes:
+        assert sum(u is n.term and c == n.ctx and p == n.prop
+                   for u, c, p in ran_denoter) == 1, sc.print_term(n.term)
 
 
 @pytest.mark.parametrize("command", ["check", "denote", "soundness"])
@@ -294,6 +331,21 @@ def test_a_term_too_deep_to_type_check_is_one_type_error_line(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "type error: term is nested too deeply\n"
+
+
+def test_parse_and_check_refuse_a_chain_past_the_nesting_limit_alike(
+        tmp_path, capsys):
+    p = tmp_path / "deep.lsup"
+    p.write_text(_sum_chain(15000, "right") + "\n")
+    errors = []
+    for command in ("parse", "check"):
+        assert main([command, str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("syntax error: 1:")
+    assert errors[0].endswith(": input is nested too deeply\n")
 
 
 def _fill(template):

@@ -345,6 +345,11 @@ def test_step_soundness_matches_the_whole_term_reference(monkeypatch,
         got = sc.check_step_soundness(t, SR, expected=a)
         assert got == whole_term_step_soundness(t, SR, expected=a), (
             sc.print_term(t))
+        # again, on a term whose nodes now carry facts, with its root's
+        # derivation and matrix held
+        held = sc.denote(sc.typecheck((), t, a, SR), SR)
+        assert sc.check_step_soundness(t, SR, expected=a) == got
+        assert held.derivation.term is t
     assert fallbacks == []
 
 
@@ -435,31 +440,81 @@ def _encoded_application(n):
 @pytest.mark.parametrize("n", [6, 12, 24])
 def test_step_soundness_derives_and_denotes_only_rebuilt_nodes(monkeypatch,
                                                                n):
-    # a contractum shares every node that substitution left as it was with
-    # the root, so the whole check costs a small multiple of one typecheck
-    # and denote, however many redexes the term has
-    counts = {"visits": 0, "clauses": 0}
+    # while the root's derivation is held, a contractum shares every node
+    # that substitution left as it was with the root, derivation and matrix
+    # included; so the check derives a node of the root only where the
+    # contractum asks it for a judgment the root's derivation does not
+    # hold, and denotes only the nodes it derives
+    judged = []
+    counts = {"clauses": 0}
 
-    def counted(clause, key):
+    def logged(clause):
+        def apply(self, ctx, t, want, rule):
+            judged.append((t, ctx, want))
+            return clause(self, ctx, t, want, rule)
+        return apply
+
+    def counted(clause):
         def apply(*args):
-            counts[key] += 1
+            counts["clauses"] += 1
             return clause(*args)
         return apply
 
     monkeypatch.setattr(C._Checker, "_CLAUSES", {
-        cls: (rule, counted(clause, "visits"))
+        cls: (rule, logged(clause))
         for cls, (rule, clause) in C._Checker._CLAUSES.items()})
     monkeypatch.setattr(D._Denoter, "_CLAUSES", {
-        rule: (counted(clause, "clauses"), arg)
+        rule: (counted(clause), arg)
         for rule, (clause, arg) in D._Denoter._CLAUSES.items()})
     t, a = _encoded_application(n)
-    sc.denote(sc.typecheck((), t, a))
-    once = dict(counts)
-    counts.update(visits=0, clauses=0)
+    held = sc.denote(sc.typecheck((), t, a))
+    once = len(judged)
+    assert counts["clauses"] == once
+    root = {(id(u), ctx, want) for u, ctx, want in judged}
+    judged.clear()
+    counts["clauses"] = 0
     report = sc.check_step_soundness(t, SR, expected=a)
     assert report.ok and len(report.checks) > n
-    for key in counts:
-        assert counts[key] <= 2.5 * once[key], (key, counts, once)
+    old = {id(u) for u in S.nodes(t)}
+    rebuilt = {id(u) for pos, entries in R._redexes(t, SR)
+               for _, _, c in entries for u in S.nodes(c) if id(u) not in old}
+    again = [(u, ctx, want) for u, ctx, want in judged if id(u) in old]
+    assert len(judged) - len(again) == len(rebuilt)
+    assert not any((id(u), ctx, want) in root for u, ctx, want in again)
+    assert counts["clauses"] == len(judged) <= 2 * len(rebuilt) < once
+    assert held.derivation.term is t
+
+
+def test_a_derivation_keeps_its_matrix_in_each_semiring_apart():
+    d = sc.typecheck((), term("lam{one & one}(x,x)"))
+    exact = sc.denote(d, SR).matrix
+    assert sc.denote(d, SR).matrix is exact
+    floats = sc.denote(d, sc.F64).matrix
+    assert floats.sr is sc.F64 and type(floats.at(0, 0)) is float
+    assert sc.denote(d, sc.F64).matrix is floats
+    again = sc.denote(d, SR).matrix
+    assert again.sr is SR and type(again.at(0, 0)) is F
+    assert again.equal(exact)
+
+
+def test_a_derivation_and_its_matrix_are_freed_with_it():
+    # the term's link to its derivation is weak, so dropping the
+    # derivation frees it even with the cycle collector off
+    import gc
+    import weakref
+
+    t, a = _encoded_application(3)
+    gc.disable()
+    try:
+        d = sc.typecheck((), t, a)
+        sc.denote(d)
+        assert sc.typecheck((), t, a) is d
+        alive = weakref.ref(d)
+        kids = [weakref.ref(k) for k in d.children]
+        del d
+        assert alive() is None and all(k() is None for k in kids)
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supcalc as sc
+from supcalc import checker as C
+from supcalc import rewrite as R
 from supcalc import syntax as S
 from supcalc.gen import TermGenerator
+from conftest import naive_free_vars
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,36 @@ def test_too_deep_input_is_a_parse_error_about_nesting(parse, src):
     assert "nested too deeply" in message and "recursion" not in message
     # the position is a token inside the nesting, not the end of input
     assert exc.value.line == 1 and 1 < exc.value.col < len(src) // 2
+
+
+def _nested_sums(depth):
+    """A depth-deep chain of sums nested to the right: depth term forms."""
+    return "sum(star(1)," * (depth - 1) + "star(1)" + ")" * (depth - 1)
+
+
+def test_the_nesting_limit_is_counted_by_the_parser():
+    # the deepest chain the parser reads, and one form more, refused at
+    # the first token past the limit
+    deepest = _nested_sums(S.MAX_NESTING)
+    assert sc.print_term(sc.parse_term(deepest)) == deepest
+    with pytest.raises(S.ParseError) as exc:
+        sc.parse_term(_nested_sums(S.MAX_NESTING + 1))
+    assert "nested too deeply" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (
+        1, len("sum(star(1),") * (S.MAX_NESTING - 1) + len("sum(") + 1)
+
+
+def test_the_nesting_error_position_does_not_depend_on_the_callers_stack():
+    src = _nested_sums(15000)
+
+    def position_at(frames):
+        if frames:
+            return position_at(frames - 1)
+        with pytest.raises(S.ParseError) as exc:
+            sc.parse_term(src)
+        return exc.value.line, exc.value.col
+
+    assert position_at(0) == position_at(300) == position_at(600)
 
 
 @pytest.mark.parametrize("word", sorted(S.PROP_KEYWORDS))
@@ -620,3 +653,97 @@ def test_canonical_and_alpha_eq_are_linear_in_binder_depth(walk):
 def test_sup_is_distinct_from_with():
     assert S.Sup(S.One(), S.One()) != S.With(S.One(), S.One())
     assert sc.parse_prop("one (o) one") != sc.parse_prop("one & one")
+
+
+# ---------------------------------------------------------------------------
+# facts kept on nodes
+
+
+def _facts(u):
+    """The names of the facts node u keeps."""
+    return [name for name in S.Term.__slots__ if hasattr(u, name)]
+
+
+def _prime(t):
+    """Every node of t made to work out its free variables and absorption."""
+    for u in S.nodes(t):
+        sc.free_vars(u)
+        C.can_absorb(u)
+
+
+def _binder_names(t):
+    return {getattr(u, b) for u in S.nodes(t) for b in S._BINDER_FIELDS[type(u)]}
+
+
+def _made_from(t):
+    """(inputs, output, asks) triples: each term made from t by contraction
+    at a position, by substitution (see _substitution_cases), and by
+    replace_at and fill at up to 20 positions spread over t, with the terms
+    it was made from, all primed, and whether making it asks for free
+    variables (substitution does, of the nodes it has made so far too)."""
+    positions = list(S.subterms(t))
+    for pos, u in positions:
+        for _, _, c in R.contract(u, sc.QNN):
+            yield (u,), c, True
+    for pos, u in positions[::-(-len(positions) // 20)]:
+        yield (t,), S.replace_at(t, pos, S.Unit()), False
+        context = S.replace_at(t, pos, S.Hole())
+        _prime(context)
+        yield (context, u), S.fill(context, u), False
+    for body, mapping in _substitution_cases(t):
+        for v in mapping.values():
+            _prime(v)
+        yield (body, *mapping.values()), S.subst_parallel(body, mapping), True
+
+
+def _check_made_nodes_inherit_no_fact(t):
+    """No node of a term made from primed t that is not a node of its
+    inputs keeps a fact, except the free variables that making it asked
+    for, and those nodes' free variables are the naive reference's; the
+    number of outputs with a binder name none of their inputs has, which
+    a substitution that renamed a binder makes."""
+    _prime(t)
+    renamed = 0
+    for inputs, out, asks in _made_from(t):
+        old = {id(u) for v in inputs for u in S.nodes(v)}
+        allowed = {"_fv"} if asks else set()
+        made = [u for u in S.nodes(out) if id(u) not in old]
+        for u in made:
+            assert set(_facts(u)) <= allowed, (sc.print_term(out), _facts(u))
+        for u in made:
+            assert sc.free_vars(u) == naive_free_vars(u), sc.print_term(u)
+        if asks:
+            renamed += not _binder_names(out) <= set().union(
+                *map(_binder_names, inputs))
+    return renamed
+
+
+def test_made_nodes_inherit_no_fact(corpus_entries):
+    kept = []  # the derivations whose links the terms' nodes keep
+    renamed = 0
+    gen = TermGenerator(seed=43, allow_sup_elim=True, max_depth=4)
+    for ctx, t, a in ([(e.ctx, e.term, e.prop) for e in corpus_entries]
+                      + [((), *gen.closed()) for _ in range(100)]):
+        kept.append(sc.typecheck(ctx, t, a))
+        assert "_deriv" in _facts(t)
+        renamed += _check_made_nodes_inherit_no_fact(t)
+    assert renamed > 100
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ALPHA_TERMS)
+def test_made_nodes_inherit_no_fact_on_shadowing(t):
+    _check_made_nodes_inherit_no_fact(t)
+
+
+def test_a_copy_or_a_pickle_keeps_no_fact():
+    import copy
+    import pickle
+
+    t = sc.parse_term("lam(x,tens(x,unit))")
+    d = sc.typecheck((), t, sc.parse_prop("one -o one (*) top"))
+    _prime(t)
+    assert _facts(t) == list(S.Term.__slots__)
+    for made in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert made == t and _facts(made) == []
+    assert d.term is t
