@@ -65,12 +65,18 @@ _OBJECTS = {S.Tensor: M.tensor_obj, S.Lollipop: M.hom_obj,
 
 
 def denote_prop(a: Prop) -> int:
-    cls = type(a)
-    if cls in _UNITS:
-        return _UNITS[cls]
-    if cls not in _OBJECTS:
-        raise TypeError(f"not a proposition: {a!r}")
-    return _OBJECTS[cls](denote_prop(a.left), denote_prop(a.right))
+    """a's dimension, which a keeps once worked out."""
+    dim = getattr(a, "_dim", None)
+    if dim is None:
+        cls = type(a)
+        if cls in _UNITS:
+            dim = _UNITS[cls]
+        elif cls in _OBJECTS:
+            dim = _OBJECTS[cls](denote_prop(a.left), denote_prop(a.right))
+        else:
+            raise TypeError(f"not a proposition: {a!r}")
+        object.__setattr__(a, "_dim", dim)
+    return dim
 
 
 def denote_ctx(ctx: TC.Context) -> int:
@@ -86,31 +92,21 @@ class Interp:
 
 
 class _Denoter:
-    """One interpretation run, over any number of derivations.  Each
-    proposition's dimension is worked out once per run, keyed by identity;
-    an entry holds its proposition, so that no id is reused while the run
-    lives.  A node keeps its matrix (see the module docstring), so a node
-    that several derivations share is interpreted once.  Each node's
-    (rows, cols) is worked out once, before its clause."""
+    """One interpretation run, over any number of derivations.  A node
+    keeps its matrix (see the module docstring), so a node that several
+    derivations share is interpreted once.  Each node's (rows, cols) is
+    worked out once, before its clause."""
 
     def __init__(self, semiring: Semiring):
         self.sr = semiring
-        self._dims: dict[int, tuple[Prop, int]] = {}
-
-    def dim(self, a: Prop) -> int:
-        hit = self._dims.get(id(a))
-        if hit is None:
-            hit = self._dims[id(a)] = (a, denote_prop(a))
-        return hit[1]
 
     def ctx_dims(self, ctx: TC.Context) -> list[int]:
-        return [self.dim(a) for _, a in ctx]
+        return [denote_prop(a) for _, a in ctx]
 
     def right_dim(self, d: TC.Derivation) -> int:
         """The dimension of the right part of d's context split."""
-        plan = d.split
-        return math.prod(self.dim(d.ctx[i][1])
-                         for i in plan.perm[len(plan.left):])
+        return math.prod(denote_prop(d.ctx[i][1])
+                         for i in d.split.perm[len(d.split.left):])
 
     def permuted(self, mat: Mat, d: TC.Derivation,
                  swap_parts: bool = False) -> Mat:
@@ -139,7 +135,7 @@ class _Denoter:
         if d.rule not in self._CLAUSES:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
         # rows and cols are the dimensions of d's type and of its context
-        rows, cols = self.dim(d.prop), math.prod(self.ctx_dims(d.ctx))
+        rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
         clause, arg = self._CLAUSES[d.rule]
         mat = clause(self, d, [self.go(k) for k in d.children], rows, cols,
                      arg)
@@ -178,11 +174,11 @@ class _Denoter:
         return self.permuted(M.compose(u, lifted), d, swap_parts=True)
 
     def _lam(self, d, ms, rows, cols, _):
-        a = self.dim(d.prop.left)
+        a = denote_prop(d.prop.left)
         return M.compose(M.hom_mat(a, ms[0]), M.unit_map(cols, a, self.sr))
 
     def _app(self, d, ms, rows, cols, _):
-        ev = M.eval_map(self.dim(d.children[0].prop.left), rows, self.sr)
+        ev = M.eval_map(denote_prop(d.children[0].prop.left), rows, self.sr)
         return M.compose(ev, self.permuted(M.tensor_mat(*ms), d))
 
     def _pair(self, d, ms, rows, cols, _):
@@ -190,18 +186,18 @@ class _Denoter:
 
     def _project(self, d, ms, rows, cols, proj):
         pairtype = d.children[0].prop
-        return M.compose(proj(self.dim(pairtype.left),
-                              self.dim(pairtype.right), self.sr), ms[0])
+        return M.compose(proj(denote_prop(pairtype.left),
+                              denote_prop(pairtype.right), self.sr), ms[0])
 
     def _inject(self, d, ms, rows, cols, inj):
-        return M.compose(inj(self.dim(d.prop.left), self.dim(d.prop.right),
-                             self.sr), ms[0])
+        return M.compose(inj(denote_prop(d.prop.left),
+                             denote_prop(d.prop.right), self.sr), ms[0])
 
     def _case(self, d, ms, rows, cols, weighted):
         t, u, v = ms
         sr, scrut, ddim = self.sr, d.children[0].prop, self.right_dim(d)
-        dist = M.distribute("d", (self.dim(scrut.left), self.dim(scrut.right),
-                                  ddim), sr)
+        dist = M.distribute("d", (denote_prop(scrut.left),
+                                  denote_prop(scrut.right), ddim), sr)
         lifted = M.tensor_mat(t, M.identity(ddim, sr))
         weights = (d.term.p, d.term.q) if weighted else (sr.one, sr.one)
         out = M.compose(M.biproduct_mat(u, v), M.compose(dist, lifted))

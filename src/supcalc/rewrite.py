@@ -1,12 +1,18 @@
 """Small-step reduction, normalization, and probabilistic runs.
 
 There are 25 contraction rules: 11 value/redex contractions and 14
-commutations of sums and scalar products, which come in two shapes.  A sum
-or a scalar product of introductions (``star``, ``lam``, ``unit``, ``pair``,
-``sup``) moves inside the introduction; an eliminator (``let_tens``,
-``case``) over a sum or a scalar product moves outside it.  Every rule is
-closed under arbitrary term contexts.  The two sup-elim contractions carry
-their branch weights; all other steps have weight 1.
+commutations of sums and scalar products, all in one table, ``_SHAPES``.
+It maps each eliminating class (``sum``, ``scal``, ``let_tens``, ``case``,
+``unit_elim``, ``app``, the four projections, ``sup_elim``) to its
+eliminated field, and that field's subterm class to the rules and their
+contractions; a ``sum`` also needs its right subterm of its left's class.
+``is_redex`` reads only the table and ``contract`` dispatches through it,
+so a node's redex status depends on its class and its direct children's
+classes alone.  A sum or a scalar product of introductions (``star``,
+``lam``, ``unit``, ``pair``, ``sup``) moves inside the introduction;
+``let_tens`` and ``case`` over a sum or a scalar product move outside it.
+Every rule is closed under arbitrary term contexts.  The two sup-elim
+contractions carry their branch weights; all other steps have weight 1.
 
 The base strategy everywhere is leftmost-outermost: the first redex in a
 preorder traversal.  Strong normalization of well-typed terms makes
@@ -20,13 +26,7 @@ subterm's segment once per call; ``paths`` explores them too and records
 each step with the whole term after it, which makes it run every step of
 the unshared tree (see the end of this docstring).  ``normalize_random``
 contracts a uniformly random redex, so it keeps the preorder list of redex
-positions instead.  ``is_normal`` asks ``contract`` at every subterm.
-
-Why the parent is enough: ``contract`` looks only at a node and the
-classes of its direct children.  A contraction at ``pos`` replaces the
-subterm at ``pos`` and leaves every node outside it at its position.  Of
-those nodes only the parent of ``pos`` gets a new child, so it is the
-only one whose redex status can change.
+positions instead.  ``is_normal`` asks ``is_redex`` at every subterm.
 
 ``normalize_random`` holds the term as a focus and an immutable linked
 list of frames ``(parent, child index, outer frames)`` up to the root, in
@@ -39,17 +39,18 @@ Invariant of the kept list: after every step it equals the positions of
 ``_redexes`` on the current term.  Lexicographic order on position tuples
 is preorder, so the positions under ``pos`` form one contiguous run that
 ``bisect`` finds.  A step cuts that run, splices in the contractum's redex
-positions prefixed by ``pos``, and checks the parent again at its bisect
-slot.  Positions are kept rather than contracta, since an ancestor's
-contractum would hold stale subterms; ``contract`` runs again only at the
-chosen position, which the focus reaches through the deepest common
-ancestor of the two positions.  The list has the length and order of a
-full rescan, so ``rng.choice`` makes the same draws.
+positions prefixed by ``pos``, and asks ``is_redex`` of the parent again
+at its bisect slot: no other node outside ``pos`` gets a new child.
+Positions are kept rather than contracta, since an ancestor's contractum
+would hold stale subterms; ``contract`` runs again only at the chosen
+position, which the focus reaches through the deepest common ancestor of
+the two positions.  The list has the length and order of a full rescan,
+so ``rng.choice`` makes the same draws.
 
 ``_shared_run`` runs each subterm's segment once per call.  A subterm
 R's segment is R's own leftmost-outermost run, up to its first contraction
 at R's root or up to R's normal form.  It does not depend on R's context:
-contract reads only a node and the classes of its direct children, and a
+redex status reads only a node's class and its children's, and a
 contraction strictly inside R leaves R's root class as it is, so no node
 outside R changes redex status until the segment ends.  The subterm right
 of a fork is reached by both branches as the same object, so segments are
@@ -119,30 +120,13 @@ class Step:
     weight: object
 
 
-# the rule contracting each projection of a pair
-_PROJECTION_RULES = {S.Fst: "fst", S.Snd: "snd",
-                     S.SupFst: "supfst", S.SupSnd: "supsnd"}
-
-# the rule contracting a case of each injection, and the branch it selects
-_CASE_RULES = {S.Inl: ("case_inl", "left_var", "left_body"),
-               S.Inr: ("case_inr", "right_var", "right_body")}
-
-# The two commutation shapes.  sum(I(..), I(..)) and scal(s, I(..)) contract
-# to the introduction I of the subterms' sums or scalar products; each I and
-# its rules for a sum and for a scalar product:
-_INTRODUCTIONS = {
-    S.Star: ("sum_star", "scal_star"), S.Lam: ("sum_lam", "scal_lam"),
-    S.Unit: ("sum_unit", "scal_unit"), S.Pair: ("sum_pair", "scal_pair"),
-    S.SupPair: ("sum_sup", "scal_sup"),
-}
-# E(sum(a, b)) contracts to sum(E(a), E(b)), and E(scal(s, a)) to
-# scal(s, E(a)); each eliminator E, its eliminated field and its rules:
-_ELIMINATORS = {S.TensElim: ("pair", "sum_tens_elim", "scal_tens_elim"),
-                S.Case: ("scrutinee", "sum_case", "scal_case")}
+def _sum_stars(t: S.Sum, a: S.Star, sr: Semiring) -> Term:
+    return S.Star(sr.add(a.scalar, t.right.scalar))
 
 
-def _merge_lams(a: S.Lam, b: S.Lam) -> Term:
+def _merge_lams(t: S.Sum, a: S.Lam, sr: Semiring) -> Term:
     """The sum of two abstractions under a shared binder, renaming apart."""
+    b = t.right
     ann = a.ann if a.ann is not None else b.ann
     if a.var == b.var:
         return S.Lam(a.var, S.Sum(a.body, b.body), ann)
@@ -156,83 +140,112 @@ def _merge_lams(a: S.Lam, b: S.Lam) -> Term:
     return S.Lam(z, S.Sum(na, nb), ann)
 
 
+def _sum_into(t: S.Sum, a: Term, sr: Semiring) -> Term:
+    return S._rebuild(a, {n: S.Sum(getattr(a, n), getattr(t.right, n))
+                          for n in _CHILDREN[type(a)]})
+
+
+def _scal_star(t: S.Scal, a: S.Star, sr: Semiring) -> Term:
+    return S.Star(sr.mul(t.scalar, a.scalar))
+
+
+def _scal_into(t: S.Scal, a: Term, sr: Semiring) -> Term:
+    return S._rebuild(a, {n: S.Scal(t.scalar, getattr(a, n))
+                          for n in _CHILDREN[type(a)]})
+
+
+def _sum_out(t: Term, a: S.Sum, sr: Semiring) -> Term:
+    field = _SHAPES[type(t)][0]
+    return S.Sum(S._rebuild(t, {field: a.left}),
+                 S._rebuild(t, {field: a.right}))
+
+
+def _scal_out(t: Term, a: S.Scal, sr: Semiring) -> Term:
+    return S.Scal(a.scalar, S._rebuild(t, {_SHAPES[type(t)][0]: a.body}))
+
+
+def _tens_elim(t: S.TensElim, a: S.Tens, sr: Semiring) -> Term:
+    return S.subst_parallel(t.body, {t.left_var: a.left, t.right_var: a.right})
+
+
+def _unit_elim(t: S.UnitElim, a: S.Star, sr: Semiring) -> Term:
+    return S.Scal(a.scalar, t.body)
+
+
+def _apply(t: S.App, a: S.Lam, sr: Semiring) -> Term:
+    return S.substitute(t.arg, a.var, a.body)
+
+
+def _project(t: Term, a: Term, sr: Semiring) -> Term:
+    return getattr(a, S._PROJECTION[type(t)][1])
+
+
+def _branch(part: str, side: str):
+    """A branch's contraction: a's part for t's side variable in its body."""
+    var, body = side + "_var", side + "_body"
+    return lambda t, a, sr: S.substitute(getattr(a, part), getattr(t, var),
+                                         getattr(t, body))
+
+
+# The redex shapes of the module docstring: {eliminating class: (eliminated
+# field, the field a sum also needs of that class, {subterm class: [(rule,
+# weight field or None for 1, contraction(t, subterm, semiring))]})}.
+_SHAPES = {
+    S.Sum: ("left", "right", {
+        S.Star: [("sum_star", None, _sum_stars)],
+        S.Lam: [("sum_lam", None, _merge_lams)],
+        S.Unit: [("sum_unit", None, _sum_into)],
+        S.Pair: [("sum_pair", None, _sum_into)],
+        S.SupPair: [("sum_sup", None, _sum_into)]}),
+    S.Scal: ("body", None, {
+        S.Star: [("scal_star", None, _scal_star)],
+        S.Lam: [("scal_lam", None, _scal_into)],
+        S.Unit: [("scal_unit", None, _scal_into)],
+        S.Pair: [("scal_pair", None, _scal_into)],
+        S.SupPair: [("scal_sup", None, _scal_into)]}),
+    S.TensElim: ("pair", None, {
+        S.Tens: [("tens_elim", None, _tens_elim)],
+        S.Sum: [("sum_tens_elim", None, _sum_out)],
+        S.Scal: [("scal_tens_elim", None, _scal_out)]}),
+    S.Case: ("scrutinee", None, {
+        S.Inl: [("case_inl", None, _branch("body", "left"))],
+        S.Inr: [("case_inr", None, _branch("body", "right"))],
+        S.Sum: [("sum_case", None, _sum_out)],
+        S.Scal: [("scal_case", None, _scal_out)]}),
+    S.UnitElim: ("unit", None, {S.Star: [("unit_elim", None, _unit_elim)]}),
+    S.App: ("fn", None, {S.Lam: [("apply", None, _apply)]}),
+    S.Fst: ("pair", None, {S.Pair: [("fst", None, _project)]}),
+    S.Snd: ("pair", None, {S.Pair: [("snd", None, _project)]}),
+    S.SupFst: ("pair", None, {S.SupPair: [("supfst", None, _project)]}),
+    S.SupSnd: ("pair", None, {S.SupPair: [("supsnd", None, _project)]}),
+    S.SupElim: ("scrutinee", None, {S.SupPair: [
+        ("sup_elim_left", "p", _branch("left", "left")),
+        ("sup_elim_right", "q", _branch("right", "right"))]}),
+}
+
+
+def is_redex(t: Term) -> bool:
+    """Whether t is a redex, read from _SHAPES; nothing is built."""
+    shape = _SHAPES.get(type(t))
+    if shape is None:
+        return False
+    field, twin, cases = shape
+    kind = type(getattr(t, field))
+    return kind in cases and (twin is None or type(getattr(t, twin)) is kind)
+
+
 def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
-    """Root redex patterns: (rule, weight, contractum) triples.
-
-    Deterministic redexes give one triple; a sup-elimination of a sup-pair
-    gives both branches.
-    """
-    one = semiring.one
-    cls = type(t)
-
-    if cls is S.Sum:
-        a, b = t.left, t.right
-        kind = type(a)
-        if kind is not type(b) or kind not in _INTRODUCTIONS:
-            return []
-        if kind is S.Star:
-            out = S.Star(semiring.add(a.scalar, b.scalar))
-        elif kind is S.Lam:
-            out = _merge_lams(a, b)
-        else:
-            out = S._rebuild(a, {n: S.Sum(getattr(a, n), getattr(b, n))
-                                 for n in S._CHILDREN[kind]})
-        return [(_INTRODUCTIONS[kind][0], one, out)]
-
-    if cls is S.Scal:
-        s, a = t.scalar, t.body
-        kind = type(a)
-        if kind not in _INTRODUCTIONS:
-            return []
-        if kind is S.Star:
-            out = S.Star(semiring.mul(s, a.scalar))
-        else:
-            out = S._rebuild(a, {n: S.Scal(s, getattr(a, n))
-                                 for n in S._CHILDREN[kind]})
-        return [(_INTRODUCTIONS[kind][1], one, out)]
-
-    if cls in _ELIMINATORS:
-        field, sum_rule, scal_rule = _ELIMINATORS[cls]
-        arg = getattr(t, field)
-        kind = type(arg)
-        if kind is S.Sum:
-            return [(sum_rule, one, S.Sum(S._rebuild(t, {field: arg.left}),
-                                          S._rebuild(t, {field: arg.right})))]
-        if kind is S.Scal:
-            return [(scal_rule, one, S.Scal(
-                arg.scalar, S._rebuild(t, {field: arg.body})))]
-        if cls is S.TensElim and kind is S.Tens:
-            out = S.subst_parallel(t.body, {t.left_var: arg.left,
-                                            t.right_var: arg.right})
-            return [("tens_elim", one, out)]
-        if cls is S.Case and kind in _CASE_RULES:
-            rule, var, body = _CASE_RULES[kind]
-            return [(rule, one, S.substitute(arg.body, getattr(t, var),
-                                             getattr(t, body)))]
+    """Root redex patterns: (rule, weight, contractum) triples, one for a
+    deterministic redex and both branches for a sup-elimination."""
+    if not is_redex(t):
         return []
-
-    if cls is S.UnitElim and type(t.unit) is S.Star:
-        return [("unit_elim", one, S.Scal(t.unit.scalar, t.body))]
-
-    if cls is S.App and type(t.fn) is S.Lam:
-        return [("apply", one, S.substitute(t.arg, t.fn.var, t.fn.body))]
-
-    if cls in S._PROJECTION:
-        pair, side = S._PROJECTION[cls]
-        if type(t.pair) is not pair:
-            return []
-        return [(_PROJECTION_RULES[cls], one, getattr(t.pair, side))]
-
-    if cls is S.SupElim and type(t.scrutinee) is S.SupPair:
-        scrut = t.scrutinee
-        return [
-            ("sup_elim_left", t.p,
-             S.substitute(scrut.left, t.left_var, t.left_body)),
-            ("sup_elim_right", t.q,
-             S.substitute(scrut.right, t.right_var, t.right_body)),
-        ]
-
-    return []
+    field, _, cases = _SHAPES[type(t)]
+    a = getattr(t, field)
+    out = []  # a loop costs less than a comprehension on this hot path
+    for rule, weight, make in cases[type(a)]:
+        out.append((rule, semiring.one if weight is None
+                    else getattr(t, weight), make(t, a, semiring)))
+    return out
 
 
 def _redexes(t: Term, semiring: Semiring) -> list:
@@ -241,8 +254,7 @@ def _redexes(t: Term, semiring: Semiring) -> list:
             if (entries := contract(sub, semiring))]
 
 
-def _redex_positions(t: Term, semiring: Semiring,
-                     pos: tuple[int, ...]) -> list:
+def _redex_positions(t: Term, pos: tuple[int, ...]) -> list:
     """pos + q for the position q of every redex of t, in preorder.  The
     walk keeps one list of child indices and builds a tuple only for a
     redex; childless nodes are no redexes and are not visited."""
@@ -254,7 +266,7 @@ def _redex_positions(t: Term, semiring: Semiring,
         if i is not None:
             del path[depth - 1:]
             path.append(i)
-        if contract(u, semiring):
+        if is_redex(u):
             out.append(tuple(path))
         names = _CHILDREN[type(u)]
         for j in range(len(names) - 1, -1, -1):
@@ -298,21 +310,21 @@ def _move(focus: Term, frames, at: tuple[int, ...], pos: tuple[int, ...]):
     return focus, frames
 
 
-def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
-                 semiring: Semiring):
+def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term,
+                 frames):
     """(focus, frames, focus position, kept redex positions) after the redex
     at pos, held at frames, contracts to contractum; the focus is the
     rebuilt parent of pos, or the contractum at the root."""
     lo = bisect_left(kept, pos)
     hi = bisect_left(kept, pos[:-1] + (pos[-1] + 1,)) if pos else len(kept)
-    kept = kept[:lo] + _redex_positions(contractum, semiring, pos) + kept[hi:]
+    kept = kept[:lo] + _redex_positions(contractum, pos) + kept[hi:]
     if frames is None:
         return contractum, None, pos, kept
     parent, i, frames = frames
     up, up_pos = _plug(parent, i, contractum), pos[:-1]
     slot = bisect_left(kept, up_pos)
     was = slot < len(kept) and kept[slot] == up_pos
-    if was != bool(contract(up, semiring)):
+    if was != is_redex(up):
         if was:
             del kept[slot]
         else:
@@ -321,7 +333,7 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term, frames,
 
 
 def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
-    return not any(contract(u, semiring) for u in S.nodes(t))
+    return not any(map(is_redex, S.nodes(t)))
 
 
 def normalize(t: Term, semiring: Semiring = QNN,
@@ -337,7 +349,7 @@ def normalize_random(t: Term, rng: random.Random, semiring: Semiring = QNN,
     """Normalize picking a uniformly random redex at each step (forks are
     refused, as in normalize) and taking at most budget steps."""
     focus, frames, at = t, None, ()
-    kept = _redex_positions(t, semiring, ())
+    kept = _redex_positions(t, ())
     for _ in range(budget + 1):
         if not kept:
             return _plug_all(focus, frames)
@@ -348,7 +360,7 @@ def normalize_random(t: Term, rng: random.Random, semiring: Semiring = QNN,
             raise SupBranchEncountered(
                 f"probabilistic fork at position {pos}; use distribution()")
         focus, frames, at, kept = _contract_at(kept, pos, entries[0][2],
-                                               frames, semiring)
+                                               frames)
     raise BudgetExceeded(f"no normal form within {budget} steps")
 
 

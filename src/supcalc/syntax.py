@@ -10,9 +10,10 @@ cannot be synthesized from the term alone.
 A term node keeps facts about itself, each worked out when first asked
 for and kept for the node's life: its free variables (``free_vars``),
 whether it absorbs (``checker.can_absorb``) and a weak link to its last
-derivation.  Later calls reuse what earlier ones learned about the same
-object; an equal but distinct node learns its own.  Facts live in slots,
-outside the fields, so ``_rebuild``, copies and pickles carry none.
+derivation; a proposition keeps its dimension (``denote.denote_prop``).
+Later calls reuse what earlier ones learned about the same object; an
+equal but distinct node learns its own.  Facts live in slots, outside the
+fields, so ``_rebuild``, copies and pickles carry none.
 """
 
 from __future__ import annotations
@@ -36,10 +37,13 @@ sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 
 class Prop:
-    __slots__ = ()
+    __slots__ = ("_dim",)  # its fact (see the module docstring)
 
     def __str__(self) -> str:
         return print_prop(self)
+
+    def __getstate__(self):
+        return self.__dict__
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,29 @@ def test_denote_prop_refuses_a_non_proposition():
             sc.denote_prop(bad)
 
 
+def test_a_proposition_keeps_its_dimension():
+    """An equal but distinct proposition works out the same dimension and
+    keeps its own; the kept dimension changes neither == nor hash."""
+    a, b = prop("(one & one) -o one (+) one"), prop("(one & one) -o one (+) one")
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert sc.denote_prop(a) == 4
+    assert a._dim == 4 and not hasattr(b, "_dim")
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert sc.denote_prop(b) == 4 and b._dim == 4
+    assert a.left._dim == 2 and a.right._dim == 2
+
+
+def test_a_copy_or_a_pickle_of_a_proposition_keeps_no_dimension():
+    import copy
+    import pickle
+
+    a = prop("one (o) (one & top)")
+    assert sc.denote_prop(a) == 2
+    for made in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert made == a and not hasattr(made, "_dim")
+        assert sc.denote_prop(made) == 2
+
+
 def _rules(d):
     yield d.rule
     for k in d.children:

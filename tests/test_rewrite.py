@@ -51,9 +51,15 @@ def test_step_all_finds_nested_redexes():
 
 
 def test_rule_inventory():
-    assert len(sc.BETA_RULES) == 11
-    assert len(sc.COMMUTATION_RULES) == 14
-    assert len(sc.ALL_RULES) == 25
+    assert sc.BETA_RULES == (
+        "unit_elim", "tens_elim", "apply", "fst", "snd", "case_inl",
+        "case_inr", "supfst", "supsnd", "sup_elim_left", "sup_elim_right")
+    assert sc.COMMUTATION_RULES == (
+        "sum_star", "sum_tens_elim", "sum_lam", "sum_unit", "sum_pair",
+        "sum_case", "sum_sup",
+        "scal_star", "scal_tens_elim", "scal_lam", "scal_unit", "scal_pair",
+        "scal_case", "scal_sup")
+    assert sc.ALL_RULES == sc.BETA_RULES + sc.COMMUTATION_RULES
 
 
 def test_only_fork_steps_carry_non_unit_weights(corpus_entries):
@@ -457,8 +463,82 @@ def test_contract_matches_the_clause_per_rule_reference(corpus_entries):
         for _, u in S.subterms(t):
             got = R.contract(u, SR)
             assert got == _ref_contract(u, SR), sc.print_term(u)
+            assert R.is_redex(u) == bool(got), sc.print_term(u)
             fired.update(rule for rule, _, _ in got)
     assert fired == set(R.ALL_RULES)
+
+
+# One node of each term class, typed or not, with variables free and bound
+# so that substitution and the renaming of sum_lam have work to do; the
+# right-hand set differs from the left, so a sum of two nodes of one class
+# sums two different terms.
+_LEFT_SAMPLES = [
+    S.Var("x"), S.Sum(S.Star(F(1)), S.Var("y")), S.Scal(F(2), S.Var("x")),
+    S.Star(F(3)), S.UnitElim(S.Var("u"), S.Star(F(1))),
+    S.Lam("x", S.Sum(S.Var("x"), S.Var("y"))), S.App(S.Var("f"), S.Var("x")),
+    S.Tens(S.Var("x"), S.Star(F(2))),
+    S.TensElim(S.Var("p"), "x", "y", S.Tens(S.Var("y"), S.Var("x"))),
+    S.Unit(), S.ZeroElim(S.Var("z")), S.Pair(S.Var("x"), S.Star(F(3))),
+    S.Fst(S.Var("p")), S.Snd(S.Var("p")), S.Inl(S.Var("x")),
+    S.Inr(S.Star(F(1))),
+    S.Case(S.Var("s"), "x", S.Var("x"), "y", S.Scal(F(2), S.Var("y"))),
+    S.SupPair(S.Star(F(1)), S.Var("x")), S.SupFst(S.Var("p")),
+    S.SupSnd(S.Var("p")),
+    S.SupElim(F(1, 3), F(2, 3), S.Var("s"), "x", S.Var("x"), "y", S.Unit()),
+    S.Hole(),
+]
+_RIGHT_SAMPLES = [
+    S.Var("y"), S.Sum(S.Var("x"), S.Unit()), S.Scal(F(1, 2), S.Unit()),
+    S.Star(F(5)), S.UnitElim(S.Star(F(2)), S.Var("x")),
+    S.Lam("y", S.Scal(F(2), S.Var("x"))), S.App(S.Lam("z", S.Var("z")),
+                                                 S.Var("y")),
+    S.Tens(S.Unit(), S.Var("y")),
+    S.TensElim(S.Tens(S.Var("x"), S.Unit()), "a", "b", S.Var("a")),
+    S.Unit(), S.ZeroElim(S.Var("x")), S.Pair(S.Unit(), S.Var("y")),
+    S.Fst(S.Pair(S.Var("x"), S.Unit())), S.Snd(S.Var("q")),
+    S.Inl(S.Unit()), S.Inr(S.Var("y")),
+    S.Case(S.Inl(S.Var("x")), "a", S.Var("a"), "b", S.Var("x")),
+    S.SupPair(S.Var("y"), S.Unit()), S.SupFst(S.Var("q")),
+    S.SupSnd(S.SupPair(S.Var("x"), S.Unit())),
+    S.SupElim(F(1, 2), F(1, 2), S.Var("t"), "a", S.Var("y"), "b",
+              S.Var("b")),
+    S.Hole(),
+]
+
+
+def _shape_sweep():
+    """Each term class with each subterm field holding a node of each
+    class (the other fields holding the right-hand sample's subterms), and
+    each sum of a left and a right node of any two classes."""
+    right = {type(r): r for r in _RIGHT_SAMPLES}
+    for cls in S._CHILDREN:
+        base = right[cls]
+        for field in S._CHILDREN[cls]:
+            for sample in _LEFT_SAMPLES:
+                yield S._rebuild(base, {field: sample})
+    for a in _LEFT_SAMPLES:
+        for b in _RIGHT_SAMPLES:
+            yield S.Sum(a, b)
+
+
+def test_every_shape_matches_the_clause_per_rule_reference():
+    """is_redex and contract agree with the reference on every class and
+    every class of its subterms, so also on ill-typed forms such as
+    sum(star(1),lam(x,x)), scal(2,tens(..)) and let_tens(inl(..),..)
+    that generated terms never hold."""
+    classes = set(S._CHILDREN)
+    assert {type(u) for u in _LEFT_SAMPLES} == classes
+    assert {type(u) for u in _RIGHT_SAMPLES} == classes
+    fired, nodes, redexes = set(), 0, 0
+    for u in _shape_sweep():
+        want = _ref_contract(u, SR)
+        assert R.is_redex(u) == bool(want), sc.print_term(u)
+        assert R.contract(u, SR) == want, sc.print_term(u)
+        fired.update(rule for rule, _, _ in want)
+        nodes += 1
+        redexes += bool(want)
+    assert fired == set(R.ALL_RULES)
+    assert nodes > 1000 and 0 < redexes < nodes // 4
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +847,7 @@ def test_kept_redex_positions_match_a_rescan(corpus_entries):
             focus, frames = R._move(focus, frames, at, pos)
             contractum = rng.choice(R.contract(focus, SR))[2]
             focus, frames, at, kept = R._contract_at(kept, pos, contractum,
-                                                     frames, SR)
+                                                     frames)
             assert S.replace_at(t, pos, contractum) == R._plug_all(focus,
                                                                    frames)
             t = R._plug_all(focus, frames)
