@@ -165,18 +165,107 @@ def test_shape_soundness_on_corpus(corpus_entries):
         assert interp.matrix.cols == sc.denote_ctx(e.ctx)
 
 
-@pytest.mark.parametrize("semiring", ["qnn", "q", "f64"])
+def _corpus_in(sr):
+    """The corpus in sr; under bool, which has no scalar but 0 and 1, the
+    bundled sources whose scalars it has."""
+    if sr is not sc.BOOL:
+        return sc.corpus(sr)
+    entries = []
+    for name, src, type_src in sc.corpus_sources():
+        try:
+            entries.append(sc.CorpusEntry(name, sc.parse_term(src, sr), (),
+                                          sc.parse_prop(type_src, sr)))
+        except sc.ParseError:
+            pass
+    return entries
+
+
+_CORPUS_PINS = {
+    name: (66, "932b13a9f4a8265099d9367b855c3f22aedc73fe5df829ef584964d957d9fd6a")
+    for name in ("qnn", "q", "f64")}
+_CORPUS_PINS["bool"] = (
+    16, "0c72d16d4bb14026e2774155149c016c7611b5f337dbdbb5b2a6f3e795c3f5c5")
+
+
+@pytest.mark.parametrize("semiring", ["qnn", "q", "f64", "bool"])
 def test_corpus_matrices_are_pinned(semiring):
     """Any change to a clause's matrix or to an object's dimension shows
     as a new digest."""
     sr = sc.get_semiring(semiring)
     h = hashlib.sha256()
-    for e in sc.corpus(sr):
+    corpus = _corpus_in(sr)
+    for e in corpus:
         i = sc.denote(sc.typecheck(e.ctx, e.term, e.prop, sr), sr)
         h.update(f"{e.name} {i.object_in} {i.object_out} {i.matrix!r}\n"
                  .encode())
-    assert h.hexdigest() == (
-        "932b13a9f4a8265099d9367b855c3f22aedc73fe5df829ef584964d957d9fd6a")
+    assert (len(corpus), h.hexdigest()) == _CORPUS_PINS[semiring]
+
+
+def _stored(m):
+    """m's stored entries row by row, in storage order, with their types."""
+    return "|".join(" ".join(f"{j}:{type(v).__name__}:{sc.format_scalar(v)}"
+                             for j, v in r.items()) for r in m.data)
+
+
+def _pinned_inputs(family, sr):
+    """(closed term, type) pairs in sr: the corpus, generated terms, drawn
+    in qnn and read again in sr, or encoded maps applied to vectors, whose
+    zero entries are stored zeros of star(0)."""
+    if family == "corpus":
+        return [(e.term, e.prop) for e in sc.corpus(sr)]
+    if family == "generated":
+        out = []
+        for seed in (0, 5, 11):
+            gen = TermGenerator(seed=seed, allow_sup_elim=True, max_depth=4)
+            for _ in range(40):
+                t, a = gen.closed()
+                out.append((sc.parse_term(sc.print_term(t), sr),
+                            sc.parse_prop(sc.print_prop(a), sr)))
+        return out
+    rng, lit = random.Random(37), sr.from_literal
+    out = []
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            m = [[lit(F(rng.randrange(6), rng.randrange(1, 4)))
+                  for _ in range(cols)] for _ in range(rows)]
+            u = [lit(F(rng.randrange(6), rng.randrange(1, 4)))
+                 for _ in range(cols)]
+            enc = sc.encode_matrix(m, _vprop(cols), _vprop(rows), sr)
+            vec = sc.from_vector(sc.SVector(tuple(u), _vprop(cols)))
+            out.append((S.App(enc, vec), _vprop(rows)))
+    return out
+
+
+_NODE_PINS = {
+    "corpus": (
+        "52bab59775b6c9b693c1c3b8a90dbea550ea2a10c023240a403a34d6e73e43f3",
+        "bf6b0a6a3f36da9de44dc7792dc97c510c25b88ab99b44b176cbdedd6789c50e"),
+    "generated": (
+        "e3874db0d0e80a74cec6e6e1d20901d1f5c397b33f3d700c0129e3f2b904bdca",
+        "0f4028f6d9a0d55f459e743b1c9984d387b6536f2be99d61b4b917594bf770fd"),
+    "encoded": (
+        "c69566b5bfdc5d71336690232abc2b1ceb4a1c35c41936bc044701e8e459578d",
+        "556c35af744ce3159582e218c7aa61136108b0e868f3bb734b2e862aa5a498cf"),
+}
+
+
+@pytest.mark.parametrize("semiring", ["qnn", "q", "f64"])
+@pytest.mark.parametrize("family", ["corpus", "generated", "encoded"])
+def test_every_node_matrix_is_pinned(family, semiring):
+    """Every derivation node's stored entries, in storage order and with
+    their types: any change to a value, to a stored zero, to the order of a
+    row or to the order a float sum accumulates in shows as a new digest."""
+    sr = sc.get_semiring(semiring)
+    h = hashlib.sha256()
+    for t, a in _pinned_inputs(family, sr):
+        stack = [sc.denote(sc.typecheck((), t, a, sr), sr).derivation]
+        while stack:
+            d = stack.pop()
+            m = sc.denote(d, sr).matrix
+            h.update(f"{d.rule} {m.rows}x{m.cols} {_stored(m)}\n".encode())
+            stack.extend(reversed(d.children))
+    exact, floats = _NODE_PINS[family]
+    assert h.hexdigest() == (floats if sr is sc.F64 else exact)
 
 
 # ---------------------------------------------------------------------------
