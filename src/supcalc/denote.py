@@ -11,6 +11,37 @@ Split-plan permutations are replayed as factor permutations of the
 context object before a rule's clause applies, which equals the matching
 composite of braidings.
 
+A clause whose composite has a structural map in it (0/1 or scalar
+entries) computes that composite directly from its premises' stored
+entries, through a matmodel kernel that builds neither the map nor the
+intermediate products.  Each kernel keeps the composite's zero skips, its
+pass-through of the semiring's ``one``, its ascending-column rows and its
+order of summation, so every stored value is the composite's, value for
+value and type for type, under f64 too.  With f the function, x the
+argument, t a premise, u and v the branches, a = dim A and G, H, D the
+contexts' dimensions:
+
+* ``lolli_i``: hom(A, body) . unit(G, A), the body transposed over its
+  last context factor, out[i*a + j][g] = body[i][g*a + j]
+  (``curry_last``);
+* ``lolli_e``: ev . (f (x) x), out[i][l*H + r] = sum over ascending j of
+  f[i*a + j][l] * x[j][r] (``eval_after``, which also takes the
+  permutation);
+* a split's permutation: m . perm, a re-index of m's columns
+  (``reindex_cols``);
+* ``tens_e``: u . (Id_D (x) t), each row of u multiplied through t's rows
+  (``compose_lifted``);
+* the projections: proj . t, a block of t's rows (``row_block``); the
+  injections: inj . t, t's rows between zero rows (``pad_rows``);
+* ``scal``: s^ . t, t's rows times s (``scale``);
+* ``plus_e`` and ``sup_e``: [p^, q^] . (u (+) v) . d . (t (x) Id_D).
+  Under the left-major pairing the distribution map d is the identity, so
+  this is p.(u . (t_A (x) Id_D)) + q.(v . (t_B (x) Id_D)), t_A and t_B
+  the row blocks of t (``row_block``, ``compose_lifted``, ``mix``).
+
+The structural maps stay in matmodel for its law suite, and the
+substitution identity states its right-hand side as a composite.
+
 The module also packages the executable forms of the semantic metatheory:
 the substitution identity, per-step and whole-run soundness, and the
 adequacy comparison.
@@ -30,7 +61,8 @@ own, or the contractum does not type in the redex's context), the position
 is checked on the whole reduct instead, so the report and its detail
 strings are those of the whole-term check.  Both checks build the matrix
 to compare with through ``_reduct_mat``: a step's one reduct, or a fork's
-two paired as by ``with_i`` and mixed by the fork's weights.
+two mixed by the fork's weights, the weighted codiagonal after their
+pairing (``mix``).
 
 A derivation node keeps its matrix, which names its semiring, for the
 node's life, and a term node a weak link to its derivation (see ``checker``).
@@ -80,7 +112,10 @@ def denote_prop(a: Prop) -> int:
 
 
 def denote_ctx(ctx: TC.Context) -> int:
-    return math.prod(denote_prop(a) for _, a in ctx)
+    dim = 1
+    for _, a in ctx:
+        dim *= denote_prop(a)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -108,20 +143,27 @@ class _Denoter:
         return math.prod(denote_prop(d.ctx[i][1])
                          for i in d.split.perm[len(d.split.left):])
 
-    def permuted(self, mat: Mat, d: TC.Derivation,
-                 swap_parts: bool = False) -> Mat:
-        """mat after the permutation of the ambient context onto the
-        premise order; an identity permutation is not built."""
+    def perm_index(self, d: TC.Derivation,
+                   swap_parts: bool = False) -> Optional[list[int]]:
+        """The permutation of the ambient context onto the premise order,
+        as ``M.perm_index``; None for the identity permutation."""
         plan = d.split
         if plan is None:
-            return mat
+            return None
         order = list(plan.perm)
         if swap_parts:
             k = len(plan.left)
             order = order[k:] + order[:k]
         if order == sorted(order):
-            return mat
-        return M.compose(mat, M.perm_mat(self.ctx_dims(d.ctx), order, self.sr))
+            return None
+        return M.perm_index(self.ctx_dims(d.ctx), order)
+
+    def permuted(self, mat: Mat, d: TC.Derivation,
+                 swap_parts: bool = False) -> Mat:
+        """mat after the permutation of the ambient context onto the
+        premise order."""
+        index = self.perm_index(d, swap_parts)
+        return mat if index is None else M.reindex_cols(mat, index)
 
     def matrix(self, ctx: TC.Context, t: Term,
                expected: Optional[Prop] = None) -> Mat:
@@ -132,11 +174,12 @@ class _Denoter:
         hit = d._mat
         if hit is not None and hit.sr is self.sr:
             return hit
-        if d.rule not in self._CLAUSES:
+        entry = self._CLAUSES.get(d.rule)
+        if entry is None:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
         # rows and cols are the dimensions of d's type and of its context
         rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
-        clause, arg = self._CLAUSES[d.rule]
+        clause, arg = entry
         mat = clause(self, d, [self.go(k) for k in d.children], rows, cols,
                      arg)
         if mat.rows != rows or mat.cols != cols:
@@ -159,8 +202,8 @@ class _Denoter:
 
     def _scalar(self, d, ms, rows, cols, _):
         # star(s) is s as a map on one; scal(s, t) is s after t
-        scaled = M.scalar_map(d.term.scalar, rows, self.sr)
-        return M.compose(scaled, ms[0]) if ms else scaled
+        s = d.term.scalar
+        return M.scale(s, ms[0]) if ms else M.scalar_map(s, rows, self.sr)
 
     def _sum(self, d, ms, rows, cols, _):
         return M.add(*ms)
@@ -170,39 +213,35 @@ class _Denoter:
 
     def _let_tens(self, d, ms, rows, cols, _):
         t, u = ms
-        lifted = M.tensor_mat(M.identity(self.right_dim(d), self.sr), t)
-        return self.permuted(M.compose(u, lifted), d, swap_parts=True)
+        return self.permuted(M.compose_lifted(u, self.right_dim(d), t, 1), d,
+                             swap_parts=True)
 
     def _lam(self, d, ms, rows, cols, _):
-        a = denote_prop(d.prop.left)
-        return M.compose(M.hom_mat(a, ms[0]), M.unit_map(cols, a, self.sr))
+        return M.curry_last(ms[0], cols, denote_prop(d.prop.left))
 
     def _app(self, d, ms, rows, cols, _):
-        ev = M.eval_map(denote_prop(d.children[0].prop.left), rows, self.sr)
-        return M.compose(ev, self.permuted(M.tensor_mat(*ms), d))
+        return M.eval_after(denote_prop(d.children[0].prop.left), rows, *ms,
+                            self.perm_index(d))
 
     def _pair(self, d, ms, rows, cols, _):
         return M.pair_mat(*ms)
 
-    def _project(self, d, ms, rows, cols, proj):
-        pairtype = d.children[0].prop
-        return M.compose(proj(denote_prop(pairtype.left),
-                              denote_prop(pairtype.right), self.sr), ms[0])
+    def _project(self, d, ms, rows, cols, second):
+        skipped = denote_prop(d.children[0].prop.left) if second else 0
+        return M.row_block(ms[0], skipped, rows)
 
-    def _inject(self, d, ms, rows, cols, inj):
-        return M.compose(inj(denote_prop(d.prop.left),
-                             denote_prop(d.prop.right), self.sr), ms[0])
+    def _inject(self, d, ms, rows, cols, second):
+        a, b = denote_prop(d.prop.left), denote_prop(d.prop.right)
+        return M.pad_rows(ms[0], a if second else 0, 0 if second else b)
 
     def _case(self, d, ms, rows, cols, weighted):
         t, u, v = ms
-        sr, scrut, ddim = self.sr, d.children[0].prop, self.right_dim(d)
-        dist = M.distribute("d", (denote_prop(scrut.left),
-                                  denote_prop(scrut.right), ddim), sr)
-        lifted = M.tensor_mat(t, M.identity(ddim, sr))
-        weights = (d.term.p, d.term.q) if weighted else (sr.one, sr.one)
-        out = M.compose(M.biproduct_mat(u, v), M.compose(dist, lifted))
-        return self.permuted(
-            M.compose(M.weighted_codiag(weights, rows, sr), out), d)
+        a, ddim = denote_prop(d.children[0].prop.left), self.right_dim(d)
+        one = self.sr.one
+        weights = (d.term.p, d.term.q) if weighted else (one, one)
+        left = M.compose_lifted(u, 1, M.row_block(t, 0, a), ddim)
+        right = M.compose_lifted(v, 1, M.row_block(t, a, t.rows - a), ddim)
+        return self.permuted(M.mix(weights, left, right), d)
 
     # each rule's clause and the argument it is called with
     _CLAUSES = {
@@ -213,9 +252,9 @@ class _Denoter:
         "lolli_e": (_app, None), "top_i": (_zero, None),
         "zero_e": (_zero, None),
         "with_i": (_pair, None), "sup_i": (_pair, None),
-        "with_e1": (_project, M.proj1), "sup_e1": (_project, M.proj1),
-        "with_e2": (_project, M.proj2), "sup_e2": (_project, M.proj2),
-        "plus_i1": (_inject, M.inj1), "plus_i2": (_inject, M.inj2),
+        "with_e1": (_project, False), "sup_e1": (_project, False),
+        "with_e2": (_project, True), "sup_e2": (_project, True),
+        "plus_i1": (_inject, False), "plus_i2": (_inject, True),
         "plus_e": (_case, False), "sup_e": (_case, True),
     }
 
@@ -327,9 +366,7 @@ def _reduct_mat(entries, reduct, ctx: TC.Context, prop: Prop,
     mats = [denoter.matrix(ctx, reduct(c), prop) for _, _, c in entries]
     if len(mats) == 1:
         return mats[0]
-    mix = M.weighted_codiag(tuple(w for _, w, _ in entries), mats[0].rows,
-                            denoter.sr)
-    return M.compose(mix, M.pair_mat(*mats))
+    return M.mix(tuple(w for _, w, _ in entries), *mats)
 
 
 def _locally_sound(sd: TC.Derivation, entries, denoter: _Denoter) -> bool:

@@ -19,6 +19,14 @@ products skip it by ``Semiring.is_zero`` where the dense product skips a
 zero cell.  Rows are never changed once a matrix holds them, so matrices
 share rows.
 
+Beside some structural maps sits a kernel that computes a composite with
+the map without building it (``curry_last``, ``eval_after``,
+``reindex_cols``, ``compose_lifted``, ``row_block``, ``pad_rows``,
+``scale``, ``mix``).  A kernel stores what the composite stores, in the
+same order: it skips the entries ``compose`` skips, passes a factor
+through where ``compose`` or ``tensor_mat`` meets the semiring's ``one``,
+and adds each sum's terms in the composite's order.
+
 Index conventions are fixed once and shared by every structural map:
 
 * tensor pairing is left major: idx(a (x) b) = idx(a) * dim(B) + idx(b);
@@ -201,27 +209,85 @@ def tensor_mat(f: Mat, g: Mat) -> Mat:
     return _mat(f.rows * g.rows, f.cols * gc, out, sr)
 
 
+def perm_index(dims: list[int], perm: list[int]) -> list[int]:
+    """The column of the one in each row of ``perm_mat(dims, perm)``: the
+    source index that each target index reads."""
+    if sorted(perm) != list(range(len(dims))):
+        raise ShapeMismatch(f"not a permutation: {perm}")
+    # the weight of each source factor's index in the source index
+    stride = [0] * len(dims)
+    s = 1
+    for k in reversed(range(len(dims))):
+        stride[k] = s
+        s *= dims[k]
+    # target factors in order, the first the most significant
+    index = [0]
+    for k in perm:
+        w = stride[k]
+        index = [i + x * w for i in index for x in range(dims[k])]
+    return index
+
+
 def perm_mat(dims: list[int], perm: list[int], sr: Semiring) -> Mat:
     """Permutation of tensor factors: source factors ``dims`` reordered so
     that target factor k is source factor ``perm[k]``.  Equals the matching
     composite of adjacent braidings."""
-    if sorted(perm) != list(range(len(dims))):
-        raise ShapeMismatch(f"not a permutation: {perm}")
-    # the weight of each source factor's index in the target index
-    stride = [0] * len(dims)
-    s = 1
-    for k in reversed(range(len(perm))):
-        stride[perm[k]] = s
-        s *= dims[perm[k]]
-    # the target of every source index, in ascending source order
-    targets = [0]
-    for d, w in zip(dims, stride):
-        targets = [t + x * w for t in targets for x in range(d)]
-    data: list = [None] * len(targets)
     one = sr.one
-    for src, tgt in enumerate(targets):
-        data[tgt] = {src: one}
-    return _mat(len(targets), len(targets), data, sr)
+    data = [{src: one} for src in perm_index(dims, perm)]
+    return _mat(len(data), len(data), data, sr)
+
+
+def reindex_cols(m: Mat, index: list[int]) -> Mat:
+    """m after the permutation whose row t has its one in column index[t]
+    (see ``perm_index``): column t of m moves to column index[t], and a
+    stored entry that ``is_zero`` is dropped.  Equals ``compose(m, P)``,
+    rows in ascending column order."""
+    if m.cols != len(index):
+        raise ShapeMismatch(f"reindex_cols: {m.cols} columns, {len(index)} indices")
+    is_zero = m.sr.is_zero
+    out = []
+    for r in m.data:
+        moved = {index[t]: v for t, v in r.items() if not is_zero(v)}
+        if len(moved) > 1:
+            moved = {j: moved[j] for j in sorted(moved)}
+        out.append(moved)
+    return _mat(m.rows, len(index), out, m.sr)
+
+
+def compose_lifted(u: Mat, left: int, t: Mat, right: int) -> Mat:
+    """u . (Id_left (x) t (x) Id_right), without building the lifted map.
+
+    The lifted map's row (l*t.rows + x)*right + e holds t's row x, entries
+    that ``is_zero`` left out, at columns (l*t.cols + c)*right + e; each
+    row of u is multiplied through those rows as ``compose`` does, in the
+    same order and with the same skips and pass-throughs."""
+    if u.cols != left * t.rows * right:
+        raise ShapeMismatch(f"compose_lifted: {u.rows}x{u.cols} . "
+                            f"{left}x{t.rows}x{t.cols}x{right}")
+    sr = u.sr
+    add, mul, is_zero, one = sr.add, sr.mul, sr.is_zero, sr.one
+    block, width = t.rows * right, t.cols * right
+    trows = [[(c * right, v) for c, v in r.items() if not is_zero(v)]
+             for r in t.data]
+    out = []
+    for urow in u.data:
+        acc: dict = {}
+        merged = False
+        for k, gv in urow.items():
+            if is_zero(gv):
+                continue
+            merged = merged or bool(acc)
+            l, rest = divmod(k, block)
+            x, e = divmod(rest, right)
+            base = l * width + e
+            for c, fv in trows[x]:
+                j = base + c
+                p = fv if gv is one else gv if fv is one else mul(gv, fv)
+                acc[j] = add(acc[j], p) if j in acc else p
+        if merged:
+            acc = {j: acc[j] for j in sorted(acc)}
+        out.append(acc)
+    return _mat(u.rows, left * width, out, sr)
 
 
 def coherence(kind: str, objs: tuple[int, ...], sr: Semiring) -> Mat:
@@ -269,6 +335,28 @@ def proj1(a: int, b: int, sr: Semiring) -> Mat:
 
 def proj2(a: int, b: int, sr: Semiring) -> Mat:
     return copair_mat(zero_mat(a, b, sr), identity(b, sr))
+
+
+def row_block(m: Mat, lo: int, n: int) -> Mat:
+    """Rows lo..lo+n of m, entries that ``is_zero`` left out: the
+    projection after m, ``compose(proj1(n, b), m)`` at lo = 0 and
+    ``compose(proj2(a, n), m)`` at lo = a."""
+    if lo < 0 or lo + n > m.rows:
+        raise ShapeMismatch(f"row_block: rows {lo}..{lo + n} of {m.rows}")
+    is_zero = m.sr.is_zero
+    return _mat(n, m.cols, [{j: v for j, v in r.items() if not is_zero(v)}
+                            for r in m.data[lo:lo + n]], m.sr)
+
+
+def pad_rows(m: Mat, above: int, below: int) -> Mat:
+    """m below ``above`` and above ``below`` zero rows, entries that
+    ``is_zero`` left out: the injection after m, ``compose(inj1(a, below),
+    m)`` at above = 0 and ``compose(inj2(above, b), m)`` at below = 0."""
+    is_zero = m.sr.is_zero
+    data = [{} for _ in range(above)]
+    data += [{j: v for j, v in r.items() if not is_zero(v)} for r in m.data]
+    data += [{} for _ in range(below)]
+    return _mat(above + m.rows + below, m.cols, data, m.sr)
 
 
 def pair_mat(f: Mat, g: Mat) -> Mat:
@@ -351,6 +439,69 @@ def curry(f: Mat, x: int, y: int, z: int) -> Mat:
     return _mat(z * x, y, data, f.sr)
 
 
+def curry_last(f: Mat, g: int, a: int) -> Mat:
+    """Transpose f : G (x) A -> B over its last factor to G -> hom(A, B),
+    entries that ``is_zero`` left out: out[i*a + j][k] = f[i][k*a + j].
+    Equals ``compose(hom_mat(a, f), unit_map(g, a, sr))``."""
+    if f.cols != g * a:
+        raise ShapeMismatch(f"curry_last: expected {g * a} columns, got {f.cols}")
+    is_zero = f.sr.is_zero
+    data = [{} for _ in range(f.rows * a)]
+    for i, r in enumerate(f.data):
+        for col, v in r.items():
+            if not is_zero(v):
+                k, j = divmod(col, a)
+                data[i * a + j][k] = v
+    return _mat(f.rows * a, g, data, f.sr)
+
+
+def eval_after(a: int, b: int, f: Mat, x: Mat, index=None) -> Mat:
+    """``eval_map(a, b) . (f (x) x)`` for f : G -> hom(A, B) and
+    x : H -> A, without building either map: out[i][l*H + r] sums
+    f[i*a + j][l] * x[j][r] over ascending j.  With ``index``, the
+    Kronecker product's columns are first moved as by ``reindex_cols``.
+
+    As in the composite, a factor that ``is_zero`` is skipped, a factor
+    that is ``one`` passes the other through, a product that ``is_zero``
+    is skipped (the Kronecker product stores it, then the evaluation skips
+    it), and each sum accumulates in ascending j."""
+    if f.rows != b * a or x.rows != a:
+        raise ShapeMismatch(f"eval_after: {f.rows}x{f.cols} (x) "
+                            f"{x.rows}x{x.cols} at A={a}, B={b}")
+    sr = f.sr
+    add, mul, is_zero, one = sr.add, sr.mul, sr.is_zero, sr.one
+    h = x.cols
+    xrows = [[(r, v) for r, v in row.items() if not is_zero(v)]
+             for row in x.data]
+    frows = f.data
+    out = []
+    for i in range(b):
+        acc: dict = {}
+        merged = False
+        for j in range(a):
+            merged = merged or bool(acc)
+            xz = xrows[j]
+            for l, fv in frows[i * a + j].items():
+                if is_zero(fv):
+                    continue
+                base = l * h
+                for r, xv in xz:
+                    if fv is one:
+                        p = xv
+                    elif xv is one:
+                        p = fv
+                    else:
+                        p = mul(fv, xv)
+                        if is_zero(p):
+                            continue
+                    col = base + r if index is None else index[base + r]
+                    acc[col] = add(acc[col], p) if col in acc else p
+        if len(acc) > 1 and (merged or index is not None):
+            acc = {c: acc[c] for c in sorted(acc)}
+        out.append(acc)
+    return _mat(b, f.cols * h, out, sr)
+
+
 def uncurry(gm: Mat, x: int, y: int, z: int) -> Mat:
     """Transpose g : Y -> hom(X, Z) back to X (x) Y -> Z."""
     if (gm.rows, gm.cols) != (z * x, y):
@@ -381,6 +532,47 @@ def weighted_codiag(w: tuple, a: int, sr: Semiring) -> Mat:
     pair (p, q)."""
     p, q = w
     return copair_mat(scalar_map(p, a, sr), scalar_map(q, a, sr))
+
+
+def _scaled(s, row: dict, sr: Semiring) -> dict:
+    """s times a stored row, entries that ``is_zero`` left out, as a
+    product by ``scalar_map`` multiplies it."""
+    mul, is_zero, one = sr.mul, sr.is_zero, sr.one
+    return {j: v if s is one else s if v is one else mul(s, v)
+            for j, v in row.items() if not is_zero(v)}
+
+
+def scale(s, m: Mat) -> Mat:
+    """s times m; equals ``compose(scalar_map(s, m.rows, sr), m)``."""
+    sr = m.sr
+    if sr.is_zero(s):
+        return zero_mat(m.cols, m.rows, sr)
+    return _mat(m.rows, m.cols, [_scaled(s, r, sr) for r in m.data], sr)
+
+
+def mix(w: tuple, f: Mat, g: Mat) -> Mat:
+    """p.f + q.g for w = (p, q); equals ``compose(weighted_codiag(w,
+    f.rows, sr), pair_mat(f, g))``: a weight that ``is_zero`` drops its
+    branch, and each sum adds q's term to p's."""
+    if (f.rows, f.cols) != (g.rows, g.cols):
+        raise ShapeMismatch(f"mix: {f.rows}x{f.cols} and {g.rows}x{g.cols}")
+    sr = f.sr
+    p, q = w
+    add, mul, is_zero, one = sr.add, sr.mul, sr.is_zero, sr.one
+    with_p, with_q = not is_zero(p), not is_zero(q)
+    out = []
+    for a, b in zip(f.data, g.data):
+        acc = _scaled(p, a, sr) if with_p else {}
+        if with_q:
+            merged = bool(acc)
+            for j, v in b.items():
+                if not is_zero(v):
+                    t = v if q is one else q if v is one else mul(q, v)
+                    acc[j] = add(acc[j], t) if j in acc else t
+            if merged:
+                acc = {j: acc[j] for j in sorted(acc)}
+        out.append(acc)
+    return _mat(f.rows, f.cols, out, sr)
 
 
 def distribute(kind: str, objs: tuple[int, ...], sr: Semiring) -> Mat:

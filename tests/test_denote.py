@@ -268,6 +268,65 @@ def test_every_node_matrix_is_pinned(family, semiring):
     assert h.hexdigest() == (floats if sr is sc.F64 else exact)
 
 
+_STRUCTURAL = ("hom_mat", "unit_map", "eval_map", "perm_mat", "proj1",
+               "proj2", "inj1", "inj2", "distribute", "weighted_codiag")
+
+# open judgments whose splits permute their context, for each rule that
+# replays a permutation
+_PERMUTED = [
+    ("x:one & one, f:(one & one) -o one", "app(f,x)", "one"),
+    ("x:one & one, y:one & one & one", "tens(y,x)", None),
+    ("p:one (*) one, y:one & one", "let_tens(p,a,b,tens(unit_elim(a,b),y))",
+     None),
+    ("y:one & one, s:one (+) one", "case(s,a.tens(a,y),b.tens(b,y))", None),
+    ("y:one & one, s:one (o) one",
+     "sup_elim{1/4,3/4}(s,a.tens(a,y),b.tens(b,y))", None),
+]
+
+
+def _assert_stored_in_order(m):
+    """The storage invariant of matmodel's docstring: one dict per row,
+    columns in range and in ascending order."""
+    assert len(m.data) == m.rows
+    for r in m.data:
+        cols = list(r)
+        assert cols == sorted(cols) and all(0 <= j < m.cols for j in cols)
+
+
+def test_denoting_builds_no_structural_matrix(monkeypatch):
+    """Every clause computes its composite with a structural map directly
+    from its premises' stored entries; step soundness mixes a fork's
+    matrices the same way."""
+    judgments = [((), e.term, e.prop) for e in sc.corpus()]
+    gen = TermGenerator(seed=43, allow_sup_elim=True, max_depth=4)
+    judgments += [((), *gen.closed()) for _ in range(100)]
+    judgments.append(((), *_encoded_application(6)))
+    judgments += [(sc.parse_context(c), term(t), prop(a) if a else None)
+                  for c, t, a in _PERMUTED]
+
+    def refuse(name):
+        def build(*args):
+            raise AssertionError(f"{name} built while denoting")
+        return build
+
+    for name in _STRUCTURAL:
+        monkeypatch.setattr(M, name, refuse(name))
+    permuted = 0
+    for ctx, t, a in judgments:
+        d = sc.typecheck(ctx, t, a)
+        sc.denote(d)
+        stack = [d]
+        while stack:
+            node = stack.pop()
+            _assert_stored_in_order(node._mat)
+            permuted += (node.split is not None
+                         and list(node.split.perm) != sorted(node.split.perm))
+            stack.extend(node.children)
+        if not ctx:
+            assert sc.check_step_soundness(t, SR, expected=a).ok
+    assert permuted >= len(_PERMUTED)
+
+
 # ---------------------------------------------------------------------------
 # substitution identity
 

@@ -556,3 +556,132 @@ def test_corpus_denotations_match_the_oracle_backed_reference(sr, monkeypatch):
     use_the_dense_oracle(monkeypatch)
     for m, d in zip(got, derivations):
         assert_dense(m, dense_of(sc.denote(d, sr).matrix))
+
+
+# ---------------------------------------------------------------------------
+# kernels: each one against the composite of structural maps it replaces,
+# compared by stored form (columns in storage order, values and their types)
+
+
+def stored_form(m):
+    return (m.rows, m.cols,
+            [[(j, type(v), v) for j, v in r.items()] for r in m.data])
+
+
+def assert_same(kernel, composite):
+    assert stored_form(kernel) == stored_form(composite)
+
+
+KERNEL_DIMS = (0, 1, 1, 2, 3)
+
+
+def kernel_values(sr):
+    """The test pool, the semiring's own one and zero (a stored zero, as
+    star(0) leaves one) and, under f64, a value within the zero tolerance,
+    one whose square is, and two whose sums round by their order; over the
+    rationals also an int, as encode_matrix may hold."""
+    extra = {"bool": (), "f64": (1e-12, 3e-5, 0.1, 1 / 3)}.get(sr.name, (2,))
+    return sr.test_pool + (sr.one, sr.zero) + extra
+
+
+def sparse(rng, rows, cols, sr):
+    """A random stored form: about half the cells absent, the rest drawn
+    from ``kernel_values``."""
+    values = kernel_values(sr)
+    return M._mat(rows, cols, [
+        {j: rng.choice(values) for j in range(cols) if rng.random() < 0.5}
+        for _ in range(rows)], sr)
+
+
+def random_perm(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def prod(dims):
+    out = 1
+    for d in dims:
+        out *= d
+    return out
+
+
+@by_name
+def test_kernels_equal_the_composites_they_replace(sr):
+    rng = random.Random(f"kernels:{sr.name}")
+    dim = lambda: rng.choice(KERNEL_DIMS)  # noqa: E731
+    values = kernel_values(sr)
+    weights = sr.weight_pool + ((sr.one, sr.one), (sr.zero, sr.one),
+                                (sr.one, sr.zero), (rng.choice(values),) * 2)
+    for _ in range(200):
+        a, b, g, h, e = dim(), dim(), dim(), dim(), dim()
+        # lambda: the body transposed over its last context factor
+        body = sparse(rng, b, g * a, sr)
+        assert_same(M.curry_last(body, g, a),
+                    M.compose(M.hom_mat(a, body), M.unit_map(g, a, sr)))
+        # application, without and with a permutation of the context
+        f, x = sparse(rng, b * a, g, sr), sparse(rng, a, h, sr)
+        ev = M.eval_map(a, b, sr)
+        assert_same(M.eval_after(a, b, f, x),
+                    M.compose(ev, M.tensor_mat(f, x)))
+        dims = [dim() for _ in range(rng.randint(0, 4))]
+        perm = random_perm(rng, len(dims))
+        k = rng.randint(0, len(dims))
+        f = sparse(rng, b * a, prod(dims[i] for i in perm[:k]), sr)
+        x = sparse(rng, a, prod(dims[i] for i in perm[k:]), sr)
+        assert_same(M.eval_after(a, b, f, x, M.perm_index(dims, perm)),
+                    M.compose(ev, M.compose(M.tensor_mat(f, x),
+                                            M.perm_mat(dims, perm, sr))))
+        # a permutation of the context alone
+        m = sparse(rng, b, prod(dims), sr)
+        assert_same(M.reindex_cols(m, M.perm_index(dims, perm)),
+                    M.compose(m, M.perm_mat(dims, perm, sr)))
+        # projections and injections
+        m = sparse(rng, a + b, g, sr)
+        assert_same(M.row_block(m, 0, a), M.compose(M.proj1(a, b, sr), m))
+        assert_same(M.row_block(m, a, b), M.compose(M.proj2(a, b, sr), m))
+        m1, m2 = sparse(rng, a, g, sr), sparse(rng, b, g, sr)
+        assert_same(M.pad_rows(m1, 0, b), M.compose(M.inj1(a, b, sr), m1))
+        assert_same(M.pad_rows(m2, a, 0), M.compose(M.inj2(a, b, sr), m2))
+        # a map after a lifted one, as in let_tens and case
+        left, right = dim(), dim()
+        t = sparse(rng, a, g, sr)
+        u = sparse(rng, b, left * a * right, sr)
+        lifted = M.tensor_mat(M.tensor_mat(M.identity(left, sr), t),
+                              M.identity(right, sr))
+        assert_same(M.compose_lifted(u, left, t, right), M.compose(u, lifted))
+        # scalar product and weighted mix
+        s, w = rng.choice(values), rng.choice(weights)
+        f1, f2 = sparse(rng, b, g, sr), sparse(rng, b, g, sr)
+        assert_same(M.scale(s, f1), M.compose(M.scalar_map(s, b, sr), f1))
+        assert_same(M.mix(w, f1, f2), M.compose(M.weighted_codiag(w, b, sr),
+                                                M.pair_mat(f1, f2)))
+        # the case clause: the distribution map d is the identity, so
+        # each branch reads its block of the scrutinee
+        c = dim()
+        t = sparse(rng, a + c, g, sr)
+        u, v = sparse(rng, b, a * e, sr), sparse(rng, b, c * e, sr)
+        composite = M.compose(M.weighted_codiag(w, b, sr), M.compose(
+            M.biproduct_mat(u, v),
+            M.compose(M.distribute("d", (a, c, e), sr),
+                      M.tensor_mat(t, M.identity(e, sr)))))
+        assert_same(M.mix(w, M.compose_lifted(u, 1, M.row_block(t, 0, a), e),
+                          M.compose_lifted(v, 1, M.row_block(t, a, c), e)),
+                    composite)
+    # under f64 two stored entries may have a product within the zero
+    # tolerance: the Kronecker product stores it and evaluation skips it
+    if sr is sc.F64:
+        f, x = M.Mat(1, 2, [3e-5, 1.0], sr), M.Mat(1, 1, [3e-5], sr)
+        assert_same(M.eval_after(1, 1, f, x),
+                    M.compose(M.eval_map(1, 1, sr), M.tensor_mat(f, x)))
+
+
+def test_kernels_refuse_mismatched_shapes():
+    sr = sc.QNN
+    m = M.zero_mat(3, 2, sr)
+    for bad in (lambda: M.curry_last(m, 2, 2), lambda: M.eval_after(1, 3, m, m),
+                lambda: M.reindex_cols(m, [0, 1]), lambda: M.row_block(m, 1, 2),
+                lambda: M.compose_lifted(m, 1, m, 2),
+                lambda: M.mix((sr.one, sr.zero), m, M.zero_mat(2, 2, sr))):
+        with pytest.raises(M.ShapeMismatch):
+            bad()
