@@ -455,7 +455,8 @@ def curry_last(f: Mat, g: int, a: int) -> Mat:
     return _mat(f.rows * a, g, data, f.sr)
 
 
-def eval_after(a: int, b: int, f: Mat, x: Mat, index=None) -> Mat:
+def eval_after(a: int, b: int, f: Mat, x: Mat,
+               index: list[int] | None = None) -> Mat:
     """``eval_map(a, b) . (f (x) x)`` for f : G -> hom(A, B) and
     x : H -> A, without building either map: out[i][l*H + r] sums
     f[i*a + j][l] * x[j][r] over ascending j.  With ``index``, the
