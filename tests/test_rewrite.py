@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import operator
 import random
 from fractions import Fraction as F
@@ -1044,3 +1045,38 @@ def test_leaf_key_is_the_printed_canonical_form(corpus_entries):
     assert any(type(u) in S._BINDERS for v in values for u in S.nodes(v))
     for v in values:
         assert R._leaf_key(v) == S.print_term(S.canonical(v))
+
+
+_DISTRIBUTION_PINS = {
+    "qnn": "08d8f037f0c940fa91ce38dc7a2176e75a613211a201e96bba907fa6e3271ee7",
+    "q": "e422d909695f8b4dd76f68c59a0f85daa52f4519f1b447d12fffaeb44013c002",
+    "bool": "0b0dbe1d4bc9f77a6d814cd415013ba133ccc50f8126e5cfa8331e559501b3e7",
+    "f64": "04d5c8767e150085d7e1f6dc22942ea9e15a9af220d2b20b790b10a1b95899a6",
+}
+
+
+@pytest.mark.parametrize("sr", (sc.QNN, sc.Q, sc.BOOL, sc.F64),
+                         ids=lambda s: s.name)
+def test_distributions_are_pinned(corpus_entries, sr):
+    """Every leaf of distribution and every aggregated value, in order,
+    with each weight's type and numerator and denominator (or its float):
+    any change to a leaf, to its order or to how a weight is multiplied
+    shows as a new digest."""
+    h = hashlib.sha256()
+    for t in _sr_fork_terms(sr) + _sr_corpus_terms(corpus_entries, sr):
+        d = sc.distribution(t, sr)
+        for part in (d.items, d.aggregate(sr)):
+            h.update(f"{_exactly(part)}\n".encode())
+    assert h.hexdigest() == _DISTRIBUTION_PINS[sr.name]
+
+
+@pytest.mark.parametrize("sr", (sc.Q, sc.BOOL, sc.F64), ids=lambda s: s.name)
+def test_fork_distributions_match_naive_reference(sr):
+    """Under each carrier besides qnn, on fork chains and trees whose
+    shared segments include those of one repeated fork, the leaves equal
+    the naive reference's, which multiplies along each path from the
+    root, item by item with each weight's type."""
+    for t in _sr_fork_terms(sr):
+        want = _leaves(_ref_paths(t, semiring=sr))
+        assert _exactly(sc.distribution(t, sr).items) == _exactly(
+            want.items), sc.print_term(t)
