@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: parse, check, run, distro, denote, soundness, encode, apply,
-laws.  Exit codes: 0 success, 1 check failure, 2 usage error.
+laws.  Exit codes: 0 success, 1 check failure (or standard output closed
+by its reader), 2 usage error.
 
 Term files use the ``.lsup`` extension: one term per file, with optional
 header lines ``-- ctx: x:A, y:B`` and ``-- type: A`` (plain ``--`` lines
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .denote import (check_global_soundness, check_step_soundness,
@@ -356,7 +358,16 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         sr = get_semiring(args.semiring)
-        return _COMMANDS[args.command](args, sr)
+        code = _COMMANDS[args.command](args, sr)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output (``supcalc distro f | head``).
+        # Point it at devnull, so that the flush at exit cannot fail again,
+        # and end quietly with the exit code of an interrupted write.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -5,7 +5,11 @@ from __future__ import annotations
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +117,27 @@ def test_distro_json(ufile, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data == [{"weight": "1/2", "term": "star(3/4)"},
                     {"weight": "1/2", "term": "star(1/4)"}]
+
+
+def test_distro_into_a_closed_pipe_ends_quietly(tmp_path):
+    """supcalc distro f | head: the reader closes before the 1024 leaves
+    of a 10-fork chain are written, and the command ends with exit code 1
+    and nothing on stderr, not a BrokenPipeError traceback."""
+    fork = "sup_elim{1/3,2/3}(sup(star(2),star(3)),x.x,y.y)"
+    chain = tmp_path / "chain.lsup"
+    chain.write_text(("unit_elim(" + fork + ",") * 9 + fork + ")" * 9)
+    src = str(Path(sc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supcalc.cli", "distro", str(chain)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # closed at once, long before the term is even parsed
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_denote_matrix(tfile, capsys):
