@@ -59,10 +59,15 @@ they give back the same objects, which carries the sharing into the next
 segments.  The leaves come out in the order of the unshared tree, and the
 budget counts that tree's steps: a kept segment adds its stored count, so
 sharing changes neither the budgets at which BudgetExceeded is raised nor
-its message.  Branch weights are multiplied in path order, along each
-path from the root, so that inexact carriers give the same products
-whether or not a segment is shared.  A recorded step's whole term
-depends on R's context, so ``paths`` shares no segment.
+its message.  A segment keeps the fork weights it takes as its word.
+Under an exact carrier (``Semiring.exact``: qnn, q, bool) the word is
+their product, started from ``one``, and a state that reads the segment
+multiplies its own product by it once.  Under an inexact one (f64) a
+float product depends on its association, so the word is a chain of cons
+cells and each reader multiplies its product by the weights one at a
+time, in path order, along each path from the root: the products are
+then the same whether or not a segment is shared.  A recorded step's
+whole term depends on R's context, so ``paths`` shares no segment.
 """
 
 from __future__ import annotations
@@ -72,7 +77,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import syntax as S
-from .semiring import QNN, Semiring
+from .semiring import QNN, Semiring, format_scalar
 from .syntax import Term
 
 DEFAULT_BUDGET = 100_000
@@ -121,7 +126,7 @@ class Step:
 
 
 def _sum_stars(t: S.Sum, a: S.Star, sr: Semiring) -> Term:
-    return S.Star(sr.add(a.scalar, t.right.scalar))
+    return S._node(S.Star, {"scalar": sr.add(a.scalar, t.right.scalar)})
 
 
 def _merge_lams(t: S.Sum, a: S.Lam, sr: Semiring) -> Term:
@@ -146,7 +151,7 @@ def _sum_into(t: S.Sum, a: Term, sr: Semiring) -> Term:
 
 
 def _scal_star(t: S.Scal, a: S.Star, sr: Semiring) -> Term:
-    return S.Star(sr.mul(t.scalar, a.scalar))
+    return S._node(S.Star, {"scalar": sr.mul(t.scalar, a.scalar)})
 
 
 def _scal_into(t: S.Scal, a: Term, sr: Semiring) -> Term:
@@ -169,7 +174,7 @@ def _tens_elim(t: S.TensElim, a: S.Tens, sr: Semiring) -> Term:
 
 
 def _unit_elim(t: S.UnitElim, a: S.Star, sr: Semiring) -> Term:
-    return S.Scal(a.scalar, t.body)
+    return S._node(S.Scal, {"scalar": a.scalar, "body": t.body})
 
 
 def _apply(t: S.App, a: S.Lam, sr: Semiring) -> Term:
@@ -236,13 +241,19 @@ def is_redex(t: Term) -> bool:
 
 def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
     """Root redex patterns: (rule, weight, contractum) triples, one for a
-    deterministic redex and both branches for a sup-elimination."""
-    if not is_redex(t):
+    deterministic redex and both branches for a sup-elimination.  It reads
+    _SHAPES as is_redex does, with one lookup of t's class."""
+    shape = _SHAPES.get(type(t))
+    if shape is None:
         return []
-    field, _, cases = _SHAPES[type(t)]
+    field, twin, cases = shape
     a = getattr(t, field)
+    rules = cases.get(type(a))
+    if rules is None or (twin is not None
+                         and type(getattr(t, twin)) is not type(a)):
+        return []
     out = []  # a loop costs less than a comprehension on this hot path
-    for rule, weight, make in cases[type(a)]:
+    for rule, weight, make in rules:
         out.append((rule, semiring.one if weight is None
                     else getattr(t, weight), make(t, a, semiring)))
     return out
@@ -285,7 +296,9 @@ def step_all(t: Term, semiring: Semiring = QNN) -> list[tuple[Step, Term]]:
 
 def _plug(parent: Term, i: int, child: Term) -> Term:
     """parent with its i-th subterm replaced by child: one node rebuilt."""
-    return S._rebuild(parent, {_CHILDREN[type(parent)][i]: child})
+    new = S._node(type(parent), parent.__dict__)
+    new.__dict__[_CHILDREN[type(parent)][i]] = child
+    return new
 
 
 def _plug_all(u: Term, frames) -> Term:
@@ -387,6 +400,8 @@ def _leaf_key(v: Term) -> str:
     they bind, so a value with no binder prints as its canonical form and
     is not canonicalised: a childless value (``star(c)``, ``unit``) is
     printed at once, any other is walked once to look for a binder."""
+    if type(v) is S.Star:
+        return "star(" + format_scalar(v.scalar) + ")"
     if _CHILDREN[type(v)] and any(type(u) in S._BINDERS for u in S.nodes(v)):
         v = S.canonical(v)
     return S.print_term(v)
@@ -455,8 +470,9 @@ def _cons(word, w):
 
 def _extend(cell, base, op, cache: dict):
     """base extended by op with the fork weights of the word cell, oldest
-    first.  A word is None or (word, weight).  cache maps the ids of cells
-    already extended onto this base to their results."""
+    first.  A word of cons cells, kept under an inexact carrier, is None or
+    (word, weight).  cache maps the ids of cells already extended onto this
+    base to their results."""
     cells = []
     while cell is not None and id(cell) not in cache:
         cells.append(cell)
@@ -477,13 +493,17 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     term instead, going on from each contractum of its root.  Its pending
     states are (node, i, word, mode, trail): node is the current form of
     the root, children before i are normal.  Words are the fork weights
-    taken since the frame began, as cons cells, except in the first frame,
-    where they are products in the semiring taken in path order.  A
-    finished frame leaves (root, [(word, result, rooted, trail)], unshared
-    steps) in memo, keyed by id(root); rooted tells a contractum of the
-    root from a normal form.  Memo hits add their steps to the budget,
-    which so counts the unshared tree.  A budget below zero raises
-    BudgetExceeded at once.
+    taken since the frame began (see the module docstring).  In the first
+    frame a word is their product, taken in path order from ``one``.  In
+    any other it starts from ``empty``: under an exact carrier it is their
+    product from ``one`` (the object), under an inexact one the cons cells
+    from None.  A word read from a segment multiplies the reader's unless
+    either is ``empty``: at once if exact, else cell by cell through
+    ``_extend``.  A finished frame leaves (root, [(word, result, rooted,
+    trail)], unshared steps) in memo, keyed by id(root); rooted tells a
+    contractum of the root from a normal form.  Memo hits add their steps
+    to the budget, which so counts the unshared tree.  A budget below zero
+    raises BudgetExceeded at once.
 
     Without forks, a root contraction with two entries raises
     SupBranchEncountered before its steps are counted, so a fork one step
@@ -503,6 +523,8 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     memo = {}
     used = 0
     leaves = []
+    exact = semiring.exact
+    empty, join = (semiring.one, semiring.mul) if exact else (None, _cons)
     frames = [(None, [(t, 0, semiring.one, _CHECK, () if record else None)],
                leaves, 0, semiring.mul)]
     while frames:
@@ -550,8 +572,8 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
         hit = memo.pop(id(child), None) if record else memo.get(id(child))
         if hit is None:
             todo.append((node, i, word, _RESUME, trail))
-            frames.append((child, [(child, 0, None, _CHECK, trail)], [],
-                           used, _cons))
+            frames.append((child, [(child, 0, empty, _CHECK, trail)], [],
+                           used, join))
             continue
         _, results, steps = hit
         if mode != _RESUME:
@@ -560,7 +582,8 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 raise BudgetExceeded(message)
         cache = {}
         for cell, c, rooted, trail in reversed(results):
-            w = (word if cell is None else cell if word is None
+            w = (word if cell is empty else cell if word is empty
+                 else op(word, cell) if exact
                  else _extend(cell, word, op, cache))
             if rooted:
                 todo.append((_plug(node, i, c), i, w, _CHECK, trail))

@@ -6,17 +6,17 @@ and machine floats with tolerant equality (``f64``).  Scalar literals in
 source text are always rationals; each instance decides which literals it
 accepts via :meth:`Semiring.from_literal`.
 
-The two exact instances multiply and add through :func:`mul` and
+The two rational instances multiply and add through :func:`mul` and
 :func:`add`, not through ``Fraction``'s operators.  Every run distribution
-leaf costs a few products (fork weights in path order, ``scal_star``
-contractions), and the operator spends most of each one on dispatch
-(``Fraction.__mul__`` is a generic forward to ``_mul``) and on
-``Fraction.__new__``.  When both operands are exactly ``Fraction``, the
-kernel runs the standard library's own gcd-reduced algorithm on the two
-slots and fills a new instance's slots directly, so its result is the
-operator's: the same normalised numerator and denominator, of type
-``Fraction``.  Any other operand (an ``int`` entry of ``encode_matrix``,
-a ``Fraction`` subclass) goes through the operator unchanged.
+leaf costs a few products (fork weights, ``scal_star`` contractions), and
+the operator spends most of each one on dispatch (``Fraction.__mul__`` is
+a generic forward to ``_mul``) and on ``Fraction.__new__``.  When both
+operands are exactly ``Fraction``, the kernel runs the standard library's
+own gcd-reduced algorithm on the two slots and fills a new instance's
+slots directly, so its result is the operator's: the same normalised
+numerator and denominator, of type ``Fraction``.  Any other operand (an
+``int`` entry of ``encode_matrix``, a ``Fraction`` subclass) goes through
+the operator unchanged.
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ class Semiring:
     one pair that deliberately fails the p+q=1 side condition.
     ``is_zero(a)`` decides ``eq(a, zero)``; the matrix model skips the
     entries it accepts.
+
+    ``exact`` is a fact about the carrier, not an option: its products do
+    not depend on how they are associated, and ``one`` is their identity,
+    value and type alike.  It holds for qnn, q and bool.  A run
+    distribution then folds the fork weights of a shared segment into one
+    product; otherwise (f64, and by default a semiring built elsewhere)
+    it multiplies them one at a time along each path from the root.
     """
 
     name: str
@@ -64,6 +71,7 @@ class Semiring:
     test_pool: tuple
     weight_pool: tuple
     non_weight_pair: tuple
+    exact: bool = False
 
     def sum(self, values: Sequence[Scalar]) -> Scalar:
         acc = self.zero
@@ -191,6 +199,7 @@ QNN = Semiring(
         (_F(0), _F(1)),
     ),
     non_weight_pair=(_F(1, 2), _F(1, 4)),
+    exact=True,
 )
 
 Q = Semiring(
@@ -210,6 +219,7 @@ Q = Semiring(
         (_F(1), _F(0)),
     ),
     non_weight_pair=(_F(1, 2), _F(1, 4)),
+    exact=True,
 )
 
 BOOL = Semiring(
@@ -224,6 +234,7 @@ BOOL = Semiring(
     test_pool=(False, True),
     weight_pool=((True, False), (False, True), (True, True)),
     non_weight_pair=(False, False),
+    exact=True,
 )
 
 _F64_TOL = 1e-9

@@ -288,13 +288,22 @@ def bound_names(t: Term, field: str) -> tuple[str, ...]:
     return tuple(getattr(t, v) for v in spec.get(field, ()))
 
 
+def _node(cls, fields: dict[str, object]) -> Term:
+    """The node of class cls with the fields given by name in fields,
+    which names each of cls's fields in their declared order.  Term classes
+    have no __post_init__, so filling a new instance's fields directly
+    makes the node the constructor would, without the constructor's frozen
+    per-field writes.  The facts live in slots, not in __dict__, so the new
+    node has none."""
+    new = object.__new__(cls)
+    new.__dict__.update(fields)
+    return new
+
+
 def _rebuild(t: Term, updates: dict[str, object]) -> Term:
-    """t with some fields replaced.  Term classes have no __post_init__, so
-    filling a new instance's fields directly makes the node the constructor
-    would, without the constructor's frozen per-field writes.  The facts
-    live in slots, not in __dict__, so the new node inherits none."""
-    new = object.__new__(type(t))
-    new.__dict__.update(t.__dict__, **updates)
+    """t with some fields replaced, built by _node."""
+    new = _node(type(t), t.__dict__)
+    new.__dict__.update(updates)
     return new
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 import pytest
 
 import supcalc as sc
+from supcalc import checker as TC
 from supcalc import rewrite as R
 from supcalc import syntax as S
 from supcalc.gen import TermGenerator, canonical_inhabitant
@@ -540,6 +541,65 @@ def test_every_shape_matches_the_clause_per_rule_reference():
         redexes += bool(want)
     assert fired == set(R.ALL_RULES)
     assert nodes > 1000 and 0 < redexes < nodes // 4
+
+
+# ---------------------------------------------------------------------------
+# Nodes built by S._node against the constructor's nodes
+
+_FACTS = ("_fv", "_absorbs", "_deriv")
+# the rules whose contraction builds its contractum's root node
+_BUILDING_RULES = set(R.COMMUTATION_RULES) | {"unit_elim"}
+
+
+def _constructed(u, **updates):
+    """The node the constructor of u's class makes from u's fields, some
+    of them replaced."""
+    values = {f.name: getattr(u, f.name) for f in dataclasses.fields(u)}
+    values.update(updates)
+    return type(u)(**values)
+
+
+def _assert_built_as_constructed(u, want):
+    """u is want, the constructor's node: equal, with the same hash, repr
+    and fields in the same order; and u keeps no fact."""
+    assert type(u) is type(want)
+    assert u == want and hash(u) == hash(want) and repr(u) == repr(want)
+    assert list(vars(u).items()) == list(vars(want).items())
+    assert not [fact for fact in _FACTS if hasattr(u, fact)], repr(u)
+
+
+def test_direct_builds_are_the_constructors_nodes(corpus_entries):
+    """Every node made by S._node, for a contraction, a plug or _rebuild,
+    is the node the constructor makes of the same fields; none of the facts
+    of the node it is made from (all three are known) carries over, and
+    that node stays as it was."""
+    gen = TermGenerator(seed=11, allow_sup_elim=True, max_depth=4)
+    typed = [(e.ctx, e.term, e.prop) for e in corpus_entries]
+    typed += [((), *gen.closed()) for _ in range(100)]
+    derivations = [sc.typecheck(ctx, t, a) for ctx, t, a in typed]
+    nodes = [u for _, t, _ in typed for u in S.nodes(t)]
+    assert any(hasattr(u, "_deriv") for u in nodes)
+    nodes += list(_shape_sweep())
+    built = set()
+    for u in nodes:
+        S.free_vars(u)
+        TC.can_absorb(u)
+        assert all(hasattr(u, fact) for fact in _FACTS[:2])
+        before = list(vars(u).items())
+        _assert_built_as_constructed(S._node(type(u), u.__dict__),
+                                     _constructed(u))
+        for i, name in enumerate(S._CHILDREN[type(u)]):
+            for x in (getattr(u, name), S.Unit()):
+                want = _constructed(u, **{name: x})
+                _assert_built_as_constructed(R._plug(u, i, x), want)
+                _assert_built_as_constructed(S._rebuild(u, {name: x}), want)
+        assert list(vars(u).items()) == before
+        for rule, _, c in R.contract(u, SR):
+            if rule in _BUILDING_RULES:
+                _assert_built_as_constructed(c, _constructed(c))
+                built.add(rule)
+    assert built == _BUILDING_RULES
+    assert derivations
 
 
 # ---------------------------------------------------------------------------
