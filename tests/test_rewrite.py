@@ -576,7 +576,8 @@ def test_direct_builds_are_the_constructors_nodes(corpus_entries):
     gen = TermGenerator(seed=11, allow_sup_elim=True, max_depth=4)
     typed = [(e.ctx, e.term, e.prop) for e in corpus_entries]
     typed += [((), *gen.closed()) for _ in range(100)]
-    derivations = [sc.typecheck(ctx, t, a) for ctx, t, a in typed]
+    for ctx, t, a in typed:
+        sc.typecheck(ctx, t, a)
     nodes = [u for _, t, _ in typed for u in S.nodes(t)]
     assert any(hasattr(u, "_deriv") for u in nodes)
     nodes += list(_shape_sweep())
@@ -599,7 +600,6 @@ def test_direct_builds_are_the_constructors_nodes(corpus_entries):
                 _assert_built_as_constructed(c, _constructed(c))
                 built.add(rule)
     assert built == _BUILDING_RULES
-    assert derivations
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1120,7 @@ _DISTRIBUTION_PINS = {
 def test_distributions_are_pinned(corpus_entries, sr):
     """Every leaf of distribution and every aggregated value, in order,
     with each weight's type and numerator and denominator (or its float):
-    any change to a leaf, to its order or to how a weight is multiplied
+    any change to a leaf, to its order or to a weight's value or type
     shows as a new digest."""
     h = hashlib.sha256()
     for t in _sr_fork_terms(sr) + _sr_corpus_terms(corpus_entries, sr):
