@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -548,6 +550,42 @@ def test_law_reports_match_the_oracle_backed_reference(sr, monkeypatch):
     got = [report(seed) for seed in range(10)]
     use_the_dense_oracle(monkeypatch)
     assert got == [report(seed) for seed in range(10)]
+
+
+_LAW_PINS = {
+    "qnn": "abbcea9dc0eeae97c26da455b53eb238afde485f1f9f2fdd2caea66b7dd655b8",
+    "q": "2364865e69a8d32389cd82ce6991c828f201af4b309e47eac717b77bda91063e",
+    "bool": "7fda55732714d41ddce4baf22e6be5b53bf78e9f7454146eca9c68de028c4d0d",
+    "f64": "59a26c1f9723bc7473a9831eef3bec820ad636055a623b2c91d15b8c04e5985f",
+}
+
+
+@by_name
+def test_law_comparisons_and_reports_are_pinned(sr, monkeypatch):
+    """Every matrix the law suite compares, in call order, and every report.
+    The carrier's eq is never true, so that every equation reports its
+    failure: any change to a compared matrix's stored entries, to the order
+    of the comparisons, to a draw or to a message shows as a new digest."""
+    sr = dataclasses.replace(sr, eq=lambda a, b: False)
+    h = hashlib.sha256()
+
+    def stored(m):
+        return f"{m.rows}x{m.cols} " + "|".join(
+            " ".join(f"{j}:{type(v).__name__}:{sc.format_scalar(v)}"
+                     for j, v in r.items()) for r in m.data)
+
+    equal = M.Mat.equal
+
+    def hooked(self, other):
+        h.update(f"{stored(self)} = {stored(other)}\n".encode())
+        return equal(self, other)
+
+    monkeypatch.setattr(M.Mat, "equal", hooked)
+    for seed in range(5):
+        rep = M.check_laws(seed=seed, trials=3, max_dim=4, semiring=sr)
+        for r in rep.results:
+            h.update(f"{(r.name, r.trials, r.failures)!r}\n".encode())
+    assert h.hexdigest() == _LAW_PINS[sr.name]
 
 
 @pytest.mark.parametrize("sr", (sc.QNN, sc.Q, sc.F64), ids=lambda s: s.name)
