@@ -588,6 +588,18 @@ def test_law_comparisons_and_reports_are_pinned(sr, monkeypatch):
     assert h.hexdigest() == _LAW_PINS[sr.name]
 
 
+def test_the_non_weight_pair_reports_its_inequality():
+    """Under a carrier whose eq is always true every equation holds, so the
+    one failure is the inequality: wcodiag . diag at the non-weight pair is
+    not Id."""
+    sr = dataclasses.replace(SR, eq=lambda a, b: True)
+    rep = M.check_laws(seed=0, trials=2, max_dim=2, semiring=sr)
+    p, q = SR.non_weight_pair
+    assert [(r.name, r.failures) for r in rep.results if r.failures] == [
+        ("weighted-codiag-left-inverse",
+         [f"wcodiag({p},{q}).diag = Id although p+q != 1"] * 2)]
+
+
 @pytest.mark.parametrize("sr", (sc.QNN, sc.Q, sc.F64), ids=lambda s: s.name)
 def test_corpus_denotations_match_the_oracle_backed_reference(sr, monkeypatch):
     # a derivation keeps its matrix, so the reference denotes derivations
