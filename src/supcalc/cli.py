@@ -375,7 +375,7 @@ def main(argv=None) -> int:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 1
     except (TC.TypingError, RW.ReductionError, VC.NotInV,
-            VC.LengthMismatch) as exc:
+            VC.LengthMismatch, M.ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

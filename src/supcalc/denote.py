@@ -90,6 +90,13 @@ from .matmodel import Mat
 from .semiring import QNN, Semiring, WeightError
 from .syntax import Prop, Term
 
+# The most cells a derivation node's matrix may have: its rows times its
+# cols, a zero dimension counted as one (a node with no rows still keeps a
+# list of them, and may re-index its columns).  ``_Denoter.go`` refuses a
+# node past it with ``ShapeMismatch`` before its premises are denoted, so a
+# type whose dimension grows by tensor and hom cannot take memory silently.
+MAX_ENTRIES = 1 << 20
+
 _UNITS = {S.One: 1, S.Top: 0, S.Zero: 0}
 _OBJECTS = {S.Tensor: M.tensor_obj, S.Lollipop: M.hom_obj,
             S.With: M.biproduct_obj, S.Plus: M.biproduct_obj,
@@ -179,6 +186,10 @@ class _Denoter:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
         # rows and cols are the dimensions of d's type and of its context
         rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
+        if (rows or 1) * (cols or 1) > MAX_ENTRIES:
+            raise M.ShapeMismatch(
+                f"rule {d.rule} denotes a {rows}x{cols} matrix, more than "
+                f"the {MAX_ENTRIES} entries a node may have")
         clause, arg = entry
         mat = clause(self, d, [self.go(k) for k in d.children], rows, cols,
                      arg)

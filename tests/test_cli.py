@@ -223,6 +223,22 @@ def test_an_ill_typed_file_is_a_type_error_in_every_checking_command(
                             "a function type\n")
 
 
+@pytest.mark.parametrize("command", ["denote", "soundness"])
+def test_a_type_past_the_denote_budget_is_one_error_line(
+        tmp_path, capsys, command):
+    # (one & one) tensored 30 times has 2^30 dimensions
+    a = " (*) ".join(["(one & one)"] * 30)
+    p = tmp_path / "big.lsup"
+    p.write_text(f"-- type: {a} -o {a}\nlam(x,x)\n")
+    assert main([command, str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: rule lolli_i denotes a {2 ** 60}x1 matrix, more than the "
+        f"{importlib.import_module('supcalc.denote').MAX_ENTRIES} entries "
+        "a node may have\n")
+
+
 def test_encode_then_apply(tmp_path, capsys):
     assert main(["encode", "--matrix", "[[1,2],[3,4]]",
                  "--from", "one & one", "--to", "one & one"]) == 0

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import importlib
 import random
+import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +157,34 @@ def test_zero_dimensional_types():
     assert (got.rows, got.cols) == (0, 1)
     got = closed_matrix("lam(x,zero_elim(x))", "zero -o one")
     assert (got.rows, got.cols) == (0, 1)
+
+
+def test_a_node_past_the_entry_budget_is_refused_before_anything_is_built():
+    # A is (one & one) tensored 30 times, 2^30 dimensions: lam(x,x) at
+    # A -o A would start by building identity(2^30)
+    a = " (*) ".join(["(one & one)"] * 30)
+    d = sc.typecheck((), term("lam(x,x)"), prop(f"{a} -o {a}"))
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(M.ShapeMismatch,
+                       match=f"rule lolli_i denotes a {2 ** 60}x1 matrix"):
+        sc.denote(d)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 100_000, (elapsed, peak)
+
+
+@pytest.mark.parametrize("budget, ok", [(4, True), (3, False)])
+def test_a_node_at_the_entry_budget_is_denoted(monkeypatch, budget, ok):
+    # the root is 4x1 and the variable's identity 2x2
+    monkeypatch.setattr(D, "MAX_ENTRIES", budget)
+    d = sc.typecheck((), term("lam(x,x)"), prop("one & one -o one & one"))
+    if ok:
+        assert sc.denote(d).matrix.equal(mat([[1], [0], [0], [1]]))
+    else:
+        with pytest.raises(M.ShapeMismatch, match="more than the 3 entries"):
+            sc.denote(d)
 
 
 def test_shape_soundness_on_corpus(corpus_entries):

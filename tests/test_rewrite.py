@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import operator
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -958,14 +960,32 @@ def test_distribution_of_a_long_fork_chain_exceeds_the_budget():
 def test_distribution_multiplies_weights_in_path_order():
     """Float products depend on their order: under f64 the weights of
     paths and of distribution equal those of the naive reference, which
-    multiplies along each path from the root."""
-    for n in (6, 8):
-        for src in (_fork_chain(n), _fork_chain(n, left=True),
-                    _fork_tree(0, n)):
-            t = sc.parse_term(src.replace("1/3,2/3", "1/10,9/10"), sc.F64)
-            want = _ref_paths(t, semiring=sc.F64)
+    multiplies along each path from the root.  No weight is dyadic, so a
+    product associated otherwise rounds otherwise.  The inputs: fork chains
+    nested both ways and balanced trees of 6 and 8 forks at 1/10,9/10;
+    chains of one repeated fork, whose segments the run shares, at each
+    weight pair; and chains and trees of 12 forks whose weights cycle
+    through the three pairs."""
+    pairs = ("1/10,9/10", "1/3,2/3", "2/5,3/5")
+    shapes = (lambda n: _fork_chain(n), lambda n: _fork_chain(n, left=True),
+              lambda n: _fork_tree(0, n))
+    srcs = [shape(n).replace("1/3,2/3", "1/10,9/10")
+            for n in (6, 8) for shape in shapes]
+    for pair in pairs:
+        for n in (6, 8):
+            src = _fork(0)
+            for _ in range(1, n):
+                src = f"unit_elim({_fork(0)},{src})"
+            srcs.append(src.replace("1/3,2/3", pair))
+    for shape in shapes:
+        cycle = itertools.cycle(pairs)
+        srcs.append(re.sub("1/3,2/3", lambda _: next(cycle), shape(12)))
+    for src in srcs:
+        t = sc.parse_term(src, sc.F64)
+        want = _ref_paths(t, semiring=sc.F64)
+        if len(want) < 4096:  # 12 forks: each path keeps every whole term
             assert sc.paths(t, sc.F64) == want
-            assert sc.distribution(t, sc.F64) == _leaves(want)
+        assert sc.distribution(t, sc.F64) == _leaves(want)
 
 
 # ---------------------------------------------------------------------------
