@@ -91,10 +91,11 @@ from .semiring import QNN, Semiring, WeightError
 from .syntax import Prop, Term
 
 # The most cells a derivation node's matrix may have: its rows times its
-# cols, a zero dimension counted as one (a node with no rows still keeps a
-# list of them, and may re-index its columns).  ``_Denoter.go`` refuses a
-# node past it with ``ShapeMismatch`` before its premises are denoted, so a
-# type whose dimension grows by tensor and hom cannot take memory silently.
+# cols, a zero dimension counted as one (a node with no columns still keeps
+# a list of its rows, and one with no rows may re-index its columns).
+# ``_Denoter.go`` refuses a node past it with ``ShapeMismatch`` before its
+# premises are denoted, so a type whose dimension grows by tensor and hom
+# cannot take memory silently.
 MAX_ENTRIES = 1 << 20
 
 _UNITS = {S.One: 1, S.Top: 0, S.Zero: 0}

@@ -159,15 +159,21 @@ def test_zero_dimensional_types():
     assert (got.rows, got.cols) == (0, 1)
 
 
-def test_a_node_past_the_entry_budget_is_refused_before_anything_is_built():
-    # A is (one & one) tensored 30 times, 2^30 dimensions: lam(x,x) at
-    # A -o A would start by building identity(2^30)
-    a = " (*) ".join(["(one & one)"] * 30)
-    d = sc.typecheck((), term("lam(x,x)"), prop(f"{a} -o {a}"))
+_BIG = " (*) ".join(["(one & one)"] * 30)  # 2^30 dimensions
+
+
+@pytest.mark.parametrize("src, type_src, refused", [
+    # the root would be hom(A, A), 2^60 x 1, after identity(2^30)
+    ("lam(x,x)", f"{_BIG} -o {_BIG}", f"rule lolli_i denotes a {2 ** 60}x1"),
+    # the root is 0x1; zero_elim(x) has no columns but 2^30 rows
+    ("lam(x,zero_elim(x))", f"zero -o {_BIG}", f"rule zero_e denotes a {2 ** 30}x0"),
+], ids=["identity", "no-columns"])
+def test_a_node_past_the_entry_budget_is_refused_before_anything_is_built(
+        src, type_src, refused):
+    d = sc.typecheck((), term(src), prop(type_src))
     tracemalloc.start()
     start = time.perf_counter()
-    with pytest.raises(M.ShapeMismatch,
-                       match=f"rule lolli_i denotes a {2 ** 60}x1 matrix"):
+    with pytest.raises(M.ShapeMismatch, match=refused):
         sc.denote(d)
     elapsed = time.perf_counter() - start
     peak = tracemalloc.get_traced_memory()[1]
