@@ -32,6 +32,13 @@ at its own type if it was built with none: checking a term against the
 type it synthesizes derives the same.  Failures are not kept.  So a
 reduct re-derives only the nodes its step rebuilt.
 
+A derivation and a split plan keep their fields in slots and have no
+``__dict__``, as terms do (see ``syntax``).  A derivation's facts are
+slots too: the semiring (``_sr``) and the expected type (``_want``) the
+checker built it for, and its matrix (``_mat``, see ``denote``).  The
+constructor sets each to None, which means unset, and a copy or a pickle
+carries the fields only.
+
 ``validate`` re-typechecks a derivation's root judgment once and compares
 the derivation with the checker's own, node by node.
 """
@@ -69,7 +76,7 @@ class AmbiguousType(TypingError):
     """The form needs an annotation or an expected type to check against."""
 
 
-@dataclass(frozen=True)
+@S._slotted
 class SplitPlan:
     """Partition of the ambient context for a multiplicative rule.
 
@@ -84,8 +91,14 @@ class SplitPlan:
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Derivation:
+class _DerivationFacts:
+    # a derivation's facts (see the module docstring), and the slot that
+    # lets a term hold a weak link to its derivation
+    __slots__ = ("_sr", "_want", "_mat", "__weakref__")
+
+
+@S._slotted
+class Derivation(_DerivationFacts):
     rule: str
     ctx: Context
     term: Term
@@ -93,14 +106,9 @@ class Derivation:
     children: tuple["Derivation", ...] = ()
     split: Optional[SplitPlan] = None
 
-    # Kept beside the fields, and left out of a copy or a pickle: _built,
-    # the (semiring, expected type) the checker built the node for, and
-    # _mat, the matrix that denote gave it in its semiring.
-    _mat = None
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k[0] != "_"}
-
+# the one proposition one and the one top that the checker's rules give
+_ONE, _TOP = S.One(), S.Top()
 
 # the forms whose rule splits its context (see the module docstring)
 _SPLITS = {S.UnitElim, S.App, S.Tens, S.TensElim, S.ZeroElim, S.Case,
@@ -110,10 +118,9 @@ _SPLITS = {S.UnitElim, S.App, S.Tens, S.TensElim, S.ZeroElim, S.Case,
 def can_absorb(t: Term) -> bool:
     """Whether a typing of t can consume context variables it never uses.
     A node decides it once, from its subterms', and keeps the answer."""
-    try:
-        return t._absorbs
-    except AttributeError:
-        pass
+    out = t._absorbs
+    if out is not None:
+        return out
     names = S._CHILDREN[type(t)]
     if type(t) in _SPLITS:
         names = () if can_absorb(getattr(t, names[0])) else names[1:]
@@ -182,21 +189,22 @@ class _Checker:
     def _typecheck(self, ctx: Context, t: Term, want: Optional[Prop]) -> Derivation:
         # a derivation depends only on (semiring, ctx, t, want), and one
         # synthesized serves a check at its own type; failures are not kept
-        link = getattr(t, "_deriv", None)
-        d = link and link()
-        if d is not None and d._built[0] is self.sr and d.ctx == ctx and (
-                d._built[1] == want or d._built[1] is None and d.prop == want):
-            return d
         entry = self._CLAUSES.get(type(t))
         if entry is None:
             raise TypingError(f"cannot type {t!r}")
+        link = t._deriv
+        d = link and link()
+        if d is not None and d._sr is self.sr and d.ctx == ctx and (
+                d._want == want or d._want is None and d.prop == want):
+            return d
         rule, clause = entry
         d = clause(self, ctx, t, want, rule)
-        if want is not None and d.prop != want:
+        if want is not None and d.prop is not want and d.prop != want:
             raise TypeMismatch(
                 f"{S.print_term(t)} has type {S.print_prop(d.prop)}, "
                 f"expected {S.print_prop(want)}")
-        object.__setattr__(d, "_built", (self.sr, want))
+        object.__setattr__(d, "_sr", self.sr)
+        object.__setattr__(d, "_want", want)
         object.__setattr__(t, "_deriv", weakref.ref(d))
         return d
 
@@ -218,10 +226,10 @@ class _Checker:
             raise LinearViolation(
                 f"variable(s) {', '.join(x for x, _ in ctx)} unused at "
                 f"{S.print_term(t)}")
-        return Derivation(rule, ctx, t, S.One())
+        return Derivation(rule, ctx, t, _ONE)
 
     def _unit(self, ctx, t, want, rule):
-        return Derivation(rule, ctx, t, S.Top())
+        return Derivation(rule, ctx, t, _TOP)
 
     def _linear_sum(self, ctx, t, want, rule):
         # sum and scal share their context and their type with every premise
@@ -233,7 +241,7 @@ class _Checker:
 
     def _unit_elim(self, ctx, t, want, rule):
         lctx, rctx, plan = self.split(ctx, t)
-        d1 = self._typecheck(lctx, t.unit, S.One())
+        d1 = self._typecheck(lctx, t.unit, _ONE)
         d2 = self._typecheck(rctx, t.body, want)
         return Derivation(rule, ctx, t, d2.prop, (d1, d2), plan)
 

@@ -106,7 +106,7 @@ _OBJECTS = {S.Tensor: M.tensor_obj, S.Lollipop: M.hom_obj,
 
 def denote_prop(a: Prop) -> int:
     """a's dimension, which a keeps once worked out."""
-    dim = getattr(a, "_dim", None)
+    dim = getattr(a, "_dim", None)  # None too for a non-proposition
     if dim is None:
         cls = type(a)
         if cls in _UNITS:

@@ -126,7 +126,7 @@ class Step:
 
 
 def _sum_stars(t: S.Sum, a: S.Star, sr: Semiring) -> Term:
-    return S._node(S.Star, {"scalar": sr.add(a.scalar, t.right.scalar)})
+    return S.Star(sr.add(a.scalar, t.right.scalar))
 
 
 def _merge_lams(t: S.Sum, a: S.Lam, sr: Semiring) -> Term:
@@ -151,7 +151,7 @@ def _sum_into(t: S.Sum, a: Term, sr: Semiring) -> Term:
 
 
 def _scal_star(t: S.Scal, a: S.Star, sr: Semiring) -> Term:
-    return S._node(S.Star, {"scalar": sr.mul(t.scalar, a.scalar)})
+    return S.Star(sr.mul(t.scalar, a.scalar))
 
 
 def _scal_into(t: S.Scal, a: Term, sr: Semiring) -> Term:
@@ -174,7 +174,7 @@ def _tens_elim(t: S.TensElim, a: S.Tens, sr: Semiring) -> Term:
 
 
 def _unit_elim(t: S.UnitElim, a: S.Star, sr: Semiring) -> Term:
-    return S._node(S.Scal, {"scalar": a.scalar, "body": t.body})
+    return S.Scal(a.scalar, t.body)
 
 
 def _apply(t: S.App, a: S.Lam, sr: Semiring) -> Term:
@@ -296,9 +296,7 @@ def step_all(t: Term, semiring: Semiring = QNN) -> list[tuple[Step, Term]]:
 
 def _plug(parent: Term, i: int, child: Term) -> Term:
     """parent with its i-th subterm replaced by child: one node rebuilt."""
-    new = S._node(type(parent), parent.__dict__)
-    new.__dict__[_CHILDREN[type(parent)][i]] = child
-    return new
+    return S._rebuild(parent, {_CHILDREN[type(parent)][i]: child})
 
 
 def _plug_all(u: Term, frames) -> Term:

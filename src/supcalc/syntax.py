@@ -12,15 +12,21 @@ for and kept for the node's life: its free variables (``free_vars``),
 whether it absorbs (``checker.can_absorb``) and a weak link to its last
 derivation; a proposition keeps its dimension (``denote.denote_prop``).
 Later calls reuse what earlier ones learned about the same object; an
-equal but distinct node learns its own.  Facts live in slots, outside the
-fields, so ``_rebuild``, copies and pickles carry none.
+equal but distinct node learns its own.
+
+A node keeps its fields and its facts in slots, and has no ``__dict__``.
+Its class's constructor writes each slot directly and sets every fact to
+None, which means unset, so a reader tests a fact with ``is None``.
+``_node``, ``_rebuild``, copies and unpickled nodes are all built by that
+constructor from fields alone, so they carry no fact; ``==``, ``hash`` and
+``repr`` read the fields only.
 """
 
 from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional
@@ -33,6 +39,44 @@ from .semiring import (QNN, Semiring, SemiringError, format_scalar,
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 10_000))
 
 # ---------------------------------------------------------------------------
+# Node classes
+
+
+def _slotted(cls):
+    """cls as a frozen dataclass whose fields are slots.  Its constructor
+    writes each field's slot directly and sets each fact, a slot that a
+    base class of cls declares, to None, which means unset.  A copy or an
+    unpickled node is built by the same constructor, from the fields that
+    the dataclass's ``__getstate__`` gives, so it keeps no fact."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    facts = [name for base in cls.__mro__[1:]
+             for name in base.__dict__.get("__slots__", ())
+             if name != "__weakref__"]
+    env, params, body = {}, ["self"], []
+    for f in fields(cls):
+        env[f"_field_{f.name}"] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            env[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _field_{f.name}(self, {f.name})\n")
+    for name in facts:
+        env[f"_fact{name}"] = getattr(cls, name).__set__
+        body.append(f"    _fact{name}(self, None)\n")
+    exec(f"def __init__({', '.join(params)}):\n{''.join(body) or '    pass'}",
+         env)
+    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = env["__init__"]
+    cls.__setstate__ = _setstate
+    return cls
+
+
+def _setstate(self, state) -> None:
+    self.__init__(*state)
+
+
+# ---------------------------------------------------------------------------
 # Propositions
 
 
@@ -42,50 +86,47 @@ class Prop:
     def __str__(self) -> str:
         return print_prop(self)
 
-    def __getstate__(self):
-        return self.__dict__
 
-
-@dataclass(frozen=True)
+@_slotted
 class One(Prop):
     pass
 
 
-@dataclass(frozen=True)
+@_slotted
 class Top(Prop):
     pass
 
 
-@dataclass(frozen=True)
+@_slotted
 class Zero(Prop):
     pass
 
 
-@dataclass(frozen=True)
+@_slotted
 class Tensor(Prop):
     left: Prop
     right: Prop
 
 
-@dataclass(frozen=True)
+@_slotted
 class Lollipop(Prop):
     left: Prop
     right: Prop
 
 
-@dataclass(frozen=True)
+@_slotted
 class With(Prop):
     left: Prop
     right: Prop
 
 
-@dataclass(frozen=True)
+@_slotted
 class Plus(Prop):
     left: Prop
     right: Prop
 
 
-@dataclass(frozen=True)
+@_slotted
 class Sup(Prop):
     left: Prop
     right: Prop
@@ -102,58 +143,55 @@ class Term:
     def __str__(self) -> str:
         return print_term(self)
 
-    def __getstate__(self):
-        return self.__dict__
 
-
-@dataclass(frozen=True)
+@_slotted
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_slotted
 class Sum(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Scal(Term):
     scalar: object
     body: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Star(Term):
     scalar: object
 
 
-@dataclass(frozen=True)
+@_slotted
 class UnitElim(Term):
     unit: Term
     body: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Lam(Term):
     var: str
     body: Term
     ann: Optional[Prop] = None
 
 
-@dataclass(frozen=True)
+@_slotted
 class App(Term):
     fn: Term
     arg: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Tens(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class TensElim(Term):
     pair: Term
     left_var: str
@@ -161,46 +199,46 @@ class TensElim(Term):
     body: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Unit(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_slotted
 class ZeroElim(Term):
     absurd: Term
     ann: Optional[Prop] = None
 
 
-@dataclass(frozen=True)
+@_slotted
 class Pair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Fst(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Snd(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Inl(Term):
     body: Term
     ann: Optional[Prop] = None  # type of the absent right component
 
 
-@dataclass(frozen=True)
+@_slotted
 class Inr(Term):
     body: Term
     ann: Optional[Prop] = None  # type of the absent left component
 
 
-@dataclass(frozen=True)
+@_slotted
 class Case(Term):
     scrutinee: Term
     left_var: str
@@ -209,23 +247,23 @@ class Case(Term):
     right_body: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class SupPair(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class SupFst(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class SupSnd(Term):
     pair: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class SupElim(Term):
     p: object
     q: object
@@ -236,7 +274,7 @@ class SupElim(Term):
     right_body: Term
 
 
-@dataclass(frozen=True)
+@_slotted
 class Hole(Term):
     """The distinguished hole of a term context."""
 
@@ -249,11 +287,15 @@ def sup_elim(p, q, scrutinee, left_var, left_body, right_var, right_body,
 
 
 # Per-class syntax tables, built once from the class definitions: the
-# constructor's field order, and the names of the subterm fields.
-_FIELDS = {cls: tuple(f.name for f in fields(cls))
-           for cls in Term.__subclasses__()}
+# constructor's field order, and the names of the subterm fields.  The
+# classes are named here, since Term.__subclasses__() also lists the
+# classes that the slotted dataclasses replaced until they are collected.
+_TERM_CLASSES = (Var, Sum, Scal, Star, UnitElim, Lam, App, Tens, TensElim,
+                 Unit, ZeroElim, Pair, Fst, Snd, Inl, Inr, Case, SupPair,
+                 SupFst, SupSnd, SupElim, Hole)
+_FIELDS = {cls: tuple(f.name for f in fields(cls)) for cls in _TERM_CLASSES}
 _CHILDREN = {cls: tuple(f.name for f in fields(cls) if f.type == "Term")
-             for cls in Term.__subclasses__()}
+             for cls in _TERM_CLASSES}
 
 # Binders maps each subterm field to the names bound inside it.
 _BINDERS = {
@@ -263,7 +305,7 @@ _BINDERS = {
     SupElim: {"left_body": ("left_var",), "right_body": ("right_var",)},
 }
 _BINDER_FIELDS = {cls: {v for vs in _BINDERS.get(cls, {}).values() for v in vs}
-                  for cls in Term.__subclasses__()}
+                  for cls in _TERM_CLASSES}
 
 # The sup connective introduces and projects pairs exactly as & does; only
 # elimination by cases differs (sup_elim mixes the branches by its weights).
@@ -289,22 +331,28 @@ def bound_names(t: Term, field: str) -> tuple[str, ...]:
 
 
 def _node(cls, fields: dict[str, object]) -> Term:
-    """The node of class cls with the fields given by name in fields,
-    which names each of cls's fields in their declared order.  Term classes
-    have no __post_init__, so filling a new instance's fields directly
-    makes the node the constructor would, without the constructor's frozen
-    per-field writes.  The facts live in slots, not in __dict__, so the new
-    node has none."""
-    new = object.__new__(cls)
-    new.__dict__.update(fields)
-    return new
+    """The node of class cls with the fields given by name in fields, which
+    names each of cls's fields: the constructor's node, with no fact."""
+    return cls(**fields)
+
+
+def _rebuilder(cls):
+    """_rebuild's function for cls: one call of cls's constructor, which
+    reads each field from updates if it names it, else from t."""
+    args = ", ".join(f"updates[{n!r}] if {n!r} in updates else t.{n}"
+                     for n in _FIELDS[cls])
+    env = {"cls": cls}
+    exec(f"def rebuild(t, updates):\n    return cls({args})\n", env)
+    return env["rebuild"]
+
+
+_REBUILDERS = {cls: _rebuilder(cls) for cls in _TERM_CLASSES}
 
 
 def _rebuild(t: Term, updates: dict[str, object]) -> Term:
-    """t with some fields replaced, built by _node."""
-    new = _node(type(t), t.__dict__)
-    new.__dict__.update(updates)
-    return new
+    """t with some fields replaced, built by the constructor of its class,
+    so it keeps none of t's facts."""
+    return _REBUILDERS[type(t)](t, updates)
 
 
 def subterms(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
@@ -352,17 +400,23 @@ def fresh_name(base: str, taken: frozenset[str] | set[str]) -> str:
 _NO_NAMES: frozenset[str] = frozenset()
 
 
+# the free variables of a variable of each name, one set per name for the
+# process's life: there are as many as the distinct names met
+_NAME_SETS: dict[str, frozenset[str]] = {}
+
+
 def free_vars(t: Term) -> frozenset[str]:
     """The free variables of t.  A node works them out once, from its
     subterms', and keeps them; where they are a subterm's, it shares that
-    subterm's set."""
-    try:
-        return t._fv
-    except AttributeError:
-        pass
+    subterm's set, and every variable of one name shares one set."""
+    fv = t._fv
+    if fv is not None:
+        return fv
     cls = type(t)
     if cls is Var:
-        fv = frozenset((t.name,))
+        fv = _NAME_SETS.get(t.name)
+        if fv is None:
+            fv = _NAME_SETS[t.name] = frozenset((t.name,))
     else:
         fv = _NO_NAMES
         for n in _CHILDREN[cls]:

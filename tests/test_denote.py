@@ -65,7 +65,7 @@ def test_a_proposition_keeps_its_dimension():
     a, b = prop("(one & one) -o one (+) one"), prop("(one & one) -o one (+) one")
     assert a == b and a is not b and hash(a) == hash(b)
     assert sc.denote_prop(a) == 4
-    assert a._dim == 4 and not hasattr(b, "_dim")
+    assert a._dim == 4 and b._dim is None
     assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
     assert sc.denote_prop(b) == 4 and b._dim == 4
     assert a.left._dim == 2 and a.right._dim == 2
@@ -78,7 +78,7 @@ def test_a_copy_or_a_pickle_of_a_proposition_keeps_no_dimension():
     a = prop("one (o) (one & top)")
     assert sc.denote_prop(a) == 2
     for made in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
-        assert made == a and not hasattr(made, "_dim")
+        assert made == a and made._dim is None
         assert sc.denote_prop(made) == 2
 
 

@@ -561,13 +561,19 @@ def _constructed(u, **updates):
     return type(u)(**values)
 
 
+def _field_items(u):
+    """u's (field, value) pairs, in the constructor's field order."""
+    return [(name, getattr(u, name)) for name in S._FIELDS[type(u)]]
+
+
 def _assert_built_as_constructed(u, want):
     """u is want, the constructor's node: equal, with the same hash, repr
-    and fields in the same order; and u keeps no fact."""
+    and fields in the same order; and u keeps no fact (each is None)."""
     assert type(u) is type(want)
     assert u == want and hash(u) == hash(want) and repr(u) == repr(want)
-    assert list(vars(u).items()) == list(vars(want).items())
-    assert not [fact for fact in _FACTS if hasattr(u, fact)], repr(u)
+    assert _field_items(u) == _field_items(want)
+    assert not [fact for fact in _FACTS if getattr(u, fact) is not None], \
+        repr(u)
 
 
 def test_direct_builds_are_the_constructors_nodes(corpus_entries):
@@ -581,22 +587,22 @@ def test_direct_builds_are_the_constructors_nodes(corpus_entries):
     for ctx, t, a in typed:
         sc.typecheck(ctx, t, a)
     nodes = [u for _, t, _ in typed for u in S.nodes(t)]
-    assert any(hasattr(u, "_deriv") for u in nodes)
+    assert any(u._deriv is not None for u in nodes)
     nodes += list(_shape_sweep())
     built = set()
     for u in nodes:
         S.free_vars(u)
         TC.can_absorb(u)
-        assert all(hasattr(u, fact) for fact in _FACTS[:2])
-        before = list(vars(u).items())
-        _assert_built_as_constructed(S._node(type(u), u.__dict__),
+        assert all(getattr(u, fact) is not None for fact in _FACTS[:2])
+        before = _field_items(u)
+        _assert_built_as_constructed(S._node(type(u), dict(_field_items(u))),
                                      _constructed(u))
         for i, name in enumerate(S._CHILDREN[type(u)]):
             for x in (getattr(u, name), S.Unit()):
                 want = _constructed(u, **{name: x})
                 _assert_built_as_constructed(R._plug(u, i, x), want)
                 _assert_built_as_constructed(S._rebuild(u, {name: x}), want)
-        assert list(vars(u).items()) == before
+        assert _field_items(u) == before
         for rule, _, c in R.contract(u, SR):
             if rule in _BUILDING_RULES:
                 _assert_built_as_constructed(c, _constructed(c))

@@ -660,8 +660,8 @@ def test_sup_is_distinct_from_with():
 
 
 def _facts(u):
-    """The names of the facts node u keeps."""
-    return [name for name in S.Term.__slots__ if hasattr(u, name)]
+    """The names of the facts node u keeps: those not unset (None)."""
+    return [name for name in S.Term.__slots__ if getattr(u, name) is not None]
 
 
 def _prime(t):
@@ -747,3 +747,84 @@ def test_a_copy_or_a_pickle_keeps_no_fact():
     for made in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
         assert made == t and _facts(made) == []
     assert d.term is t
+
+
+# the facts each kind of node keeps, every one None until set
+_NODE_FACTS = ((S.Term, ("_fv", "_absorbs", "_deriv")), (S.Prop, ("_dim",)),
+               (C.Derivation, ("_sr", "_want", "_mat")), (C.SplitPlan, ()))
+_PROP_CLASSES = {S.One, S.Top, S.Zero, S.Tensor, S.Lollipop, S.With, S.Plus,
+                 S.Sup}
+
+
+def _fact_names(u):
+    return next(facts for cls, facts in _NODE_FACTS if isinstance(u, cls))
+
+
+def _props(a):
+    yield a
+    if not isinstance(a, (S.One, S.Top, S.Zero)):
+        yield from _props(a.left)
+        yield from _props(a.right)
+
+
+def _derivation_nodes(d):
+    """d's derivation nodes, their split plans, term nodes and the nodes of
+    their propositions."""
+    yield d
+    if d.split is not None:
+        yield d.split
+    yield from S.nodes(d.term)
+    for a in [d.prop] + [a for _, a in d.ctx]:
+        yield from _props(a)
+    for k in d.children:
+        yield from _derivation_nodes(k)
+
+
+def test_every_node_is_slotted_and_a_copy_keeps_its_fields_only(
+        corpus_entries):
+    """Every term, proposition, derivation and split plan node of the
+    corpus and of 100 generated terms, typed and denoted, has no __dict__;
+    its copy, deep copy and pickle round trip equal it, have its hash and
+    keep no fact (each is None), while it keeps its own."""
+    import copy
+    import pickle
+
+    gen = TermGenerator(seed=17, allow_sup_elim=True, max_depth=4)
+    typed = [(e.ctx, e.term, e.prop) for e in corpus_entries]
+    typed += [((), *gen.closed()) for _ in range(100)]
+    kept = [sc.typecheck(ctx, t, a) for ctx, t, a in typed]
+    for d in kept:
+        sc.denote(d)
+    extra = [S.Hole(), S.replace_at(typed[0][1], (), S.Hole()),
+             sc.parse_prop("(zero (o) top) (+) one")]
+    _prime(extra[1])
+    sc.denote_prop(extra[2])
+    seen, classes, known = set(), set(), 0
+    for u in [n for d in kept for n in _derivation_nodes(d)] + extra:
+        if id(u) in seen:
+            continue
+        seen.add(id(u))
+        classes.add(type(u))
+        assert not hasattr(u, "__dict__"), repr(u)
+        facts = _fact_names(u)
+        known += any(getattr(u, f) is not None for f in facts)
+        before = [getattr(u, f) for f in facts]
+        for made in (copy.copy(u), copy.deepcopy(u),
+                     pickle.loads(pickle.dumps(u))):
+            assert type(made) is type(u) and made is not u
+            assert made == u and hash(made) == hash(u), repr(u)
+            assert not hasattr(made, "__dict__")
+            assert [getattr(made, f) for f in facts] == [None] * len(facts)
+        assert [getattr(u, f) for f in facts] == before
+    assert classes == (set(S._FIELDS) | _PROP_CLASSES
+                       | {C.Derivation, C.SplitPlan})
+    assert known > len(seen) // 2
+
+
+def test_variables_of_one_name_share_one_free_variable_set():
+    a, b = S.Var("x"), S.Var("x")
+    assert a is not b and sc.free_vars(a) is sc.free_vars(b)
+    assert sc.free_vars(a) == {"x"} and sc.free_vars(S.Var("y")) == {"y"}
+    t = sc.parse_term("tens(x,lam(y,app(y,x)))")
+    assert sc.free_vars(t.left) is sc.free_vars(t.right.body.arg) is \
+        sc.free_vars(a)
