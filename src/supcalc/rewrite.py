@@ -68,6 +68,18 @@ cells and each reader multiplies its product by the weights one at a
 time, in path order, along each path from the root: the products are
 then the same whether or not a segment is shared.  A recorded step's
 whole term depends on R's context, so ``paths`` shares no segment.
+
+A reader of a segment that ends in a contraction at R's root plugs that
+contractum c back into R's parent.  Where R is the parent's eliminated
+subterm (child 0 of every eliminating class) and ``_SHAPES`` says the
+plugged parent is a deterministic redex, the reader contracts at once,
+``make(parent, c)``, and never builds the redex node: every contraction
+reads its eliminated subterm only through its argument, so the parent,
+which still holds R there, gives the same contractum.  The step is counted
+when that contractum's state is taken up, as a plugged redex's would be,
+and a fork (two rules) still goes through ``contract``.  No node without
+subterms is asked about, since none is a redex, and a leaf of the whole
+term is its (weight, value) pair, which ``distribution`` keeps as it is.
 """
 
 from __future__ import annotations
@@ -351,7 +363,7 @@ def normalize(t: Term, semiring: Semiring = QNN,
               budget: int = DEFAULT_BUDGET) -> Term:
     """Leftmost-outermost normal form of a term without reachable
     probabilistic forks."""
-    (_, value, _), = _shared_run(t, semiring, budget, forks=False)
+    (_, value), = _shared_run(t, semiring, budget, forks=False)
     return value
 
 
@@ -418,15 +430,16 @@ class Distribution:
     def aggregate(self, semiring: Semiring) -> list[tuple[object, Term]]:
         """Merge duplicate values (up to alpha) by summing their weights in
         leaf order.  Each value is its first leaf's term, and the values
-        are sorted by their printed canonical form (``_leaf_key``)."""
-        buckets: dict[str, list] = {}
-        for w, v in self.items:
-            key = _leaf_key(v)
-            if key in buckets:
-                buckets[key][0] = semiring.add(buckets[key][0], w)
-            else:
-                buckets[key] = [w, v]
-        return [(w, v) for _, (w, v) in sorted(buckets.items())]
+        are sorted by their printed canonical form (``_leaf_key``).  The
+        result holds leaf tuples: a value met once is its leaf's own tuple
+        from ``items``, a merged one a new (summed weight, value) tuple."""
+        buckets: dict[str, tuple[object, Term]] = {}
+        for leaf in self.items:
+            key = _leaf_key(leaf[1])
+            first = buckets.get(key)
+            buckets[key] = leaf if first is None else (
+                semiring.add(first[0], leaf[0]), first[1])
+        return [buckets[key] for key in sorted(buckets)]
 
 
 def paths(t: Term, semiring: Semiring = QNN,
@@ -441,14 +454,14 @@ def distribution(t: Term, semiring: Semiring = QNN,
     """Exhaustively enumerate spdv(t): reduce leftmost-outermost, forking
     at each sup-elimination with the two branch weights.  Unlike paths,
     no steps are recorded, and each subterm's segment is run once."""
-    return Distribution(tuple(
-        (w, v) for w, v, _ in _shared_run(t, semiring, budget, forks=True)))
+    return Distribution(tuple(_shared_run(t, semiring, budget, forks=True)))
 
 
 # the modes of a pending state (node, i, word, mode, trail) of _shared_run:
 # check node's root first; go to child i; go to child i, whose segment has
-# just been run and counted
-_CHECK, _NEXT, _RESUME = range(3)
+# just been run and counted; node is the contractum of a deterministic step
+# that a plug skipped, and the step is counted when the state is popped
+_CHECK, _NEXT, _RESUME, _CONTRACTED = range(4)
 
 
 def _recorded(trail: tuple, frames, rule: str, w, c: Term) -> tuple:
@@ -484,8 +497,8 @@ def _extend(cell, base, op, cache: dict):
 
 def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 record: bool = False) -> list:
-    """The (weight, normal form, trail) leaves of t's leftmost-outermost
-    reduction tree, left branch first, running each subterm's segment once.
+    """The leaves of t's leftmost-outermost reduction tree, left branch
+    first, running each subterm's segment once.
 
     A frame runs one segment, of its root; the first frame runs the whole
     term instead, going on from each contractum of its root.  Its pending
@@ -509,10 +522,25 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     innermost frame; its position is the child index of each enclosing
     frame's pending _RESUME entry, outermost first.
 
+    A rooted result read back at child 0, the eliminated field of every
+    shape, that makes node a deterministic redex is contracted there from
+    the stale node, which gives the same contractum (see the module
+    docstring), and pushed as a _CONTRACTED state.  Popping it counts its
+    one step against the budget, as the check of the plugged node would,
+    so BudgetExceeded comes where it came; then the first frame checks the
+    contractum from its root and child 0, and any other frame ends its
+    segment with it.  A fork, or a plug at another child, goes through a
+    _CHECK state; a node without subterms is never passed to contract.
+
     Trails are None unless recording.  A recorded trail is the tuple of
     (Step, whole term) pairs since t, and a new frame starts from its
     parent state's trail.  Such a trail is absolute, so in recording mode
-    a stored segment is read only by the _RESUME entry that ran it.
+    a stored segment is read only by the _RESUME entry that ran it.  A
+    step contracted at the plug is recorded there: the enclosing frames'
+    pending _RESUME entries that ``_recorded`` reads are the same then as
+    when the state is popped.  Unless recording, the first frame's leaves
+    are (weight, normal form) pairs, otherwise (weight, normal form,
+    trail).
     """
     message = (f"reduction tree larger than {budget} steps" if forks
                else f"no normal form within {budget} steps")
@@ -533,7 +561,16 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 memo[id(root)] = (root, out, used - start)
             continue
         node, i, word, mode, trail = todo.pop()
-        if mode == _CHECK:
+        if mode == _CONTRACTED:
+            used += 1
+            if used > budget:
+                raise BudgetExceeded(message)
+            if root is not None:
+                out.append((word, node, True, trail))
+                continue
+            mode = _CHECK
+        names = _CHILDREN[type(node)]
+        if mode == _CHECK and names:  # a node without subterms is no redex
             entries = contract(node, semiring)
             if entries:
                 fork = len(entries) > 1
@@ -557,10 +594,13 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                                 if record else None)
                                for rule, w, c in entries)
                 continue
-        names = _CHILDREN[type(node)]
         if i == len(names):
-            out.append((word, node, trail) if root is None
-                       else (word, node, False, trail))
+            if root is not None:
+                out.append((word, node, False, trail))
+            elif record:
+                out.append((word, node, trail))
+            else:
+                out.append((word, node))
             continue
         child = getattr(node, names[i])
         if not _CHILDREN[type(child)]:
@@ -578,16 +618,28 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
             used += steps
             if used > budget:
                 raise BudgetExceeded(message)
+        # child 0 is the eliminated field of every shape
+        shape = _SHAPES.get(type(node)) if i == 0 else None
         cache = {}
         for cell, c, rooted, trail in reversed(results):
             w = (word if cell is empty else cell if word is empty
                  else op(word, cell) if exact
                  else _extend(cell, word, op, cache))
-            if rooted:
-                todo.append((_plug(node, i, c), i, w, _CHECK, trail))
-            else:
+            if not rooted:
                 todo.append((node if c is child else _plug(node, i, c),
                              i + 1, w, _NEXT, trail))
+                continue
+            rules = shape[2].get(type(c)) if shape else None
+            if (rules is not None and len(rules) == 1
+                    and (shape[1] is None
+                         or type(getattr(node, shape[1])) is type(c))):
+                rule, _, make = rules[0]
+                c = make(node, c, semiring)
+                todo.append((c, 0, w, _CONTRACTED,
+                             _recorded(trail, frames, rule, semiring.one, c)
+                             if record else None))
+            else:
+                todo.append((_plug(node, i, c), i, w, _CHECK, trail))
     return leaves
 
 

@@ -943,28 +943,41 @@ def _pp(a: Prop, level: int) -> str:
 
 
 def print_term(t: Term) -> str:
+    """t's source text.  The pieces of every level go into one list, joined
+    once, so a term prints in time linear in its size at any depth."""
+    out: list[str] = []
+    _print_into(t, out)
+    return "".join(out)
+
+
+def _print_into(t: Term, out: list[str]) -> None:
     if isinstance(t, Var):
-        return t.name
+        out.append(t.name)
+        return
     if type(t) not in _PRINT_FORMS:
         raise TypeError(f"not a term: {t!r}")
     pieces, tail = _PRINT_FORMS[type(t)]
-    out = ""
     for lit, name, show in pieces:
-        out += lit + show(getattr(t, name))
-    return out + tail
+        out.append(lit)
+        if show is None:
+            _print_into(getattr(t, name), out)
+        else:
+            out.append(show(getattr(t, name)))
+    out.append(tail)
 
 
 def _print_ann(a: Optional[Prop]) -> str:
     return "" if a is None else "{" + print_prop(a) + "}"
 
 
-_SHOW = {"term": print_term, "name": str, "scalar": format_scalar,
+# a subterm (None) is printed into the same list by _print_into
+_SHOW = {"term": None, "name": str, "scalar": format_scalar,
          "ann": _print_ann}
 
 
 def _print_form(form: list[tuple[str, str]]):
-    """((literal text before a field, the field, its printer), ...) and the
-    literal text after the last field."""
+    """((literal text before a field, the field, its printer or None for a
+    subterm), ...) and the literal text after the last field."""
     pieces, lit = [], ""
     for kind, text in form:
         if kind == "lit":

@@ -1166,3 +1166,76 @@ def test_fork_distributions_match_naive_reference(sr):
         want = _leaves(_ref_paths(t, semiring=sr))
         assert _exactly(sc.distribution(t, sr).items) == _exactly(
             want.items), sc.print_term(t)
+
+
+# ---------------------------------------------------------------------------
+# Contraction at the plug: a reader of a stored segment contracts a node
+# whose eliminated child it replaces without building the redex node
+
+
+def _shape_rules():
+    """Every (eliminating class, subterm class, rule) of _SHAPES."""
+    return {(cls, sub, rule) for cls, (_, _, cases) in R._SHAPES.items()
+            for sub, rules in cases.items() for rule, _, _ in rules}
+
+
+@pytest.mark.parametrize("sr", (sc.QNN, sc.F64), ids=lambda s: s.name)
+def test_contractions_read_the_eliminated_subterm_only_as_their_argument(
+        corpus_entries, sr):
+    """make(t, a) equals make(t', a), where t' is t with a hole for its
+    eliminated subterm a, for every rule of every redex of the shape
+    sweep, the corpus and 300 generated terms; and the eliminated field is
+    child 0 of every eliminating class.  So a contraction may be made from
+    a node that still holds a stale child there."""
+    for cls, (field, _, _) in R._SHAPES.items():
+        assert S._CHILDREN[cls][0] == field
+    swept = list(_shape_sweep())
+    terms = _sr_corpus_terms(corpus_entries, sr)
+    nodes = swept + [u for t in terms for u in S.nodes(t)]
+    seen, redexes = set(), 0
+    for k, u in enumerate(nodes):
+        if not R.is_redex(u):
+            continue
+        field, _, cases = R._SHAPES[type(u)]
+        a = getattr(u, field)
+        stale = S._rebuild(u, {field: S.Hole()})
+        for rule, _, make in cases[type(a)]:
+            assert make(u, a, sr) == make(stale, a, sr), (
+                rule, sc.print_term(u))
+            if k < len(swept):
+                seen.add((type(u), type(a), rule))
+        redexes += k >= len(swept)
+    assert seen == _shape_rules()
+    assert redexes > 500
+
+
+@pytest.mark.parametrize("sr", (sc.QNN, sc.F64), ids=lambda s: s.name)
+def test_distribution_builds_no_redex_only_to_contract_it(
+        corpus_entries, sr, monkeypatch):
+    """While distribution runs, no node that _plug returns is a
+    deterministic redex whose eliminated child (child 0) is the plugged
+    one: such a step is contracted at the plug instead.  contract is never
+    asked about a node without subterms, and aggregate returns an unmerged
+    value's leaf as the very tuple of the distribution."""
+    plug, contract = R._plug, R.contract
+    plugs = 0
+
+    def spied_plug(parent, i, child):
+        nonlocal plugs
+        u = plug(parent, i, child)
+        plugs += 1
+        assert i != 0 or len(contract(u, sr)) != 1, sc.print_term(u)
+        return u
+
+    def spied_contract(u, semiring):
+        assert S._CHILDREN[type(u)], sc.print_term(u)
+        return contract(u, semiring)
+
+    monkeypatch.setattr(R, "_plug", spied_plug)
+    monkeypatch.setattr(R, "contract", spied_contract)
+    shared = 0
+    for t in _sr_fork_terms(sr) + _sr_corpus_terms(corpus_entries, sr):
+        d = sc.distribution(t, sr)
+        leaves = {id(leaf) for leaf in d.items}
+        shared += sum(id(v) in leaves for v in d.aggregate(sr))
+    assert plugs > 1000 and shared > 100
