@@ -23,6 +23,13 @@ Each split records the partition and the permutation taking the ambient
 order to the premise order, which the denotational interpreter replays as
 a braiding.
 
+A split reads only the facts it needs to place the names.  An empty
+context has no name to place, so its split asks for no fact: checking a
+closed term asks for none at any split outside its binders.  A non-empty
+context reads the free variables of every premise, and asks whether a
+premise absorbs only when a name is used by neither side: first of the
+left premise, then, if it does not, of each right premise in turn.
+
 The checker keeps nothing itself.  A term node keeps its free variables,
 whether it absorbs, and a weak link (a derivation holds its term) to the
 last derivation built for it, with the semiring, context and expected
@@ -113,6 +120,11 @@ _ONE, _TOP = S.One(), S.Top()
 # the forms whose rule splits its context (see the module docstring)
 _SPLITS = {S.UnitElim, S.App, S.Tens, S.TensElim, S.ZeroElim, S.Case,
            S.SupElim}
+# each split form's left premise field and its right premise fields
+_PREMISES = {cls: (S._CHILDREN[cls][0], S._CHILDREN[cls][1:])
+             for cls in _SPLITS}
+# the plan of a split of the empty context
+_NO_SPLIT = SplitPlan((), (), ())
 
 
 def can_absorb(t: Term) -> bool:
@@ -148,39 +160,50 @@ class _Checker:
               t: Term) -> tuple[Context, Context, SplitPlan]:
         """Split ctx for the node t between its left premise and its right
         premises, less the names each binds, by the split rule stated
-        above."""
-        first, *rest = S._CHILDREN[type(t)]
+        above.  An empty ctx has nothing to place; otherwise absorption is
+        asked only for a name that neither side uses, of the left premise
+        first and then of each right premise."""
+        if not ctx:
+            return (), (), _NO_SPLIT
+        first, rest = _PREMISES[type(t)]
         left = getattr(t, first)
         fv_left = S.free_vars(left)
-        absorb_left = can_absorb(left)
-        fv_right: set[str] = set()
-        absorb_right = True
+        fv_right = S._NO_NAMES
         for n in rest:
-            r = getattr(t, n)
-            fv_right |= S.free_vars(r).difference(S.bound_names(t, n))
-            absorb_right = absorb_right and can_absorb(r)
+            fv = S.free_vars(getattr(t, n))
+            bound = S.bound_names(t, n)
+            if bound and not fv.isdisjoint(bound):
+                fv = fv.difference(bound)
+            fv_right = fv_right | fv if fv_right else fv
+        absorb_left = absorb_right = None
         left_idx: list[int] = []
         right_idx: list[int] = []
         for i, (x, _) in enumerate(ctx):
-            in_l, in_r = x in fv_left, x in fv_right
-            if in_l and in_r:
-                raise LinearViolation(
-                    f"variable {x} is used by both sides of a context split "
-                    f"in {S.print_term(t)}")
-            if in_l:
+            if x in fv_left:
+                if x in fv_right:
+                    raise LinearViolation(
+                        f"variable {x} is used by both sides of a context "
+                        f"split in {S.print_term(t)}")
                 left_idx.append(i)
-            elif in_r:
+                continue
+            if x in fv_right:
                 right_idx.append(i)
-            elif absorb_left:
+                continue
+            if absorb_left is None:
+                absorb_left = can_absorb(left)
+            if absorb_left:
                 left_idx.append(i)
-            elif absorb_right:
-                right_idx.append(i)
-            else:
+                continue
+            if absorb_right is None:
+                absorb_right = all(can_absorb(getattr(t, n)) for n in rest)
+            if not absorb_right:
                 raise LinearViolation(
                     f"variable {x} is never used in {S.print_term(t)}")
-        lctx = tuple(ctx[i] for i in left_idx)
-        rctx = tuple(ctx[i] for i in right_idx)
-        plan = SplitPlan(tuple(x for x, _ in lctx), tuple(x for x, _ in rctx),
+            right_idx.append(i)
+        lctx = tuple([ctx[i] for i in left_idx])
+        rctx = tuple([ctx[i] for i in right_idx])
+        plan = SplitPlan(tuple([x for x, _ in lctx]),
+                         tuple([x for x, _ in rctx]),
                          tuple(left_idx + right_idx))
         return lctx, rctx, plan
 

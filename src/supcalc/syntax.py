@@ -325,9 +325,24 @@ def subterm_fields(t: Term) -> tuple[str, ...]:
     return _CHILDREN[type(t)]
 
 
+def _binder_reader(names: tuple[str, ...]):
+    """The function that reads the fields named in names off a node, as
+    one tuple in that order."""
+    env: dict = {}
+    exec(f"def bound(t):\n    return ({''.join(f't.{v}, ' for v in names)})\n",
+         env)
+    return env["bound"]
+
+
+# per class, each subterm field that binds names and the reader of them
+_BOUND = {cls: {field: _binder_reader(names)
+                for field, names in _BINDERS.get(cls, {}).items()}
+          for cls in _TERM_CLASSES}
+
+
 def bound_names(t: Term, field: str) -> tuple[str, ...]:
-    spec = _BINDERS.get(type(t), {})
-    return tuple(getattr(t, v) for v in spec.get(field, ()))
+    bound = _BOUND[type(t)].get(field)
+    return () if bound is None else bound(t)
 
 
 def _node(cls, fields: dict[str, object]) -> Term:
@@ -630,18 +645,30 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{hint}")
 
 
-# One match per token: whitespace (" \t\r\n"), then a punctuation mark, a
-# name or a decimal integer literal, in groups 1 to 3 (so a token is the
-# tuple (punct, name, int) with one field set).  Any other character
-# matches with no group set, and no parser rule accepts it.  A name starts
-# with a letter (str.isalpha) or "_" and goes on with str.isalnum
-# characters or "_"; no pattern class is exactly str.isalpha, so group 2
-# also starts at the other non-decimal numeric characters, such as "²",
-# and _lexical_error refuses those.  Punctuation, the commonest token,
-# comes first in the pattern, which makes it quicker to match.
-_TOKEN = re.compile(r"[ \t\r\n]*(?:(-o|\([*+o]\)|[(){},.:/&])|([^\W\d]\w*)"
-                    r"|(-?\d+)|[^ \t\r\n])")
-_END = ("", "", "")  # after the last token; the parser never reads past it
+# One match per token: whitespace (" \t\r\n"), then the token in group 1,
+# so that findall gives one string per token.  A token is a punctuation
+# mark (_PUNCT), a name, a decimal integer literal or any other single
+# character, which no parser rule accepts; its kind is read from the
+# string itself (_is_name, _is_literal).  A name starts with a letter
+# (str.isalpha) or "_" and goes on with str.isalnum characters or "_"; no
+# pattern class is exactly str.isalpha, so the name pattern also starts at
+# the other non-decimal numeric characters, such as "²", and
+# _lexical_error refuses those.  Punctuation, the commonest token, comes
+# first in the pattern, which makes it quicker to match.
+_TOKEN = re.compile(r"[ \t\r\n]*(-o|\([*+o]\)|[(){},.:/&]|[^\W\d]\w*"
+                    r"|-?\d+|[^ \t\r\n])")
+_PUNCT = frozenset(("-o", "(*)", "(+)", "(o)", *"(){},.:/&"))
+_END = ""  # after the last token; the parser never reads past it
+
+
+def _is_name(tok: str) -> bool:
+    c = tok[:1]
+    return c.isalpha() or c == "_"
+
+
+def _is_literal(tok: str) -> bool:
+    c = tok[:1]
+    return c.isdecimal() or c == "-" and tok[1:2].isdecimal()
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -653,13 +680,10 @@ def _lexical_error(text: str) -> Optional[ParseError]:
     """The error at the first character of text that starts no token, if
     there is one."""
     for m in _TOKEN.finditer(text):
-        name = m.group(2)
-        if m.lastindex is None:
-            offset = m.end() - 1
-        elif name and not (name[0].isalpha() or name[0] == "_"):
-            offset = m.start(2)
-        else:
+        tok = m.group(1)
+        if _is_name(tok) or _is_literal(tok) or tok in _PUNCT:
             continue
+        offset = m.start(1)
         c = text[offset]
         message = f"stray {c!r}" if c == "-" else f"unexpected character {c!r}"
         return ParseError(message, *_line_col(text, offset))
@@ -725,14 +749,17 @@ MAX_NESTING = 9000
 
 
 class _Parser:
-    """Recursive descent over the token tuples of one text, recursing once
-    per nesting level.  A rule takes the index of its first token and
-    returns what it read with the index of the token after it.  A token's
-    line and column are worked out only for an error, by matching the text
-    again up to that token.  The form past MAX_NESTING deep is refused at
-    its first token, so where depends on the text alone; a RecursionError,
-    which a caller deep in its own stack may meet first, at the innermost
-    rule's token."""
+    """Recursive descent over the token strings of one text.  A rule takes
+    the index of its first token and returns what it read with the index
+    of the token after it.  Each term form has its own reader
+    (``_READERS``, generated from ``_FORMS``), which reads a subterm by
+    calling the reader its first token names, so that a nesting level
+    costs one frame, as a parenthesis or a connective's right operand does
+    in ``prop``.  A token's line and column are worked out only for an
+    error, by matching the text again up to that token.  The form past
+    MAX_NESTING deep is refused at its first token, so where depends on
+    the text alone; a RecursionError, which a caller deep in its own stack
+    may meet first, at the innermost rule's token."""
 
     def __init__(self, text: str, semiring: Semiring):
         self.text = text
@@ -756,47 +783,47 @@ class _Parser:
         if lexical is not None:
             return lexical
         m = next(islice(_TOKEN.finditer(self.text), i, None), None)
-        offset = len(self.text) if m is None else m.start(m.lastindex)
+        offset = len(self.text) if m is None else m.start(1)
         return ParseError(message, *_line_col(self.text, offset), expected)
 
     def fail(self, i: int, expected) -> ParseError:
-        got = "".join(self.toks[i]) or "end of input"
+        got = self.toks[i] or "end of input"
         return self.error(f"unexpected {got!r}", i, expected)
 
     def name(self, i: int) -> tuple[str, int]:
-        name = self.toks[i][1]
-        if not name or name in KEYWORDS:
+        name = self.toks[i]
+        if name in KEYWORDS or not _is_name(name):
             raise self.fail(i, ("variable name",))
         return name, i + 1
 
     def scalar(self, i: int):
         """The literal n or n/d at token i, as a carrier value."""
         toks = self.toks
-        num = toks[i][2]
-        if not num:
+        num = toks[i]
+        # isdecimal first, as most literals have no sign
+        if not (num.isdecimal() or _is_literal(num)):
             raise self.fail(i, ("scalar literal",))
         den, end = "", i + 1
-        if toks[end][0] == "/":
-            den, end = toks[i + 2][2], i + 3
-            if not den:
+        if toks[end] == "/":
+            den, end = toks[i + 2], i + 3
+            if not (den.isdecimal() or _is_literal(den)):
                 raise self.fail(i + 2, ("denominator",))
         try:
-            n, d = int(num), int(den or 1)
+            lit = Fraction(int(num), int(den)) if den else Fraction(int(num))
         except ValueError:  # beyond the interpreter's digit limit for int()
             raise self.error("scalar literal has too many digits", i) from None
-        if d == 0:
-            raise self.error("zero denominator", i + 2)
+        except ZeroDivisionError:
+            raise self.error("zero denominator", i + 2) from None
         try:
-            return self.sr.from_literal(Fraction(n, d) if den else
-                                        Fraction(n)), end
+            return self.sr.from_literal(lit), end
         except (SemiringError, ArithmeticError) as exc:
             raise self.error(str(exc), i) from None
 
     def ann(self, i: int) -> tuple[Optional[Prop], int]:
-        if self.toks[i][0] != "{":
+        if self.toks[i] != "{":
             return None, i
         a, i = self.prop(i + 1)
-        if self.toks[i][0] != "}":
+        if self.toks[i] != "}":
             raise self.fail(i, ("}",))
         return a, i + 1
 
@@ -806,18 +833,18 @@ class _Parser:
         toks = self.toks
         try:
             depth = self.nest(i)
-            punct, word, _ = toks[i]
-            if word in _NULLARY:
-                left, i = _NULLARY[word](), i + 1
-            elif punct == "(":
+            tok = toks[i]
+            if tok in _NULLARY:
+                left, i = _NULLARY[tok](), i + 1
+            elif tok == "(":
                 left, i = self.prop(i + 1)
-                if toks[i][0] != ")":
+                if toks[i] != ")":
                     raise self.fail(i, (")",))
                 i += 1
             else:
                 raise self.fail(i, (*_NULLARY, "("))
             while True:
-                conn = _CONNECTIVES.get(toks[i][0])
+                conn = _CONNECTIVES.get(toks[i])
                 if conn is None or conn[1] < level:
                     self.depth = depth - 1
                     return left, i
@@ -829,67 +856,78 @@ class _Parser:
             raise
 
     def term(self, i: int) -> tuple[Term, int]:
-        toks = self.toks
-        try:
-            word = toks[i][1]
-            form = _KEYWORD_FORM.get(word)
-            if form is None:
-                if word and word not in KEYWORDS:
-                    return Var(word), i + 1
-                raise self.fail(i, ("term keyword",) if word else ("term",))
-            cls, pieces, order = form
-            depth = self.nest(i)
-            at = i = i + 1
-            args = []
-            for text, rule in pieces:
-                if rule is None:
-                    if toks[i][0] != text:
-                        raise self.fail(i, (text,))
-                    i += 1
-                else:
-                    value, i = rule(self, i)
-                    args.append(value)
-            if order is not None:
-                args = [args[k] for k in order]
-            self.depth = depth - 1
-            if cls is not SupElim:
-                return cls(*args), i
-        except RecursionError:
-            if i > self.deepest:
-                self.deepest = i
-            raise
-        try:
-            return sup_elim(*args, self.sr), i
-        except SemiringError as exc:
-            raise self.error(str(exc), at) from None
+        return _READERS.get(self.toks[i], _Parser.leaf)(self, i)
+
+    def leaf(self, i: int) -> tuple[Term, int]:
+        """The variable at token i, which starts no term form."""
+        word = self.toks[i]
+        if not _is_name(word):
+            raise self.fail(i, ("term",))
+        if word in KEYWORDS:
+            raise self.fail(i, ("term keyword",))
+        return Var(word), i + 1
 
     def context(self, i: int) -> tuple[tuple[tuple[str, Prop], ...], int]:
         out = []
         while True:
             x, i = self.name(i)
-            if self.toks[i][0] != ":":
+            if self.toks[i] != ":":
                 raise self.fail(i, (":",))
             a, i = self.prop(i + 1)
             out.append((x, a))
-            if self.toks[i][0] != ",":
+            if self.toks[i] != ",":
                 return tuple(out), i
             i += 1
 
 
-def _read_form(cls) -> tuple:
-    """The parser's entry for cls: the class; the pieces after its keyword,
-    each (punctuation, None) or (field, the rule that reads it); and the
-    index among the fields read of each constructor field, or None where
-    that is the order read."""
-    rules = {"term": _Parser.term, "name": _Parser.name,
-             "scalar": _Parser.scalar, "ann": _Parser.ann}
-    pieces = tuple((text, rules.get(kind)) for kind, text in _FORMS[cls][1:])
-    read = [text for text, rule in pieces if rule is not None]
-    order = tuple(read.index(name) for name in _FIELDS[cls])
-    return cls, pieces, None if order == tuple(range(len(order))) else order
+# each term form's reader by its keyword
+_READERS: dict[str, object] = {}
 
 
-_KEYWORD_FORM = {word: _read_form(cls) for word, cls in _KEYWORD_CLASS.items()}
+def _reader(cls):
+    """The reader of cls's form, generated from its pieces in _FORMS.  It
+    takes the index of the keyword and counts the form's depth there, as
+    ``nest`` does.  It checks each punctuation mark in place, reads a
+    name, a scalar or an annotation by the parser's rule and a subterm by
+    the reader its first token names (``leaf`` for any other token), and
+    calls the constructor with the fields, held in locals of their names,
+    in _FIELDS order.  ``sup_elim`` goes through ``syntax.sup_elim``,
+    which checks its weights; a weight error is at the token after the
+    keyword."""
+    body = ["toks = self.toks", "try:", "    depth = self.depth",
+            "    if depth == MAX_NESTING:",
+            "        raise self.error('input is nested too deeply', i)",
+            "    self.depth = depth + 1",
+            "    at = i = i + 1" if cls is SupElim else "    i += 1"]
+    for kind, text in _FORMS[cls][1:]:
+        if kind == "lit":
+            body += [f"    if toks[i] != {text!r}:",
+                     f"        raise self.fail(i, ({text!r},))",
+                     "    i += 1"]
+        elif kind == "term":
+            body.append(f"    {text}, i = _read(toks[i], _leaf)(self, i)")
+        else:
+            body.append(f"    {text}, i = self.{kind}(i)")
+    args = ", ".join(_FIELDS[cls])
+    body.append("    self.depth = depth")
+    if cls is not SupElim:
+        body.append(f"    return cls({args}), i")
+    body += ["except RecursionError:", "    if i > self.deepest:",
+             "        self.deepest = i", "    raise"]
+    if cls is SupElim:
+        body += ["try:", f"    return sup_elim({args}, self.sr), i",
+                 "except SemiringError as exc:",
+                 "    raise self.error(str(exc), at) from None"]
+    env = {"cls": cls, "MAX_NESTING": MAX_NESTING, "_read": _READERS.get,
+           "_leaf": _Parser.leaf, "sup_elim": sup_elim,
+           "SemiringError": SemiringError}
+    exec("def read(self, i):\n" + "".join(f"    {line}\n" for line in body),
+         env)
+    env["read"].__qualname__ = f"_reader.<{cls.__name__}>"
+    return env["read"]
+
+
+_READERS.update((word, _reader(cls)) for word, cls in _KEYWORD_CLASS.items())
 
 
 def _parse(text: str, semiring: Semiring, rule):
@@ -927,19 +965,30 @@ def parse_context(text: str, semiring: Semiring = QNN) -> tuple[tuple[str, Prop]
 
 
 def print_prop(a: Prop) -> str:
-    return _pp(a, 0)
+    """a's source text, its pieces joined once, as ``print_term`` does."""
+    out: list[str] = []
+    _pp_into(a, 0, out)
+    return "".join(out)
 
 
-def _pp(a: Prop, level: int) -> str:
-    if type(a) in _NULLARY_WORD:
-        return _NULLARY_WORD[type(a)]
+def _pp_into(a: Prop, level: int, out: list[str]) -> None:
+    """a's pieces, parenthesized where a binds looser than level."""
+    word = _NULLARY_WORD.get(type(a))
+    if word is not None:
+        out.append(word)
+        return
     my = _PROP_LEVEL[type(a)]
-    op = f" {_CONNECTIVE_WORD[type(a)]} "
-    if isinstance(a, Lollipop):
-        s = _pp(a.left, my + 1) + op + _pp(a.right, my)  # right associative
+    if my < level:
+        out.append("(")
+    if type(a) is Lollipop:  # right associative
+        left_level, right_level = my + 1, my
     else:
-        s = _pp(a.left, my) + op + _pp(a.right, my + 1)
-    return f"({s})" if my < level else s
+        left_level, right_level = my, my + 1
+    _pp_into(a.left, left_level, out)
+    out.append(f" {_CONNECTIVE_WORD[type(a)]} ")
+    _pp_into(a.right, right_level, out)
+    if my < level:
+        out.append(")")
 
 
 def print_term(t: Term) -> str:

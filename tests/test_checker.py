@@ -411,6 +411,8 @@ def test_checker_memo_agrees_with_free_vars_and_can_absorb(corpus_entries):
 def test_context_splits_are_linear_in_nesting_depth(monkeypatch):
     # each node works out its free variables once, so free_vars (its
     # recursive calls included) is asked a bounded number of times per node
+    # of an open chain; a closed chain splits only the empty context, which
+    # asks for none
     real = S.free_vars
     calls = 0
 
@@ -421,19 +423,20 @@ def test_context_splits_are_linear_in_nesting_depth(monkeypatch):
 
     monkeypatch.setattr(S, "free_vars", counting)
 
-    def calls_at(depth):
+    def calls_at(depth, inner, ctx_src):
         nonlocal calls
-        src = "star(1)"
+        src = inner
         for _ in range(depth):
             src = f"unit_elim(star(1),{src})"
         t = sc.parse_term(src)
         calls = 0
-        d = sc.typecheck((), t, sc.One())
+        d = sc.typecheck(sc.parse_context(ctx_src), t, sc.One())
         assert d.rule == "one_e" and d.children[1].rule == "one_e"
         return calls
 
-    at_500, at_1000 = calls_at(500), calls_at(1000)
+    at_500, at_1000 = calls_at(500, "x", "x:one"), calls_at(1000, "x", "x:one")
     assert 0 < at_500 and at_1000 < 2.5 * at_500
+    assert calls_at(500, "star(1)", "") == calls_at(1000, "star(1)", "") == 0
 
 
 # ---------------------------------------------------------------------------

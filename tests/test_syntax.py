@@ -192,6 +192,46 @@ def test_roundtrip_props(a):
     assert sc.parse_prop(sc.print_prop(a)) == a
 
 
+def _former_print_prop(a, level=0):
+    """The former definition: each level concatenates its operands'
+    whole strings."""
+    if type(a) in S._NULLARY_WORD:
+        return S._NULLARY_WORD[type(a)]
+    my = S._PROP_LEVEL[type(a)]
+    op = f" {S._CONNECTIVE_WORD[type(a)]} "
+    if isinstance(a, S.Lollipop):
+        s = _former_print_prop(a.left, my + 1) + op + _former_print_prop(
+            a.right, my)
+    else:
+        s = _former_print_prop(a.left, my) + op + _former_print_prop(
+            a.right, my + 1)
+    return f"({s})" if my < level else s
+
+
+def _deep_props(depth):
+    """Right- and left-nested chains of each connective, depth deep."""
+    for conn in (S.Tensor, S.Lollipop, S.With, S.Plus, S.Sup):
+        right = left = S.One()
+        for _ in range(depth):
+            right, left = conn(S.Top(), right), conn(left, S.Zero())
+        yield right
+        yield left
+
+
+@settings(max_examples=300, deadline=None)
+@given(_props)
+def test_print_prop_matches_the_former_definition(a):
+    assert sc.print_prop(a) == _former_print_prop(a)
+
+
+def test_print_prop_matches_the_former_definition_on_deep_props():
+    gen = TermGenerator(seed=9)
+    props = [gen.random_prop(depth=4) for _ in range(200)]
+    props += _deep_props(1500)
+    for a in props:
+        assert sc.print_prop(a) == _former_print_prop(a)
+
+
 # ---------------------------------------------------------------------------
 # substitution
 
