@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 
 from .denote import (check_global_soundness, check_step_soundness,
                      denote as _denote)
@@ -136,8 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_scalar_text(text: str, sr):
-    from fractions import Fraction
-
     try:
         return sr.from_literal(Fraction(str(text).strip()))
     except (ValueError, ZeroDivisionError):

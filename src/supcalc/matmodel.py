@@ -47,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .semiring import QNN, Semiring
+from .semiring import QNN, Semiring, format_scalar
 
 
 class ShapeMismatch(Exception):
@@ -103,8 +103,6 @@ class Mat:
         return True
 
     def __repr__(self) -> str:
-        from .semiring import format_scalar
-
         rows = ["[" + " ".join(format_scalar(v) for v in self.row(i)) + "]"
                 for i in range(self.rows)]
         return f"Mat({self.rows}x{self.cols}: {'; '.join(rows)})"
@@ -415,18 +413,6 @@ def unit_map(g: int, a: int, sr: Semiring) -> Mat:
     return _mat(g * a * a, g, data, sr)
 
 
-def curry(f: Mat, x: int, y: int, z: int) -> Mat:
-    """Transpose f : X (x) Y -> Z to Y -> hom(X, Z)."""
-    if (f.rows, f.cols) != (z, x * y):
-        raise ShapeMismatch(f"curry: expected {z}x{x * y}, got {f.rows}x{f.cols}")
-    data = [{} for _ in range(z * x)]
-    for zi, r in enumerate(f.data):
-        for col, v in r.items():
-            xi, yi = divmod(col, y)
-            data[zi * x + xi][yi] = v
-    return _mat(z * x, y, data, f.sr)
-
-
 def curry_last(f: Mat, g: int, a: int) -> Mat:
     """Transpose f : G (x) A -> B over its last factor to G -> hom(A, B),
     entries that ``is_zero`` left out: out[i*a + j][k] = f[i][k*a + j].
@@ -489,20 +475,6 @@ def eval_after(a: int, b: int, f: Mat, x: Mat,
             acc = {c: acc[c] for c in sorted(acc)}
         out.append(acc)
     return _mat(b, f.cols * h, out, sr)
-
-
-def uncurry(gm: Mat, x: int, y: int, z: int) -> Mat:
-    """Transpose g : Y -> hom(X, Z) back to X (x) Y -> Z."""
-    if (gm.rows, gm.cols) != (z * x, y):
-        raise ShapeMismatch(f"uncurry: expected {z * x}x{y}, got {gm.rows}x{gm.cols}")
-    data = []
-    for zi in range(z):
-        r = {}
-        for xi in range(x):
-            for yi, v in gm.data[zi * x + xi].items():
-                r[xi * y + yi] = v
-        data.append(r)
-    return _mat(z, x * y, data, gm.sr)
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,12 @@ its message.  A segment keeps the fork weights it takes as its word.
 Under an exact carrier (``Semiring.exact``: qnn, q, bool) the word is
 their product, started from ``one``, and a state that reads the segment
 multiplies its own product by it once.  Under an inexact one (f64) a
-float product depends on its association, so the word is a chain of cons
-cells and each reader multiplies its product by the weights one at a
-time, in path order, along each path from the root: the products are
-then the same whether or not a segment is shared.  A recorded step's
-whole term depends on R's context, so ``paths`` shares no segment.
+float product depends on its association, so the word is the tuple of
+the weights, started from ``()``, and a reader folds it into its own word
+one weight at a time: along each path from the root the weights are
+multiplied in path order, so the products are the same whether or not a
+segment is shared.  A recorded step's whole term depends on R's context,
+so ``paths`` shares no segment.
 
 A reader of a segment that ends in a contraction at R's root plugs that
 contractum c back into R's parent.  Where R is the parent's eliminated
@@ -87,6 +88,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 
 from . import syntax as S
 from .semiring import QNN, Semiring, format_scalar
@@ -475,26 +477,6 @@ def _recorded(trail: tuple, frames, rule: str, w, c: Term) -> tuple:
     return trail + ((Step(tuple([e[1] for e in pending]), rule, w), c),)
 
 
-def _cons(word, w):
-    return word, w
-
-
-def _extend(cell, base, op, cache: dict):
-    """base extended by op with the fork weights of the word cell, oldest
-    first.  A word of cons cells, kept under an inexact carrier, is None or
-    (word, weight).  cache maps the ids of cells already extended onto this
-    base to their results."""
-    cells = []
-    while cell is not None and id(cell) not in cache:
-        cells.append(cell)
-        cell = cell[0]
-    acc = base if cell is None else cache[id(cell)]
-    for c in reversed(cells):
-        acc = op(acc, c[1])
-        cache[id(c)] = acc
-    return acc
-
-
 def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 record: bool = False) -> list:
     """The leaves of t's leftmost-outermost reduction tree, left branch
@@ -507,14 +489,16 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     taken since the frame began (see the module docstring).  In the first
     frame a word is their product, taken in path order from ``one``.  In
     any other it starts from ``empty``: under an exact carrier it is their
-    product from ``one`` (the object), under an inexact one the cons cells
-    from None.  A word read from a segment multiplies the reader's unless
-    either is ``empty``: at once if exact, else cell by cell through
-    ``_extend``.  A finished frame leaves (root, [(word, result, rooted,
-    trail)], unshared steps) in memo, keyed by id(root); rooted tells a
-    contractum of the root from a normal form.  Memo hits add their steps
-    to the budget, which so counts the unshared tree.  A budget below zero
-    raises BudgetExceeded at once.
+    product from ``one`` (the object), under an inexact one the tuple of
+    the weights from ``()``.  A word read from a segment extends the
+    reader's unless either is ``empty``: by one product if exact, else
+    weight by weight through ``reduce(op, cell, word)``, which multiplies
+    in path order in the first frame and appends in any other.  A finished
+    frame leaves (root, [(word, result, rooted, trail)], unshared steps)
+    in memo, keyed by id(root); rooted tells a contractum of the root from
+    a normal form.  Memo hits add their steps to the budget, which so
+    counts the unshared tree.  A budget below zero raises BudgetExceeded
+    at once.
 
     Without forks, a root contraction with two entries raises
     SupBranchEncountered before its steps are counted, so a fork one step
@@ -550,7 +534,8 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     used = 0
     leaves = []
     exact = semiring.exact
-    empty, join = (semiring.one, semiring.mul) if exact else (None, _cons)
+    empty, join = ((semiring.one, semiring.mul) if exact
+                   else ((), lambda word, w: word + (w,)))
     frames = [(None, [(t, 0, semiring.one, _CHECK, () if record else None)],
                leaves, 0, semiring.mul)]
     while frames:
@@ -620,11 +605,9 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 raise BudgetExceeded(message)
         # child 0 is the eliminated field of every shape
         shape = _SHAPES.get(type(node)) if i == 0 else None
-        cache = {}
         for cell, c, rooted, trail in reversed(results):
             w = (word if cell is empty else cell if word is empty
-                 else op(word, cell) if exact
-                 else _extend(cell, word, op, cache))
+                 else op(word, cell) if exact else reduce(op, cell, word))
             if not rooted:
                 todo.append((node if c is child else _plug(node, i, c),
                              i + 1, w, _NEXT, trail))

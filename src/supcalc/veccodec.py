@@ -104,17 +104,17 @@ def encode_matrix(m, a: Prop, b: Prop, semiring: Semiring = QNN) -> Term:
         raise LengthMismatch(
             f"matrix must be {cod}x{dom} for "
             f"{S.print_prop(a)} -o {S.print_prop(b)}")
-    return _encode(rows, a, b, semiring)
+    return _encode(rows, a, b)
 
 
-def _encode(rows, a: Prop, b: Prop, sr: Semiring) -> Term:
+def _encode(rows, a: Prop, b: Prop) -> Term:
     x = "x"
     if isinstance(a, S.One):
         column = SVector(tuple(r[0] for r in rows), b)
         return S.Lam(x, S.UnitElim(S.Var(x), from_vector(column)), a)
     n1 = dim_v(a.left)
-    t1 = _encode([r[:n1] for r in rows], a.left, b, sr)
-    t2 = _encode([r[n1:] for r in rows], a.right, b, sr)
+    t1 = _encode([r[:n1] for r in rows], a.left, b)
+    t2 = _encode([r[n1:] for r in rows], a.right, b)
     return S.Lam(x, S.Sum(S.App(t1, S.Fst(S.Var(x))),
                           S.App(t2, S.Snd(S.Var(x)))), a)
 

@@ -1168,6 +1168,34 @@ def test_fork_distributions_match_naive_reference(sr):
             want.items), sc.print_term(t)
 
 
+def test_segments_are_shared_under_every_carrier(monkeypatch):
+    """A float word is the tuple of its fork weights, so an inexact
+    carrier shares segments as the exact ones do: on the fork terms,
+    distribution makes as many contract and _plug calls under q, bool and
+    f64 as under qnn."""
+    contract, plug = R.contract, R._plug
+    calls = {}
+
+    def counted_contract(u, semiring):
+        calls["contract"] += 1
+        return contract(u, semiring)
+
+    def counted_plug(parent, i, child):
+        calls["plug"] += 1
+        return plug(parent, i, child)
+
+    monkeypatch.setattr(R, "contract", counted_contract)
+    monkeypatch.setattr(R, "_plug", counted_plug)
+    counts = {}
+    for sr in (sc.QNN, sc.Q, sc.BOOL, sc.F64):
+        calls.update(contract=0, plug=0)
+        for t in _sr_fork_terms(sr):
+            sc.distribution(t, sr)
+        counts[sr.name] = dict(calls)
+    assert counts["qnn"]["contract"] > 0 and counts["qnn"]["plug"] > 0
+    assert all(c == counts["qnn"] for c in counts.values()), counts
+
+
 # ---------------------------------------------------------------------------
 # Contraction at the plug: a reader of a stored segment contracts a node
 # whose eliminated child it replaces without building the redex node

@@ -158,7 +158,8 @@ def test_extract_agrees_with_denotation_via_uncurry():
         m = [[F(rng.randrange(10)) for _ in range(2)] for _ in range(3)]
         t = sc.encode_matrix(m, a, b)
         interp = sc.denote_closed(t, S.Lollipop(a, b))
-        # interp : I -> hom(A,B); transpose back to a map A -> B
-        as_map = M.uncurry(interp, sc.denote_prop(a), 1, sc.denote_prop(b))
+        # interp : I -> hom(A,B); transpose back to a map I (x) A -> B
+        da, db = sc.denote_prop(a), sc.denote_prop(b)
+        as_map = M.eval_after(da, db, interp, M.identity(da, SR))
         assert as_map.equal(M.mat_from_rows(
             sc.extract_linear_map(t, a, b), SR))
