@@ -276,7 +276,7 @@ def _cmd_encode(args, sr) -> int:
     mat = [[_parse_scalar_text(v, sr) for v in row] for row in rows]
     a = S.parse_prop(args.from_, sr)
     b = S.parse_prop(args.to, sr)
-    print(S.print_term(VC.encode_matrix(mat, a, b, sr)))
+    print(S.print_term(VC.encode_matrix(mat, a, b)))
     return 0
 
 

@@ -155,11 +155,11 @@ def _encoded_matrix_entries(sr: Semiring) -> list[CorpusEntry]:
 
     v2 = parse_prop("one & one", sr)
     m = [[lit(Fr(1)), lit(Fr(2))], [lit(Fr(3)), lit(Fr(4))]]
-    enc = veccodec.encode_matrix(m, v2, v2, sr)
+    enc = veccodec.encode_matrix(m, v2, v2)
     vec = veccodec.from_vector(veccodec.SVector((lit(Fr(5)), lit(Fr(6))), v2))
     one = parse_prop("one", sr)
     m1 = [[lit(Fr(1, 2))]]
-    enc1 = veccodec.encode_matrix(m1, one, one, sr)
+    enc1 = veccodec.encode_matrix(m1, one, one)
     return [
         CorpusEntry("encoded_matrix_2x2", enc, (),
                     parse_prop("(one & one) -o (one & one)", sr)),

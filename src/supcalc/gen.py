@@ -6,11 +6,18 @@ checks.  Generated propositions avoid ``top`` and ``zero`` so that every
 context variable can be consumed down to ``one``; the fallback at depth 0
 spends the remaining context deterministically.
 
+Each connective's proof forms are stated once, in tables looked up by the
+proposition's class, as ``syntax._PAIRS`` and ``syntax._INJECTIONS`` are:
+``_INTROS`` holds the introductions ``generate`` may draw for a goal,
+``_PAIRING`` the former of each connective proved by a pair of proofs, and
+``_elim_steps`` the one-hole destructor steps out of a proposition (a
+pair's two projections, or a function applied to its canonical argument).
+
 That fallback and the elimination contexts read the constructor-only
 helpers below: ``canonical_inhabitant`` builds a closed proof of a
 proposition, ``consume_to_one`` spends a term down to ``one``, and
 ``enumerate_elim_contexts`` lists the destructor-only contexts from a
-proposition down to a basic one.
+proposition down to ``one`` or ``top``.
 """
 
 from __future__ import annotations
@@ -22,6 +29,25 @@ from .semiring import QNN, Semiring
 from .syntax import Prop, Term
 
 Ctx = tuple[tuple[str, Prop], ...]
+
+# The former of each connective proved by a proof of each of its sides:
+# tensor's, and the pair of & and of (o).
+_PAIRING = {S.Tensor: S.Tens,
+            **{conn: pair for conn, (pair, _, _) in S._PAIRS.items()}}
+
+# The introductions generate may draw for a goal of each connective, each
+# as many times as it is listed.
+_INTROS = {S.One: (S.Star,) * 2, S.Lollipop: (S.Lam,) * 3,
+           S.Plus: (S.Inl, S.Inr),
+           **{conn: (pair,) * 2 for conn, pair in _PAIRING.items()}}
+
+# The forms generate may draw for any goal, after the goal's introductions.
+_ANY_GOAL = (S.Sum, S.Scal, S.UnitElim, S.App, S.Fst, S.Snd, S.Case,
+             S.TensElim, S.SupFst, S.SupSnd)
+
+# The connectives taken apart by binding both sides, let_tens and case: the
+# letter of the names bound by consume_to_one and enumerate_elim_contexts.
+_SPLIT_TAGS = {S.Tensor: ("t", "e"), S.Plus: ("c", "c")}
 
 
 class TermGenerator:
@@ -78,151 +104,132 @@ class TermGenerator:
 
     def generate(self, ctx: Ctx, a: Prop, depth: int) -> Term:
         rng = self.rng
+        just_a = len(ctx) == 1 and ctx[0][1] == a
         if depth <= 0:
-            if len(ctx) == 1 and ctx[0][1] == a and rng.random() < 0.5:
+            if just_a and rng.random() < 0.5:
                 return S.Var(ctx[0][0])
             return self._spend(ctx, a)
 
-        options: list[str] = []
-        if len(ctx) == 1 and ctx[0][1] == a:
-            options += ["var"] * 3
-        if isinstance(a, S.One) and not ctx:
-            options += ["star"] * 2
-        if isinstance(a, S.Tensor):
-            options += ["tens"] * 2
-        if isinstance(a, S.Lollipop):
-            options += ["lam"] * 3
-        if type(a) in S._PAIRS:
-            options += ["pair"] * 2
-        if isinstance(a, S.Plus):
-            options += ["inl", "inr"]
-        options += ["sum", "scal"]
-        options += ["unit_elim", "app", "fst", "snd", "case", "let_tens",
-                    "supfst", "supsnd"]
+        options = [S.Var] * 3 if just_a else []
+        if not ctx or type(a) is not S.One:  # star needs an empty context
+            options += _INTROS.get(type(a), ())
+        options += _ANY_GOAL
         if self.allow_sup_elim:
-            options += ["sup_elim", "sup_elim"]
+            options += [S.SupElim] * 2
 
         pick = rng.choice(options)
-        cls = S._KEYWORD_CLASS.get(pick)
         d = depth - 1
-
-        if pick == "var":
+        if pick is S.Var:
             return S.Var(ctx[0][0])
-        if pick == "star":
+        if pick is S.Star:
             return S.Star(self._scalar())
-        if pick == "tens":
-            c1, c2 = self._split_ctx(ctx)
-            return S.Tens(self.generate(c1, a.left, d),
-                          self.generate(c2, a.right, d))
-        if pick == "lam":
+        if pick in _PAIRING.values():
+            # tensor splits the context between its sides; a pair shares it
+            c1, c2 = self._split_ctx(ctx) if pick is S.Tens else (ctx, ctx)
+            return pick(self.generate(c1, a.left, d),
+                        self.generate(c2, a.right, d))
+        if pick is S.Lam:
             x = self._fresh()
             return S.Lam(x, self.generate(ctx + ((x, a.left),), a.right, d),
                          a.left)
-        if pick == "pair":
-            pair = S._PAIRS[type(a)][0]
-            return pair(self.generate(ctx, a.left, d),
-                        self.generate(ctx, a.right, d))
-        if cls in S._INJECTIONS:
-            side, other = S._INJECTIONS[cls]
-            return cls(self.generate(ctx, getattr(a, side), d),
-                       getattr(a, other))
-        if pick == "sum":
+        if pick in S._INJECTIONS:
+            side, other = S._INJECTIONS[pick]
+            return pick(self.generate(ctx, getattr(a, side), d),
+                        getattr(a, other))
+        if pick is S.Sum:
             return S.Sum(self.generate(ctx, a, d), self.generate(ctx, a, d))
-        if pick == "scal":
+        if pick is S.Scal:
             return S.Scal(self._scalar(), self.generate(ctx, a, d))
-        if pick == "unit_elim":
-            c1, c2 = self._split_ctx(ctx)
-            return S.UnitElim(self.generate(c1, S.One(), d),
-                              self.generate(c2, a, d))
-        if pick == "app":
-            c1, c2 = self._split_ctx(ctx)
-            arg_t = self.random_prop(1)
-            return S.App(self.generate(c1, S.Lollipop(arg_t, a), d),
-                         self.generate(c2, arg_t, d))
-        if cls in S._PROJECTION:
-            pair, side = S._PROJECTION[cls]
+        if pick in S._PROJECTION:
+            pair, side = S._PROJECTION[pick]
             other = self.random_prop(1)
             conn = S._PAIR_PROP[pair]
             pairtype = conn(a, other) if side == "left" else conn(other, a)
-            return cls(self.generate(ctx, pairtype, d))
-        if pick == "let_tens":
-            c1, c2 = self._split_ctx(ctx)
-            t1, t2 = self.random_prop(1), self.random_prop(1)
-            x, y = self._fresh(), self._fresh()
+            return pick(self.generate(ctx, pairtype, d))
+        # each form left splits the context between its first premise and
+        # the others
+        c1, c2 = self._split_ctx(ctx)
+        if pick is S.UnitElim:
+            return S.UnitElim(self.generate(c1, S.One(), d),
+                              self.generate(c2, a, d))
+        if pick is S.App:
+            arg_t = self.random_prop(1)
+            return S.App(self.generate(c1, S.Lollipop(arg_t, a), d),
+                         self.generate(c2, arg_t, d))
+        t1, t2 = self.random_prop(1), self.random_prop(1)
+        x, y = self._fresh(), self._fresh()
+        if pick is S.TensElim:
             scrut = self.generate(c1, S.Tensor(t1, t2), d)
             body = self.generate(c2 + ((x, t1), (y, t2)), a, d)
             return S.TensElim(scrut, x, y, body)
-        if pick in ("case", "sup_elim"):
-            c1, c2 = self._split_ctx(ctx)
-            t1, t2 = self.random_prop(1), self.random_prop(1)
-            x, y = self._fresh(), self._fresh()
-            conn = S.Plus if pick == "case" else S.Sup
-            scrut = self.generate(c1, conn(t1, t2), d)
-            left = self.generate(((x, t1),) + c2, a, d)
-            right = self.generate(((y, t2),) + c2, a, d)
-            if pick == "case":
-                return S.Case(scrut, x, left, y, right)
-            p, q = rng.choice(self.sr.weight_pool)
-            return S.SupElim(p, q, scrut, x, left, y, right)
-        raise AssertionError(pick)
+        # case or sup_elim
+        conn = S.Plus if pick is S.Case else S.Sup
+        scrut = self.generate(c1, conn(t1, t2), d)
+        left = self.generate(((x, t1),) + c2, a, d)
+        right = self.generate(((y, t2),) + c2, a, d)
+        if pick is S.Case:
+            return S.Case(scrut, x, left, y, right)
+        p, q = rng.choice(self.sr.weight_pool)
+        return S.SupElim(p, q, scrut, x, left, y, right)
 
 
 # ---------------------------------------------------------------------------
 # Canonical inhabitants, consumers and elimination contexts
 
 
-def basic(a: S.Prop) -> bool:
-    return isinstance(a, (S.One, S.Top))
-
-
 def canonical_inhabitant(a: S.Prop, semiring: Semiring = QNN) -> Term | None:
     """A closed proof of a, if this constructor-only search finds one."""
     sr = semiring
-    if isinstance(a, S.One):
-        return S.Star(sr.one)
-    if isinstance(a, S.Top):
-        return S.Unit()
-    if isinstance(a, S.Zero):
-        return None
-    if isinstance(a, (S.Tensor, S.With, S.Sup)):
+    kind = type(a)
+    if kind in _PAIRING:
         l, r = (canonical_inhabitant(x, sr) for x in (a.left, a.right))
-        cls = S.Tens if isinstance(a, S.Tensor) else S._PAIRS[type(a)][0]
-        return cls(l, r) if l is not None and r is not None else None
-    if isinstance(a, S.Plus):
+        pair = _PAIRING[kind]
+        return pair(l, r) if l is not None and r is not None else None
+    if kind is S.Plus:
         for inj, (side, other) in S._INJECTIONS.items():
             body = canonical_inhabitant(getattr(a, side), sr)
             if body is not None:
                 return inj(body, getattr(a, other))
         return None
-    if isinstance(a, S.Lollipop):
-        x = "x"
-        body = _consume_to(S.Var(x), a.left, a.right, sr)
-        return S.Lam(x, body, a.left) if body is not None else None
-    return None
+    if kind is S.Lollipop:
+        body = _consume_to(S.Var("x"), a.left, a.right, sr)
+        return S.Lam("x", body, a.left) if body is not None else None
+    if kind is S.One:
+        return S.Star(sr.one)
+    return S.Unit() if kind is S.Top else None
+
+
+def _elim_steps(a: S.Prop, sr: Semiring) -> tuple:
+    """Each one-hole destructor step out of a, as (wrap, the proposition it
+    leaves), where wrap builds the step around a term: a pair's two
+    projections, or a function applied to its canonical argument."""
+    if type(a) in S._PAIRS:
+        _, fst, snd = S._PAIRS[type(a)]
+        return (fst, a.left), (snd, a.right)
+    if type(a) is S.Lollipop:
+        arg = canonical_inhabitant(a.left, sr)
+        if arg is not None:
+            return ((lambda t: S.App(t, arg), a.right),)
+    return ()
 
 
 def consume_to_one(expr: Term, a: S.Prop, sr: Semiring, depth: int = 0) -> Term | None:
     """A term of type one consuming expr : a linearly, if one exists."""
-    if depth > 32 or isinstance(a, S.Top):
+    kind = type(a)
+    if depth > 32 or kind is S.Top:
         return None
-    if isinstance(a, S.One):
+    if kind is S.One:
         return expr
-    if isinstance(a, S.Zero):
+    if kind is S.Zero:
         return S.ZeroElim(expr, S.One())
-    if type(a) in S._PAIRS:
-        _, fst, snd = S._PAIRS[type(a)]
-        got = consume_to_one(fst(expr), a.left, sr, depth + 1)
-        return got if got is not None else consume_to_one(
-            snd(expr), a.right, sr, depth + 1)
-    if isinstance(a, (S.Tensor, S.Plus)):
-        tag = "t" if isinstance(a, S.Tensor) else "c"
+    if kind in _SPLIT_TAGS:
+        tag = _SPLIT_TAGS[kind][0]
         return _split_elim(expr, a, f"_{tag}{depth}l", f"_{tag}{depth}r", sr,
                            depth + 1)
-    if isinstance(a, S.Lollipop):
-        arg = canonical_inhabitant(a.left, sr)
-        if arg is None:
-            return None
-        return consume_to_one(S.App(expr, arg), a.right, sr, depth + 1)
+    for wrap, part in _elim_steps(a, sr):
+        got = consume_to_one(wrap(expr), part, sr, depth + 1)
+        if got is not None:
+            return got
     return None
 
 
@@ -240,19 +247,19 @@ def _split_elim(expr: Term, a: S.Prop, x: str, y: str, sr: Semiring,
         body = l = r = stuck
     else:
         body = S.UnitElim(l, r)
-    if isinstance(a, S.Tensor):
+    if type(a) is S.Tensor:
         return S.TensElim(expr, x, y, body)
     return S.Case(expr, x, l, y, r)
 
 
 def _consume_to(expr: Term, a: S.Prop, target: S.Prop, sr: Semiring) -> Term | None:
     """A term of type target that consumes expr : a."""
-    if isinstance(target, S.Top):
+    if type(target) is S.Top:
         return S.Unit()
     used = consume_to_one(expr, a, sr)
     if used is None:
         return None
-    if isinstance(target, S.One):
+    if type(target) is S.One:
         return used
     filler = canonical_inhabitant(target, sr)
     if filler is None:
@@ -262,30 +269,19 @@ def _consume_to(expr: Term, a: S.Prop, target: S.Prop, sr: Semiring) -> Term | N
 
 def enumerate_elim_contexts(a: S.Prop, depth: int,
                             semiring: Semiring = QNN) -> list[Term]:
-    """All destructor-only contexts from a down to a basic proposition,
-    with branch and argument positions filled by canonical closed terms,
-    up to the given nesting depth."""
+    """All destructor-only contexts from a down to one or top, with branch
+    and argument positions filled by canonical closed terms, up to the
+    given nesting depth."""
     sr = semiring
-    out: list[Term] = []
-    if basic(a):
-        out.append(S.Hole())
+    out: list[Term] = [S.Hole()] if type(a) in (S.One, S.Top) else []
     if depth <= 0:
         return out
-
-    def extend(inner: S.Prop, wrap) -> list[Term]:
-        return [S.fill(k, wrap) for k in enumerate_elim_contexts(
-            inner, depth - 1, sr)]
-
-    if type(a) in S._PAIRS:
-        _, fst, snd = S._PAIRS[type(a)]
-        out += extend(a.left, fst(S.Hole()))
-        out += extend(a.right, snd(S.Hole()))
-    elif isinstance(a, S.Lollipop):
-        arg = canonical_inhabitant(a.left, sr)
-        if arg is not None:
-            out += extend(a.right, S.App(S.Hole(), arg))
-    elif isinstance(a, (S.Tensor, S.Plus)):
-        tag = "e" if isinstance(a, S.Tensor) else "c"
+    for wrap, part in _elim_steps(a, sr):
+        step = wrap(S.Hole())
+        out += [S.fill(k, step)
+                for k in enumerate_elim_contexts(part, depth - 1, sr)]
+    if type(a) in _SPLIT_TAGS:
+        tag = _SPLIT_TAGS[type(a)][1]
         out.append(_split_elim(S.Hole(), a, f"{tag}l_", f"{tag}r_", sr, 0,
                                stuck=S.Unit()))
     return out

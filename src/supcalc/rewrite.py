@@ -274,9 +274,11 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
 
 
 def _redexes(t: Term, semiring: Semiring) -> list:
-    """(position, contract entries) of every redex of t, in preorder."""
-    return [(pos, entries) for pos, sub in S.subterms(t)
-            if (entries := contract(sub, semiring))]
+    """(position, contract entries) of every redex of t, in preorder.  The
+    positions come from _redex_positions, and _move reaches each redex node
+    from the root."""
+    return [(pos, contract(_move(t, None, (), pos)[0], semiring))
+            for pos in _redex_positions(t, ())]
 
 
 def _redex_positions(t: Term, pos: tuple[int, ...]) -> list:

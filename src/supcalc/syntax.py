@@ -17,7 +17,7 @@ equal but distinct node learns its own.
 A node keeps its fields and its facts in slots, and has no ``__dict__``.
 Its class's constructor writes each slot directly and sets every fact to
 None, which means unset, so a reader tests a fact with ``is None``.
-``_node``, ``_rebuild``, copies and unpickled nodes are all built by that
+``_rebuild``, copies and unpickled nodes are all built by that
 constructor from fields alone, so they carry no fact; ``==``, ``hash`` and
 ``repr`` read the fields only.
 """
@@ -343,12 +343,6 @@ _BOUND = {cls: {field: _binder_reader(names)
 def bound_names(t: Term, field: str) -> tuple[str, ...]:
     bound = _BOUND[type(t)].get(field)
     return () if bound is None else bound(t)
-
-
-def _node(cls, fields: dict[str, object]) -> Term:
-    """The node of class cls with the fields given by name in fields, which
-    names each of cls's fields: the constructor's node, with no fact."""
-    return cls(**fields)
 
 
 def _rebuilder(cls):

@@ -88,7 +88,7 @@ def _build(entries: list, a: Prop) -> Term:
     return S.Pair(_build(entries[:n1], a.left), _build(entries[n1:], a.right))
 
 
-def encode_matrix(m, a: Prop, b: Prop, semiring: Semiring = QNN) -> Term:
+def encode_matrix(m, a: Prop, b: Prop) -> Term:
     """A closed term of type a -o b applying the matrix m (rows indexed by
     b, columns by a).
 

@@ -108,7 +108,7 @@ def test_criterion_5_matrix_theorem():
             m = [[F(rng.randrange(10)) for _ in range(cols)]
                  for _ in range(rows)]
             a, b = props[cols], props[rows]
-            enc = sc.encode_matrix(m, a, b, SR)
+            enc = sc.encode_matrix(m, a, b)
             for _ in range(5):
                 u = [F(rng.randrange(10)) for _ in range(cols)]
                 got = sc.to_vector(
@@ -126,7 +126,7 @@ def test_criterion_6_linearity():
             m = [[F(rng.randrange(10)) for _ in range(cols)]
                  for _ in range(rows)]
             a, b = props[cols], props[rows]
-            t = sc.encode_matrix(m, a, b, SR)
+            t = sc.encode_matrix(m, a, b)
             u1 = sc.from_vector(sc.SVector(
                 tuple(F(rng.randrange(10)) for _ in range(cols)), a))
             u2 = sc.from_vector(sc.SVector(

@@ -266,7 +266,7 @@ def _pinned_inputs(family, sr):
                   for _ in range(cols)] for _ in range(rows)]
             u = [lit(F(rng.randrange(6), rng.randrange(1, 4)))
                  for _ in range(cols)]
-            enc = sc.encode_matrix(m, _vprop(cols), _vprop(rows), sr)
+            enc = sc.encode_matrix(m, _vprop(cols), _vprop(rows))
             vec = sc.from_vector(sc.SVector(tuple(u), _vprop(cols)))
             out.append((S.App(enc, vec), _vprop(rows)))
     return out

@@ -8,6 +8,7 @@ import itertools
 import operator
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -546,7 +547,7 @@ def test_every_shape_matches_the_clause_per_rule_reference():
 
 
 # ---------------------------------------------------------------------------
-# Nodes built by S._node against the constructor's nodes
+# Nodes built directly against the constructor's nodes
 
 _FACTS = ("_fv", "_absorbs", "_deriv")
 # the rules whose contraction builds its contractum's root node
@@ -577,7 +578,7 @@ def _assert_built_as_constructed(u, want):
 
 
 def test_direct_builds_are_the_constructors_nodes(corpus_entries):
-    """Every node made by S._node, for a contraction, a plug or _rebuild,
+    """Every node built directly, for a contraction, a plug or _rebuild,
     is the node the constructor makes of the same fields; none of the facts
     of the node it is made from (all three are known) carries over, and
     that node stays as it was."""
@@ -595,8 +596,6 @@ def test_direct_builds_are_the_constructors_nodes(corpus_entries):
         TC.can_absorb(u)
         assert all(getattr(u, fact) is not None for fact in _FACTS[:2])
         before = _field_items(u)
-        _assert_built_as_constructed(S._node(type(u), dict(_field_items(u))),
-                                     _constructed(u))
         for i, name in enumerate(S._CHILDREN[type(u)]):
             for x in (getattr(u, name), S.Unit()):
                 want = _constructed(u, **{name: x})
@@ -792,6 +791,7 @@ def test_reduction_matches_naive_reference(corpus_entries):
     edges = len(_edge_terms(corpus_entries))
     for i, t in enumerate(_differential_terms(corpus_entries)):
         assert list(S.subterms(t)) == list(_ref_subterms(t))
+        assert R._redexes(t, SR) == _ref_redexes(t), sc.print_term(t)
         got = sc.paths(t)
         assert got == _ref_paths(t), sc.print_term(t)
         tree = _tree_steps(got)
@@ -920,7 +920,7 @@ def test_kept_redex_positions_match_a_rescan(corpus_entries):
             assert S.replace_at(t, pos, contractum) == R._plug_all(focus,
                                                                    frames)
             t = R._plug_all(focus, frames)
-            assert kept == [p for p, _ in R._redexes(t, SR)], \
+            assert kept == [p for p, _ in _ref_redexes(t)], \
                 sc.print_term(t)
             steps += 1
     assert steps > 1000
@@ -932,6 +932,24 @@ def test_deep_chain_normalizes_to_its_closed_form():
     assert sc.normalize(t) == S.Star(F(n * (n + 1) // 2))
     assert sc.distribution(_sum_chain(n, left=True)).items == (
         (F(1), S.Star(F(n * (n + 1) // 2))),)
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_step_all_is_linear_in_depth(left):
+    # a chain of sums has one redex, at its deepest sum; a scan that built
+    # a position per node would take time quadratic in depth: 4 times the
+    # depth would then take about 16 times as long.  The two depths are
+    # timed in turn, so that a change in the host's speed meets both.
+    depths = (1000, 4000)
+    chains = [_sum_chain(n, left) for n in depths]
+    times = [[], []]
+    for _ in range(5):
+        for n, t, spent in zip(depths, chains, times):
+            start = time.perf_counter()
+            (step, _), = sc.step_all(t)
+            spent.append(time.perf_counter() - start)
+            assert step.rule == "sum_star" and len(step.pos) == n - 2
+    assert min(times[1]) < 8 * min(times[0])
 
 
 @pytest.mark.parametrize("src", [_fork_chain(10), _fork_tree(0, 10)],
