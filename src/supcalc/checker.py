@@ -114,6 +114,11 @@ class Derivation(_DerivationFacts):
     split: Optional[SplitPlan] = None
 
 
+# writers of the facts this module sets, straight into their slots
+_set_sr = _DerivationFacts._sr.__set__
+_set_want = _DerivationFacts._want.__set__
+_set_deriv, _set_absorbs = Term._deriv.__set__, Term._absorbs.__set__
+
 # the one proposition one and the one top that the checker's rules give
 _ONE, _TOP = S.One(), S.Top()
 
@@ -143,7 +148,7 @@ def can_absorb(t: Term) -> bool:
         if not can_absorb(getattr(t, n)):
             out = False
             break
-    object.__setattr__(t, "_absorbs", out)
+    _set_absorbs(t, out)
     return out
 
 
@@ -226,9 +231,9 @@ class _Checker:
             raise TypeMismatch(
                 f"{S.print_term(t)} has type {S.print_prop(d.prop)}, "
                 f"expected {S.print_prop(want)}")
-        object.__setattr__(d, "_sr", self.sr)
-        object.__setattr__(d, "_want", want)
-        object.__setattr__(t, "_deriv", weakref.ref(d))
+        _set_sr(d, self.sr)
+        _set_want(d, want)
+        _set_deriv(t, weakref.ref(d))
         return d
 
     # Each clause takes the context, the term, the expected type or None

@@ -55,25 +55,29 @@ and the whole term and its reduct have equal matrices.  Each clause is
 affine in each premise's matrix and a fork's weights sum to one, so the
 same holds for a fork's mix of its branch matrices.  The root derivation
 is therefore denoted once, keeping every node's matrix, and each redex is
-compared with its contractum in its own sub-derivation.  Where that local
-check does not pass (the matrices differ, the redex has no node of its
-own, or the contractum does not type in the redex's context), the position
-is checked on the whole reduct instead, so the report and its detail
-strings are those of the whole-term check.  Both checks build the matrix
-to compare with through ``_reduct_mat``: a step's one reduct, or a fork's
-two mixed by the fork's weights, the weighted codiagonal after their
-pairing (``mix``).
+compared with its contractum in its own sub-derivation.  One preorder walk
+of the term beside the root's derivation (``rewrite._redex_walk``) lists
+each redex with its node and that sub-derivation, and the redex is
+contracted where the walk found it; nothing descends from the root again.
+Where the local check does not pass (the matrices differ, the redex has
+no node of its own, or the contractum does not type in the redex's
+context), the position is checked on the whole reduct instead, so the
+report and its detail strings are those of the whole-term check.  Both
+checks build the matrix to compare with through ``_reduct_mat``: a
+step's one reduct, or a fork's two mixed by the fork's weights, the
+weighted codiagonal after their pairing (``mix``).
 
 A derivation node keeps its matrix, which names its semiring, for the
 node's life, and a term node a weak link to its derivation (see ``checker``).
 So while the root's derivation lives, a contractum or a reduct re-derives
 and re-denotes only the nodes its contraction rebuilt, the path to each
-substituted occurrence; an argument, a closed function or a branch that
-substitution left as the same object is the root's own node, with its
-derivation and matrix.  No comparison holds by construction: the redex's
-matrix comes from its own clause (for ``apply``, evaluation after the
-function and the argument), the contractum's from the clauses of the
-rebuilt path.
+substituted occurrence (``syntax.subst_parallel`` returns every subterm
+with no free substituted name, and every image, as the same object); an
+argument, a closed function or a branch that substitution left as the
+same object is the root's own node, with its derivation and matrix.  No
+comparison holds by construction: the redex's matrix comes from its own
+clause (for ``apply``, evaluation after the function and the argument),
+the contractum's from the clauses of the rebuilt path.
 """
 
 from __future__ import annotations
@@ -98,6 +102,9 @@ from .syntax import Prop, Term
 # cannot take memory silently.
 MAX_ENTRIES = 1 << 20
 
+# writers of the facts this module sets, straight into their slots
+_set_dim, _set_mat = Prop._dim.__set__, TC.Derivation._mat.__set__
+
 _UNITS = {S.One: 1, S.Top: 0, S.Zero: 0}
 _OBJECTS = {S.Tensor: M.tensor_obj, S.Lollipop: M.hom_obj,
             S.With: M.biproduct_obj, S.Plus: M.biproduct_obj,
@@ -115,7 +122,7 @@ def denote_prop(a: Prop) -> int:
             dim = _OBJECTS[cls](denote_prop(a.left), denote_prop(a.right))
         else:
             raise TypeError(f"not a proposition: {a!r}")
-        object.__setattr__(a, "_dim", dim)
+        _set_dim(a, dim)
     return dim
 
 
@@ -185,20 +192,31 @@ class _Denoter:
         entry = self._CLAUSES.get(d.rule)
         if entry is None:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
-        # rows and cols are the dimensions of d's type and of its context
-        rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
+        # rows and cols are the dimensions of d's type and of its context;
+        # a non-proposition has no _dim, and denote_prop refuses it
+        try:
+            rows = d.prop._dim
+            if rows is None:
+                rows = denote_prop(d.prop)
+            cols = 1
+            for _, a in d.ctx:
+                dim = a._dim
+                cols *= denote_prop(a) if dim is None else dim
+        except AttributeError:
+            rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
         if (rows or 1) * (cols or 1) > MAX_ENTRIES:
             raise M.ShapeMismatch(
                 f"rule {d.rule} denotes a {rows}x{cols} matrix, more than "
                 f"the {MAX_ENTRIES} entries a node may have")
         clause, arg = entry
-        mat = clause(self, d, [self.go(k) for k in d.children], rows, cols,
-                     arg)
+        kids = d.children
+        mat = clause(self, d, [self.go(k) for k in kids] if kids else (),
+                     rows, cols, arg)
         if mat.rows != rows or mat.cols != cols:
             raise M.ShapeMismatch(
                 f"internal: rule {d.rule} produced {mat.rows}x{mat.cols}, "
                 f"expected {rows}x{cols}")
-        object.__setattr__(d, "_mat", mat)
+        _set_mat(d, mat)
         return mat
 
     # Each clause takes the node, its premises' matrices, the node's shape
@@ -345,28 +363,14 @@ def check_step_soundness(t: Term, semiring: Semiring = QNN,
     d = TC.typecheck(ctx, t, expected, semiring)
     base = denoter.go(d)
     checks: list[StepCheck] = []
-    # _redexes lists positions in preorder, which is their sorted order
-    for pos, entries in rewrite._redexes(t, semiring):
-        sd = _node_at(d, pos)
+    # the walk lists redexes in preorder, which is their positions' order
+    for pos, u, sd in rewrite._redex_walk(t, d):
+        entries = rewrite.contract(u, semiring)
         if sd is not None and _locally_sound(sd, entries, denoter):
             checks.append(StepCheck(pos, tuple(r for r, _, _ in entries), True))
         else:
             checks.append(_whole_term_check(t, d, base, pos, entries, denoter))
     return SoundnessReport(t, checks)
-
-
-def _node_at(d: TC.Derivation,
-             pos: tuple[int, ...]) -> Optional[TC.Derivation]:
-    """The node of d whose term sits at pos in d's term.  A node's premises
-    follow its term's subterm fields in order; where a premise's term is
-    not its field's own object, there is no such node."""
-    for i in pos:
-        kid = d.children[i] if i < len(d.children) else None
-        if kid is None or kid.term is not getattr(
-                d.term, S.subterm_fields(d.term)[i]):
-            return None
-        d = kid
-    return d
 
 
 def _reduct_mat(entries, reduct, ctx: TC.Context, prop: Prop,

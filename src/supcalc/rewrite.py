@@ -274,32 +274,39 @@ def contract(t: Term, semiring: Semiring) -> list[tuple[str, object, Term]]:
 
 
 def _redexes(t: Term, semiring: Semiring) -> list:
-    """(position, contract entries) of every redex of t, in preorder.  The
-    positions come from _redex_positions, and _move reaches each redex node
-    from the root."""
-    return [(pos, contract(_move(t, None, (), pos)[0], semiring))
-            for pos in _redex_positions(t, ())]
+    """(position, contract entries) of every redex of t, in preorder, each
+    contracted where _redex_walk found it."""
+    return [(pos, contract(u, semiring)) for pos, u, _ in _redex_walk(t)]
 
 
-def _redex_positions(t: Term, pos: tuple[int, ...]) -> list:
-    """pos + q for the position q of every redex of t, in preorder.  The
-    walk keeps one list of child indices and builds a tuple only for a
-    redex; childless nodes are no redexes and are not visited."""
+def _redex_walk(t: Term, d=None, pos: tuple[int, ...] = ()) -> list:
+    """(pos + q, node, sub-derivation) for the position q of every redex of
+    t, in preorder.  Given d, t's derivation, a redex's sub-derivation is
+    the node of d that derives it; a node's premises follow its term's
+    subterm fields in order, and where a premise's term is not its field's
+    own object, there is no such node, at the premise or below it, and the
+    walk gives None, as it does without d.  The walk keeps one list of
+    child indices and builds a tuple only for a redex; childless nodes are
+    no redexes and are not visited."""
     out = []
     path = list(pos)
-    stack = [(t, len(pos), None)]
+    stack = [(t, d, len(pos), None)]
     while stack:
-        u, depth, i = stack.pop()
+        u, du, depth, i = stack.pop()
         if i is not None:
             del path[depth - 1:]
             path.append(i)
         if is_redex(u):
-            out.append(tuple(path))
+            out.append((tuple(path), u, du))
         names = _CHILDREN[type(u)]
+        kids = () if du is None else du.children
         for j in range(len(names) - 1, -1, -1):
             child = getattr(u, names[j])
             if _CHILDREN[type(child)]:
-                stack.append((child, depth + 1, j))
+                dk = kids[j] if j < len(kids) else None
+                if dk is not None and dk.term is not child:
+                    dk = None
+                stack.append((child, dk, depth + 1, j))
     return out
 
 
@@ -344,7 +351,8 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term,
     rebuilt parent of pos, or the contractum at the root."""
     lo = bisect_left(kept, pos)
     hi = bisect_left(kept, pos[:-1] + (pos[-1] + 1,)) if pos else len(kept)
-    kept = kept[:lo] + _redex_positions(contractum, pos) + kept[hi:]
+    kept = (kept[:lo] + [p for p, _, _ in _redex_walk(contractum, None, pos)]
+            + kept[hi:])
     if frames is None:
         return contractum, None, pos, kept
     parent, i, frames = frames
@@ -376,7 +384,7 @@ def normalize_random(t: Term, rng: random.Random, semiring: Semiring = QNN,
     """Normalize picking a uniformly random redex at each step (forks are
     refused, as in normalize) and taking at most budget steps."""
     focus, frames, at = t, None, ()
-    kept = _redex_positions(t, ())
+    kept = [p for p, _, _ in _redex_walk(t)]
     for _ in range(budget + 1):
         if not kept:
             return _plug_all(focus, frames)

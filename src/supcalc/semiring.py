@@ -6,17 +6,19 @@ and machine floats with tolerant equality (``f64``).  Scalar literals in
 source text are always rationals; each instance decides which literals it
 accepts via :meth:`Semiring.from_literal`.
 
-The two rational instances multiply and add through :func:`mul` and
-:func:`add`, not through ``Fraction``'s operators.  Every run distribution
-leaf costs a few products (fork weights, ``scal_star`` contractions), and
-the operator spends most of each one on dispatch (``Fraction.__mul__`` is
-a generic forward to ``_mul``) and on ``Fraction.__new__``.  When both
-operands are exactly ``Fraction``, the kernel runs the standard library's
-own gcd-reduced algorithm on the two slots and fills a new instance's
-slots directly, so its result is the operator's: the same normalised
-numerator and denominator, of type ``Fraction``.  Any other operand (an
-``int`` entry of ``encode_matrix``, a ``Fraction`` subclass) goes through
-the operator unchanged.
+The two rational instances multiply, add and compare through :func:`mul`,
+:func:`add` and :func:`eq`, not through ``Fraction``'s operators.  Every
+run distribution leaf costs a few products (fork weights, ``scal_star``
+contractions), and the operator spends most of each one on dispatch
+(``Fraction.__mul__`` is a generic forward to ``_mul``) and on
+``Fraction.__new__``.  When both operands are exactly ``Fraction``, the
+kernel runs the standard library's own gcd-reduced algorithm on the two
+slots and fills a new instance's slots directly, so its result is the
+operator's: the same normalised numerator and denominator, of type
+``Fraction``; the comparison compares the two slots, which the operator
+does after a type dispatch.  Any other operand (an ``int`` entry of
+``encode_matrix``, a ``Fraction`` subclass) goes through the operator
+unchanged.
 """
 
 from __future__ import annotations
@@ -181,13 +183,23 @@ def add(a: Scalar, b: Scalar) -> Scalar:
     return r
 
 
+def eq(a: Scalar, b: Scalar) -> bool:
+    """a == b: two Fractions, each normalised, are equal exactly when their
+    numerators and their denominators are; any other operand goes through
+    the operator."""
+    if type(a) is not _F or type(b) is not _F:
+        return a == b
+    return (a._numerator == b._numerator
+            and a._denominator == b._denominator)
+
+
 QNN = Semiring(
     name="qnn",
     zero=_F(0),
     one=_F(1),
     add=add,
     mul=mul,
-    eq=lambda a, b: a == b,
+    eq=eq,
     is_zero=operator.not_,
     from_literal=_qnn_literal,
     test_pool=(_F(0), _F(1), _F(1, 2), _F(1, 4), _F(3, 4), _F(2), _F(3)),
@@ -208,7 +220,7 @@ Q = Semiring(
     one=_F(1),
     add=add,
     mul=mul,
-    eq=lambda a, b: a == b,
+    eq=eq,
     is_zero=operator.not_,
     from_literal=lambda f: f,
     test_pool=(_F(0), _F(1), _F(-1), _F(1, 2), _F(-1, 2), _F(3, 4), _F(2), _F(3)),

@@ -413,6 +413,9 @@ _NO_NAMES: frozenset[str] = frozenset()
 # process's life: there are as many as the distinct names met
 _NAME_SETS: dict[str, frozenset[str]] = {}
 
+# the writer of a term's free variables, straight into its slot
+_set_fv = Term._fv.__set__
+
 
 def free_vars(t: Term) -> frozenset[str]:
     """The free variables of t.  A node works them out once, from its
@@ -435,7 +438,7 @@ def free_vars(t: Term) -> frozenset[str]:
                 sub = sub.difference(bound) or _NO_NAMES
             if not sub <= fv:
                 fv = sub if fv <= sub else fv | sub
-    object.__setattr__(t, "_fv", fv)
+    _set_fv(t, fv)
     return fv
 
 
@@ -447,22 +450,46 @@ def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
     names, the node's binders, the names given so far and the images'
     free variables.  Each node's free variables are worked out at most
     once (``free_vars``), so it takes time linear in the size of t and the
-    images."""
+    images.
+
+    Only the path to each substituted occurrence is rebuilt: a subterm
+    with no free mapped name is returned as it is, the same object, and
+    so is every image.  A node without binders reads only its free
+    variables and its children, and is rebuilt only when a child changed;
+    the renaming above happens only at a binder node."""
     mapping = {x: v for x, v in mapping.items() if v != Var(x)}
-    if not mapping:
-        return t
-    if isinstance(t, Var):
+    return _subst(t, mapping) if mapping else t
+
+
+def _subst(t: Term, mapping: dict[str, Term]) -> Term:
+    """subst_parallel(t, mapping), mapping holding no identity image.  It
+    takes one stack frame per level of t, so a binder's renaming is inline
+    here rather than a helper's."""
+    cls = type(t)
+    if cls is Var:
         return mapping.get(t.name, t)
-    if isinstance(t, Hole):
+    names = _CHILDREN[cls]
+    if not names:
         return t
     fv = free_vars(t)
-    relevant = {x: v for x, v in mapping.items() if x in fv}
-    if not relevant:
+    if fv.isdisjoint(mapping):
         return t
-    updates: dict[str, object] = {}
-    binder_spec = _BINDERS.get(type(t), {})
+    binder_spec = _BINDERS.get(cls)
+    if binder_spec is None:
+        updates = None
+        for n in names:
+            child = getattr(t, n)
+            new = _subst(child, mapping)
+            if new is not child:
+                if updates is None:
+                    updates = {}
+                updates[n] = new
+        return t if updates is None else _rebuild(t, updates)
+    # a binder node
+    relevant = {x: v for x, v in mapping.items() if x in fv}
+    updates = {}
     renames: dict[str, str] = {}
-    for field in _CHILDREN[type(t)]:
+    for field in names:
         body = getattr(t, field)
         bvars = binder_spec.get(field, ())
         bound = {getattr(t, b) for b in bvars}
@@ -480,8 +507,8 @@ def subst_parallel(t: Term, mapping: dict[str, Term]) -> Term:
                 taken |= free_vars(v)
             new_name = fresh_name(bname, taken)
             renames[b] = new_name
-            body = subst_parallel(body, {bname: Var(new_name)})
-        new_body = subst_parallel(body, local) if local else body
+            body = _subst(body, {bname: Var(new_name)})
+        new_body = _subst(body, local) if local else body
         if new_body is not body or body is not getattr(t, field):
             updates[field] = new_body
     for b, new_name in renames.items():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import importlib
 import random
@@ -57,6 +58,17 @@ def test_denote_prop_refuses_a_non_proposition():
     for bad in (term("star(1)"), S.Prop(), 1, None):
         with pytest.raises(TypeError):
             sc.denote_prop(bad)
+
+
+def test_denote_refuses_a_derivation_over_a_non_proposition():
+    # a derivation built by hand may name anything as its type or in its
+    # context; denote refuses it as denote_prop does
+    x = S.Var("x")
+    for bad in (term("star(1)"), S.Prop(), "one", 1, None):
+        for d in (C.Derivation("ax", (("x", S.One()),), x, bad),
+                  C.Derivation("ax", (("x", bad),), x, S.One())):
+            with pytest.raises(TypeError, match="not a proposition"):
+                sc.denote(d)
 
 
 def test_a_proposition_keeps_its_dimension():
@@ -558,6 +570,88 @@ def test_step_soundness_matches_the_whole_term_reference(monkeypatch,
         assert sc.check_step_soundness(t, SR, expected=a) == got
         assert held.derivation.term is t
     assert fallbacks == []
+
+
+def _former_redex_positions(t):
+    """The positions of t's redexes as the former rewrite._redexes found
+    them: one list of child indices, a tuple built only for a redex."""
+    out = []
+    path = []
+    stack = [(t, 0, None)]
+    while stack:
+        u, depth, i = stack.pop()
+        if i is not None:
+            del path[depth - 1:]
+            path.append(i)
+        if R.is_redex(u):
+            out.append(tuple(path))
+        names = S._CHILDREN[type(u)]
+        for j in range(len(names) - 1, -1, -1):
+            child = getattr(u, names[j])
+            if S._CHILDREN[type(child)]:
+                stack.append((child, depth + 1, j))
+    return out
+
+
+def _former_node_at(d, pos):
+    """The former denote._node_at: the node of d whose term sits at pos in
+    d's term, or None where a premise's term is not its field's own
+    object."""
+    for i in pos:
+        kid = d.children[i] if i < len(d.children) else None
+        if kid is None or kid.term is not getattr(
+                d.term, S.subterm_fields(d.term)[i]):
+            return None
+        d = kid
+    return d
+
+
+def _former_redex_walk(t, d):
+    """(position, redex node, sub-derivation or None) as the former step
+    soundness found them: the former _redexes positions, each node reached
+    from the root by _move, and its sub-derivation by _node_at."""
+    return [(pos, R._move(t, None, (), pos)[0],
+             None if d is None else _former_node_at(d, pos))
+            for pos in _former_redex_positions(t)]
+
+
+def _same_walk(got, want):
+    assert [p for p, _, _ in got] == [p for p, _, _ in want]
+    for (_, u, du), (_, v, dv) in zip(got, want):
+        assert u is v and du is dv
+
+
+def test_one_redex_walk_finds_what_the_former_scan_and_descents_found(
+        corpus_entries):
+    inputs = [pair for family in ("corpus", "generated", "encoded")
+              for pair in _soundness_inputs(family, corpus_entries)]
+    found = located = 0
+    for t, a in inputs:
+        d = C.typecheck((), t, a, SR)
+        got = R._redex_walk(t, d)
+        _same_walk(got, _former_redex_walk(t, d))
+        _same_walk(R._redex_walk(t), _former_redex_walk(t, None))
+        assert R._redexes(t, SR) == [
+            (pos, R.contract(u, SR)) for pos, u, _ in got]
+        found += len(got)
+        located += sum(du is not None for _, _, du in got)
+    # the checker derives every premise from its field's own object
+    assert found == located > 1000
+    # a derivation whose first premise derives an equal copy of its field:
+    # no redex below that premise has a sub-derivation, the others have
+    t = term("pair(app(lam(x,x),fst(pair(star(1),star(2)))),"
+             "app(lam(y,y),star(3)))")
+    d = C.typecheck((), t)
+    kid = d.children[0]
+    copied = C.Derivation(kid.rule, kid.ctx, copy.copy(kid.term), kid.prop,
+                          kid.children, kid.split)
+    assert copied.term == t.left and copied.term is not t.left
+    odd = C.Derivation(d.rule, d.ctx, t, d.prop, (copied,) + d.children[1:],
+                       d.split)
+    got = R._redex_walk(t, odd)
+    _same_walk(got, _former_redex_walk(t, odd))
+    assert [(p, du is None) for p, _, du in got] == [
+        ((0,), True), ((0, 1), True), ((1,), False)]
 
 
 def _flagged_as_by_the_reference(monkeypatch, corpus, rule, breaks):

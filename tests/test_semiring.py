@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supcalc as sc
-from supcalc.semiring import LiteralError, add, mul
+from supcalc.semiring import LiteralError, add, eq, mul
 
 
 EXACT = (sc.QNN, sc.Q, sc.BOOL)
@@ -144,3 +144,29 @@ def test_kernel_equals_fractions_operators(a, b):
 def test_exact_instances_use_the_kernel():
     assert sc.QNN.mul is mul and sc.QNN.add is add
     assert sc.Q.mul is mul and sc.Q.add is add
+    assert sc.QNN.eq is eq and sc.Q.eq is eq
+
+
+_FLOATS = st.floats() | st.sampled_from([0.0, 1.0, -1.0, 0.5, 2.0 ** 64])
+
+
+def _equal_copy(a):
+    """A distinct object equal to a: a Fraction rebuilt from its parts, an
+    int or a float as the other numeric type."""
+    if type(a) is F:
+        return F(a.numerator, a.denominator)
+    if type(a) is int:
+        return F(a)
+    if a != a or abs(a) == float("inf"):  # no Fraction equals it
+        return a
+    return F(a)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=_OPERANDS | _FLOATS, b=_OPERANDS | _FLOATS)
+def test_eq_kernel_equals_the_operator(a, b):
+    for x, y in ((a, b), (b, a), (a, a), (a, _equal_copy(a)),
+                 (_equal_copy(b), b)):
+        got = eq(x, y)
+        assert type(got) is bool
+        assert got == operator.eq(x, y), (x, y)

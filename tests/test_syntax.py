@@ -369,6 +369,52 @@ def test_subst_parallel_matches_the_quadratic_reference():
     assert cases > 1000
 
 
+def test_subst_parallel_rebuilds_only_the_paths_to_substituted_names():
+    """Every input subterm whose free names are neither mapped nor bound
+    anywhere in the body (a renamed binder maps its name too) is the same
+    object in the output, and so is every image that substitution puts in
+    place of a free name; a body with no free mapped name is returned as
+    it is.  Step soundness reuses the root's derivation of such a subterm
+    on the strength of this."""
+    cases = kept = 0
+    for t in _substitution_terms():
+        for body, mapping in _substitution_cases(t):
+            out = S.subst_parallel(body, mapping)
+            present = {id(u) for u in S.nodes(out)}
+            fv = S.free_vars(body)
+            if fv.isdisjoint(mapping):
+                assert out is body
+            bound = {n for u in S.nodes(body)
+                     for f in S.subterm_fields(u)
+                     for n in S.bound_names(u, f)}
+            unmoved = bound | set(mapping)
+            for u in S.nodes(body):
+                if S.free_vars(u).isdisjoint(unmoved):
+                    assert id(u) in present, (sc.print_term(body), mapping,
+                                              sc.print_term(u))
+                    kept += 1
+            for x, v in mapping.items():
+                if x in fv and v != S.Var(x):
+                    assert id(v) in present, (sc.print_term(body), mapping)
+            cases += 1
+    assert cases > 1000 and kept > 10_000
+
+
+def test_subst_parallel_substitutes_under_an_8000_deep_binder_chain():
+    # one stack frame per level, binder nodes included, so a chain nearly
+    # as deep as the parser's nesting limit substitutes within the
+    # recursion limit
+    depth = 8000
+    t = S.Var("x")
+    for i in range(depth):
+        t = S.Lam(f"y{i}", t)
+    out = S.subst_parallel(t, {"x": S.Star(F(1))})
+    for i in range(depth - 1, -1, -1):
+        assert type(out) is S.Lam and out.var == f"y{i}"
+        out = out.body
+    assert out == S.Star(F(1))
+
+
 def test_subst_parallel_renames_nested_binders_as_the_reference_does():
     # renaming the outer y to y1 captures y under the inner binder y1,
     # which the nested renaming then moves to y11
@@ -516,17 +562,17 @@ def _fst_context(depth):
                                         (sc.hole_count, 1)])
 def test_whole_term_walks_are_linear_in_depth(walk, want):
     # a walk that built a position per node would take time quadratic in
-    # depth: 8 times the depth would then take about 64 times as long
-    def best_of_three(depth):
-        deep = _fst_context(depth)
-        times = []
-        for _ in range(3):
+    # depth: 8 times the depth would then take about 64 times as long.
+    # The two depths are timed in turn, so that a change in the host's
+    # speed meets both.
+    contexts = [_fst_context(depth) for depth in (3_000, 24_000)]
+    times = [[], []]
+    for _ in range(3):
+        for deep, spent in zip(contexts, times):
             start = time.perf_counter()
             assert walk(deep) == want
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    assert best_of_three(24_000) < 24 * best_of_three(3_000)
+            spent.append(time.perf_counter() - start)
+    assert min(times[1]) < 24 * min(times[0])
 
 
 # ---------------------------------------------------------------------------
