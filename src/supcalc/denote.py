@@ -192,26 +192,15 @@ class _Denoter:
         entry = self._CLAUSES.get(d.rule)
         if entry is None:
             raise TypeError(f"no interpretation clause for rule {d.rule}")
-        # rows and cols are the dimensions of d's type and of its context;
-        # a non-proposition has no _dim, and denote_prop refuses it
-        try:
-            rows = d.prop._dim
-            if rows is None:
-                rows = denote_prop(d.prop)
-            cols = 1
-            for _, a in d.ctx:
-                dim = a._dim
-                cols *= denote_prop(a) if dim is None else dim
-        except AttributeError:
-            rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
+        # rows and cols are the dimensions of d's type and of its context
+        rows, cols = denote_prop(d.prop), denote_ctx(d.ctx)
         if (rows or 1) * (cols or 1) > MAX_ENTRIES:
             raise M.ShapeMismatch(
                 f"rule {d.rule} denotes a {rows}x{cols} matrix, more than "
                 f"the {MAX_ENTRIES} entries a node may have")
         clause, arg = entry
-        kids = d.children
-        mat = clause(self, d, [self.go(k) for k in kids] if kids else (),
-                     rows, cols, arg)
+        mat = clause(self, d, [self.go(k) for k in d.children], rows, cols,
+                     arg)
         if mat.rows != rows or mat.cols != cols:
             raise M.ShapeMismatch(
                 f"internal: rule {d.rule} produced {mat.rows}x{mat.cols}, "
