@@ -404,7 +404,7 @@ def check_global_soundness(t: Term, semiring: Semiring = QNN,
     denoter = _Denoter(semiring)
     d = TC.typecheck((), t, expected, semiring)
     dist = rewrite.distribution(t, semiring)
-    summed = rewrite.sum_of_distribution(dist, semiring)
+    summed = rewrite.sum_of_distribution(dist)
     return denoter.go(d).equal(denoter.matrix((), summed, d.prop))
 
 

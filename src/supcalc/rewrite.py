@@ -19,21 +19,22 @@ preorder traversal.  Strong normalization of well-typed terms makes
 exhaustive branch exploration terminating, so ``distribution`` enumerates
 the full multiset of (probability, normal form) leaves.
 
-One engine, ``_shared_run``, runs the leftmost-outermost strategy, and
-it never rescans the whole term after a step.  ``normalize`` runs it and
-refuses the first fork; ``distribution`` explores the forks and runs each
-subterm's segment once per call; ``paths`` explores them too and records
-each step with the whole term after it, which makes it run every step of
-the unshared tree (see the end of this docstring).  ``normalize_random``
-contracts a uniformly random redex, so it keeps the preorder list of redex
-positions instead.  ``is_normal`` asks ``is_redex`` at every subterm.
+One engine, ``_shared_run``, runs the leftmost-outermost strategy for
+``normalize``, which refuses the first fork, and for ``distribution``,
+which explores the forks and runs each subterm's segment once per call;
+it never rescans the whole term after a step.  ``paths`` and
+``normalize_random`` run the kept-redex-list loop, which keeps the
+preorder list of redex positions: ``paths`` contracts its first entry,
+explores both branches of a fork and plugs the whole term after every
+step, as each step it lists holds it; ``normalize_random`` contracts a
+uniformly random entry.  ``is_normal`` asks ``is_redex`` at every subterm.
 
-``normalize_random`` holds the term as a focus and an immutable linked
-list of frames ``(parent, child index, outer frames)`` up to the root, in
-the manner of Huet's zipper (Huet, "The Zipper", JFP 1997).  Plugging a
+The loop holds the term as a focus and an immutable linked list of
+frames ``(parent, child index, outer frames)`` up to the root, in the
+manner of Huet's zipper (Huet, "The Zipper", JFP 1997).  Plugging a
 child back into its parent rebuilds one node; the child the parent still
-holds at that index may be stale, and the plug replaces it.  The whole
-term is rebuilt only at the normal form.
+holds at that index may be stale, and the plug replaces it.
+``normalize_random`` rebuilds the whole term only at the normal form.
 
 Invariant of the kept list: after every step it equals the positions of
 ``_redexes`` on the current term.  Lexicographic order on position tuples
@@ -67,8 +68,7 @@ float product depends on its association, so the word is the tuple of
 the weights, started from ``()``, and a reader folds it into its own word
 one weight at a time: along each path from the root the weights are
 multiplied in path order, so the products are the same whether or not a
-segment is shared.  A recorded step's whole term depends on R's context,
-so ``paths`` shares no segment.
+segment is shared.
 
 A reader of a segment that ends in a contraction at R's root plugs that
 contractum c back into R's parent.  Where R is the parent's eliminated
@@ -367,7 +367,7 @@ def _contract_at(kept: list, pos: tuple[int, ...], contractum: Term,
     return up, frames, up_pos, kept
 
 
-def is_normal(t: Term, semiring: Semiring = QNN) -> bool:
+def is_normal(t: Term) -> bool:
     return not any(map(is_redex, S.nodes(t)))
 
 
@@ -456,45 +456,59 @@ class Distribution:
 
 def paths(t: Term, semiring: Semiring = QNN,
           budget: int = DEFAULT_BUDGET) -> list[Path]:
-    """All maximal leftmost-outermost reduction paths, left branch first."""
-    return [Path(source=t, steps=steps, weight=w) for w, _, steps
-            in _shared_run(t, semiring, budget, forks=True, record=True)]
+    """All maximal leftmost-outermost reduction paths, left branch first,
+    within budget steps of the reduction tree (a fork counts one per
+    branch), on the kept-redex-list loop."""
+    message = f"reduction tree larger than {budget} steps"
+    if budget < 0:
+        raise BudgetExceeded(message)
+    out, used = [], 0
+    stack = [(t, None, (), [p for p, _, _ in _redex_walk(t)], semiring.one,
+              ())]
+    while stack:
+        focus, frames, at, kept, weight, steps = stack.pop()
+        if not kept:
+            out.append(Path(source=t, steps=steps, weight=weight))
+            continue
+        pos = kept[0]
+        focus, frames = _move(focus, frames, at, pos)
+        entries = contract(focus, semiring)
+        used += len(entries)
+        if used > budget:
+            raise BudgetExceeded(message)
+        fork = len(entries) > 1
+        for rule, w, c in reversed(entries):  # the left branch comes first
+            nxt = _contract_at(kept, pos, c, frames)
+            stack.append((*nxt, semiring.mul(weight, w) if fork else weight,
+                          steps + ((Step(pos, rule, w),
+                                    _plug_all(*nxt[:2])),)))
+    return out
 
 
 def distribution(t: Term, semiring: Semiring = QNN,
                  budget: int = DEFAULT_BUDGET) -> Distribution:
     """Exhaustively enumerate spdv(t): reduce leftmost-outermost, forking
-    at each sup-elimination with the two branch weights.  Unlike paths,
-    no steps are recorded, and each subterm's segment is run once."""
+    at each sup-elimination with the two branch weights.  Each subterm's
+    segment is run once, and only each leaf's weight and normal form are
+    kept."""
     return Distribution(tuple(_shared_run(t, semiring, budget, forks=True)))
 
 
-# the modes of a pending state (node, i, word, mode, trail) of _shared_run:
+# the modes of a pending state (node, i, word, mode) of _shared_run:
 # check node's root first; go to child i; go to child i, whose segment has
 # just been run and counted; node is the contractum of a deterministic step
 # that a plug skipped, and the step is counted when the state is popped
 _CHECK, _NEXT, _RESUME, _CONTRACTED = range(4)
 
 
-def _recorded(trail: tuple, frames, rule: str, w, c: Term) -> tuple:
-    """trail extended by the step that contracts the innermost frame's root
-    to c.  Its position is the child index of each enclosing frame's
-    pending _RESUME entry, outermost first, and its whole term is c
-    plugged through those entries' nodes."""
-    pending = [f[1][-1] for f in frames[:-1]]
-    for entry in reversed(pending):
-        c = _plug(entry[0], entry[1], c)
-    return trail + ((Step(tuple([e[1] for e in pending]), rule, w), c),)
-
-
-def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
-                record: bool = False) -> list:
+def _shared_run(t: Term, semiring: Semiring, budget: int,
+                forks: bool) -> list:
     """The leaves of t's leftmost-outermost reduction tree, left branch
     first, running each subterm's segment once.
 
     A frame runs one segment, of its root; the first frame runs the whole
     term instead, going on from each contractum of its root.  Its pending
-    states are (node, i, word, mode, trail): node is the current form of
+    states are (node, i, word, mode): node is the current form of
     the root, children before i are normal.  Words are the fork weights
     taken since the frame began (see the module docstring).  In the first
     frame a word is their product, taken in path order from ``one``.  In
@@ -504,7 +518,7 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     reader's unless either is ``empty``: by one product if exact, else
     weight by weight through ``reduce(op, cell, word)``, which multiplies
     in path order in the first frame and appends in any other.  A finished
-    frame leaves (root, [(word, result, rooted, trail)], unshared steps)
+    frame leaves (root, [(word, result, rooted)], unshared steps)
     in memo, keyed by id(root); rooted tells a contractum of the root from
     a normal form.  Memo hits add their steps to the budget, which so
     counts the unshared tree.  A budget below zero raises BudgetExceeded
@@ -525,16 +539,7 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     contractum from its root and child 0, and any other frame ends its
     segment with it.  A fork, or a plug at another child, goes through a
     _CHECK state; a node without subterms is never passed to contract.
-
-    Trails are None unless recording.  A recorded trail is the tuple of
-    (Step, whole term) pairs since t, and a new frame starts from its
-    parent state's trail.  Such a trail is absolute, so in recording mode
-    a stored segment is read only by the _RESUME entry that ran it.  A
-    step contracted at the plug is recorded there: the enclosing frames'
-    pending _RESUME entries that ``_recorded`` reads are the same then as
-    when the state is popped.  Unless recording, the first frame's leaves
-    are (weight, normal form) pairs, otherwise (weight, normal form,
-    trail).
+    The first frame's leaves are (weight, normal form) pairs.
     """
     message = (f"reduction tree larger than {budget} steps" if forks
                else f"no normal form within {budget} steps")
@@ -546,8 +551,8 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
     exact = semiring.exact
     empty, join = ((semiring.one, semiring.mul) if exact
                    else ((), lambda word, w: word + (w,)))
-    frames = [(None, [(t, 0, semiring.one, _CHECK, () if record else None)],
-               leaves, 0, semiring.mul)]
+    frames = [(None, [(t, 0, semiring.one, _CHECK)], leaves, 0,
+               semiring.mul)]
     while frames:
         root, todo, out, start, op = frames[-1]
         if not todo:
@@ -555,13 +560,13 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
             if root is not None:
                 memo[id(root)] = (root, out, used - start)
             continue
-        node, i, word, mode, trail = todo.pop()
+        node, i, word, mode = todo.pop()
         if mode == _CONTRACTED:
             used += 1
             if used > budget:
                 raise BudgetExceeded(message)
             if root is not None:
-                out.append((word, node, True, trail))
+                out.append((word, node, True))
                 continue
             mode = _CHECK
         names = _CHILDREN[type(node)]
@@ -578,35 +583,27 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 if used > budget:
                     raise BudgetExceeded(message)
                 if root is None:
-                    for rule, w, c in reversed(entries):
+                    for _, w, c in reversed(entries):
                         todo.append((c, 0, op(word, w) if fork else word,
-                                     _CHECK, _recorded(trail, frames, rule,
-                                                       w, c)
-                                     if record else None))
+                                     _CHECK))
                 else:
-                    out.extend((op(word, w) if fork else word, c, True,
-                                _recorded(trail, frames, rule, w, c)
-                                if record else None)
-                               for rule, w, c in entries)
+                    out.extend((op(word, w) if fork else word, c, True)
+                               for _, w, c in entries)
                 continue
         if i == len(names):
-            if root is not None:
-                out.append((word, node, False, trail))
-            elif record:
-                out.append((word, node, trail))
-            else:
-                out.append((word, node))
+            out.append((word, node) if root is None
+                       else (word, node, False))
             continue
         child = getattr(node, names[i])
         if not _CHILDREN[type(child)]:
             # a leaf is no redex: its segment is empty and it stays as is
-            todo.append((node, i + 1, word, _NEXT, trail))
+            todo.append((node, i + 1, word, _NEXT))
             continue
-        hit = memo.pop(id(child), None) if record else memo.get(id(child))
+        hit = memo.get(id(child))
         if hit is None:
-            todo.append((node, i, word, _RESUME, trail))
-            frames.append((child, [(child, 0, empty, _CHECK, trail)], [],
-                           used, join))
+            todo.append((node, i, word, _RESUME))
+            frames.append((child, [(child, 0, empty, _CHECK)], [], used,
+                           join))
             continue
         _, results, steps = hit
         if mode != _RESUME:
@@ -615,28 +612,25 @@ def _shared_run(t: Term, semiring: Semiring, budget: int, forks: bool,
                 raise BudgetExceeded(message)
         # child 0 is the eliminated field of every shape
         shape = _SHAPES.get(type(node)) if i == 0 else None
-        for cell, c, rooted, trail in reversed(results):
+        for cell, c, rooted in reversed(results):
             w = (word if cell is empty else cell if word is empty
                  else op(word, cell) if exact else reduce(op, cell, word))
             if not rooted:
                 todo.append((node if c is child else _plug(node, i, c),
-                             i + 1, w, _NEXT, trail))
+                             i + 1, w, _NEXT))
                 continue
             rules = shape[2].get(type(c)) if shape else None
             if (rules is not None and len(rules) == 1
                     and (shape[1] is None
                          or type(getattr(node, shape[1])) is type(c))):
-                rule, _, make = rules[0]
-                c = make(node, c, semiring)
-                todo.append((c, 0, w, _CONTRACTED,
-                             _recorded(trail, frames, rule, semiring.one, c)
-                             if record else None))
+                _, _, make = rules[0]
+                todo.append((make(node, c, semiring), 0, w, _CONTRACTED))
             else:
-                todo.append((_plug(node, i, c), i, w, _CHECK, trail))
+                todo.append((_plug(node, i, c), i, w, _CHECK))
     return leaves
 
 
-def sum_of_distribution(d: Distribution, semiring: Semiring = QNN) -> Term:
+def sum_of_distribution(d: Distribution) -> Term:
     """The weighted-sum term of a distribution: each element contributes
     scal(weight, value); elements are ordered lexicographically by their
     printed form and summed left-associated."""
