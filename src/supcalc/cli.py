@@ -25,7 +25,8 @@ from . import rewrite as RW
 from . import syntax as S
 from . import checker as TC
 from . import veccodec as VC
-from .semiring import SEMIRINGS, LiteralError, format_scalar, get_semiring
+from .semiring import (SEMIRINGS, LiteralError, SemiringError,
+                       format_scalar, get_semiring)
 
 
 class CliError(Exception):
@@ -175,22 +176,25 @@ def _derivation_json(d: TC.Derivation) -> dict:
 
 def _typecheck_file(args, sr):
     """The derivation of the file's term, with --ctx and --type overriding
-    its headers; None, after printing the type error, if there is none."""
+    its headers."""
     term, ctx, declared = load_term_file(args.file, sr)
     if args.ctx is not None:
         ctx = S.parse_context(args.ctx, sr)
     expected = S.parse_prop(args.type_, sr) if args.type_ else declared
-    try:
-        return TC.typecheck(ctx, term, expected, sr)
-    except TC.TypingError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return None
+    return TC.typecheck(ctx, term, expected, sr)
+
+
+def _load_closed(args, sr):
+    """The file's term and its declared type, refused with a usage error
+    if the file declares a context."""
+    term, ctx, declared = load_term_file(args.file, sr)
+    if ctx:
+        raise CliError(f"{args.command} expects a closed term", code=2)
+    return term, declared
 
 
 def _cmd_check(args, sr) -> int:
     d = _typecheck_file(args, sr)
-    if d is None:
-        return 1
     if args.emit_derivation:
         print(json.dumps(_derivation_json(d), indent=2))
     elif args.json:
@@ -201,21 +205,13 @@ def _cmd_check(args, sr) -> int:
 
 
 def _cmd_run(args, sr) -> int:
-    term, ctx, _ = load_term_file(args.file, sr)
-    if ctx:
-        raise CliError("run expects a closed term", code=2)
-    try:
-        print(S.print_term(RW.normalize(term, sr)))
-    except RW.SupBranchEncountered as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    term, _ = _load_closed(args, sr)
+    print(S.print_term(RW.normalize(term, sr)))
     return 0
 
 
 def _cmd_distro(args, sr) -> int:
-    term, ctx, _ = load_term_file(args.file, sr)
-    if ctx:
-        raise CliError("distro expects a closed term", code=2)
+    term, _ = _load_closed(args, sr)
     dist = RW.distribution(term, sr)
     if args.json:
         print(json.dumps([{"weight": format_scalar(w),
@@ -227,10 +223,7 @@ def _cmd_distro(args, sr) -> int:
 
 
 def _cmd_denote(args, sr) -> int:
-    d = _typecheck_file(args, sr)
-    if d is None:
-        return 1
-    mat = _denote(d, sr).matrix
+    mat = _denote(_typecheck_file(args, sr), sr).matrix
     if args.json:
         print(json.dumps(_matrix_json(mat)))
     else:
@@ -241,18 +234,12 @@ def _cmd_denote(args, sr) -> int:
 
 
 def _cmd_soundness(args, sr) -> int:
-    term, ctx, declared = load_term_file(args.file, sr)
-    if ctx:
-        raise CliError("soundness expects a closed term", code=2)
+    term, declared = _load_closed(args, sr)
     expected = S.parse_prop(args.type_, sr) if args.type_ else declared
     # holding the root's derivation lets both checks reuse it, and the
     # matrix the first check leaves on it
-    try:
-        root = TC.typecheck((), term, expected, sr)
-        report = check_step_soundness(term, sr, expected=expected)
-    except TC.TypingError as exc:
-        print(f"type error: {exc}", file=sys.stderr)
-        return 1
+    root = TC.typecheck((), term, expected, sr)
+    report = check_step_soundness(term, sr, expected=expected)
     global_ok = check_global_soundness(term, sr, expected)
     if args.json:
         print(json.dumps({
@@ -292,9 +279,7 @@ def _parse_vec(text: str, sr):
 
 
 def _cmd_apply(args, sr) -> int:
-    term, ctx, declared = load_term_file(args.file, sr)
-    if ctx:
-        raise CliError("apply expects a closed term", code=2)
+    term, declared = _load_closed(args, sr)
     if bool(args.from_) != bool(args.to):
         raise CliError("apply needs both --from and --to, or neither", code=2)
     if args.from_:
@@ -373,8 +358,11 @@ def main(argv=None) -> int:
     except S.ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return 1
-    except (TC.TypingError, RW.ReductionError, VC.NotInV,
-            VC.LengthMismatch, M.ShapeMismatch) as exc:
+    except TC.TypingError as exc:
+        print(f"type error: {exc}", file=sys.stderr)
+        return 1
+    except (RW.ReductionError, SemiringError, VC.NotInV, VC.LengthMismatch,
+            M.ShapeMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

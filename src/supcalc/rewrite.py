@@ -91,7 +91,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import syntax as S
-from .semiring import QNN, Semiring, format_scalar
+from .semiring import QNN, Semiring
 from .syntax import Term
 
 DEFAULT_BUDGET = 100_000
@@ -416,19 +416,6 @@ class Path:
         return self.steps[-1][1] if self.steps else self.source
 
 
-def _leaf_key(v: Term) -> str:
-    """``print_term(canonical(v))``, the key under which values equal up
-    to alpha are one.  canonical only renames binders and the variables
-    they bind, so a value with no binder prints as its canonical form and
-    is not canonicalised: a childless value (``star(c)``, ``unit``) is
-    printed at once, any other is walked once to look for a binder."""
-    if type(v) is S.Star:
-        return "star(" + format_scalar(v.scalar) + ")"
-    if _CHILDREN[type(v)] and any(type(u) in S._BINDERS for u in S.nodes(v)):
-        v = S.canonical(v)
-    return S.print_term(v)
-
-
 @dataclass(frozen=True)
 class Distribution:
     """The multiset of (probability, normal form) leaves of a term's
@@ -442,12 +429,14 @@ class Distribution:
     def aggregate(self, semiring: Semiring) -> list[tuple[object, Term]]:
         """Merge duplicate values (up to alpha) by summing their weights in
         leaf order.  Each value is its first leaf's term, and the values
-        are sorted by their printed canonical form (``_leaf_key``).  The
-        result holds leaf tuples: a value met once is its leaf's own tuple
-        from ``items``, a merged one a new (summed weight, value) tuple."""
+        are sorted by their printed canonical form (``syntax._alpha_key``,
+        which ``alpha_eq`` compares).  The result holds leaf tuples: a
+        value met once is its leaf's own tuple from ``items``, a merged one
+        a new (summed weight, value) tuple."""
         buckets: dict[str, tuple[object, Term]] = {}
+        alpha_key = S._alpha_key
         for leaf in self.items:
-            key = _leaf_key(leaf[1])
+            key = alpha_key(leaf[1])
             first = buckets.get(key)
             buckets[key] = leaf if first is None else (
                 semiring.add(first[0], leaf[0]), first[1])
@@ -637,7 +626,7 @@ def sum_of_distribution(d: Distribution) -> Term:
     if not d.items:
         raise EmptyDistribution("cannot sum an empty distribution")
     pieces = [S.Scal(w, v) for w, v in d.items]
-    pieces.sort(key=_leaf_key)
+    pieces.sort(key=S._alpha_key)
     acc = pieces[0]
     for piece in pieces[1:]:
         acc = S.Sum(acc, piece)

@@ -2,7 +2,8 @@
 
 Four instances ship: exact non-negative rationals (``qnn``, the default),
 exact signed rationals (``q``), the two-point or/and algebra (``bool``),
-and machine floats with tolerant equality (``f64``).  Scalar literals in
+and machine floats with tolerant equality (``f64``), whose sum or product
+raises ``SemiringError`` where it is not finite.  Scalar literals in
 source text are always rationals; each instance decides which literals it
 accepts via :meth:`Semiring.from_literal`.
 
@@ -26,7 +27,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from typing import Any, Callable, Sequence
 
 Scalar = Any  # carrier value of some Semiring instance
@@ -251,12 +252,30 @@ BOOL = Semiring(
 
 _F64_TOL = 1e-9
 
+
+def _f64_add(a: float, b: float) -> float:
+    """a + b, refused where it is not finite: an infinity or a NaN is no
+    value of a semiring (inf * 0 is NaN)."""
+    s = a + b
+    if isfinite(s):
+        return s
+    raise SemiringError(f"semiring f64 has no finite value for {a!r} + {b!r}")
+
+
+def _f64_mul(a: float, b: float) -> float:
+    """a * b, refused where it is not finite, as in _f64_add."""
+    p = a * b
+    if isfinite(p):
+        return p
+    raise SemiringError(f"semiring f64 has no finite value for {a!r} * {b!r}")
+
+
 F64 = Semiring(
     name="f64",
     zero=0.0,
     one=1.0,
-    add=lambda a, b: a + b,
-    mul=lambda a, b: a * b,
+    add=_f64_add,
+    mul=_f64_mul,
     eq=lambda a, b: abs(a - b) <= _F64_TOL,
     is_zero=lambda a: abs(a) <= _F64_TOL,
     from_literal=lambda f: float(f),

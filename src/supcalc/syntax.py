@@ -304,8 +304,6 @@ _BINDERS = {
     Case: {"left_body": ("left_var",), "right_body": ("right_var",)},
     SupElim: {"left_body": ("left_var",), "right_body": ("right_var",)},
 }
-_BINDER_FIELDS = {cls: {v for vs in _BINDERS.get(cls, {}).values() for v in vs}
-                  for cls in _TERM_CLASSES}
 
 # The sup connective introduces and projects pairs exactly as & does; only
 # elimination by cases differs (sup_elim mixes the branches by its weights).
@@ -573,42 +571,6 @@ def _unbind(env: dict, undo: list) -> None:
             env[x] = old
 
 
-def alpha_eq(t: Term, u: Term) -> bool:
-    return _alpha(t, u, {}, {}, 0)
-
-
-def _alpha(t: Term, u: Term, envt: dict, envu: dict, depth: int) -> bool:
-    """Whether t and u are alike, where envt and envu map each name bound
-    around t and u to the depth of its binder.  A field's binders are
-    bound for its walk only."""
-    if type(t) is not type(u):
-        return False
-    if isinstance(t, Var):
-        return envt.get(t.name, t.name) == envu.get(u.name, u.name)
-    for name in _FIELDS[type(t)]:
-        a, b = getattr(t, name), getattr(u, name)
-        if isinstance(a, Term):
-            undo_t: list = []
-            undo_u: list = []
-            d = depth
-            for x, y in zip(bound_names(t, name), bound_names(u, name)):
-                undo_t.append((x, envt.get(x)))
-                undo_u.append((y, envu.get(y)))
-                envt[x] = envu[y] = d
-                d += 1
-            same = _alpha(a, b, envt, envu, d)
-            _unbind(envt, undo_t)
-            _unbind(envu, undo_u)
-            if not same:
-                return False
-        elif isinstance(a, str) and name in _BINDER_FIELDS[type(t)]:
-            continue  # binder names are compared via the environment
-        else:
-            if a != b:
-                return False
-    return True
-
-
 def canonical(t: Term) -> Term:
     """Rename every binder to v0, v1, ... in traversal order, and leave
     free names as they are.  If a free name is one of those binder names,
@@ -651,6 +613,25 @@ def canonical(t: Term) -> Term:
         names.clear()
         out = go(t, {})
     return out
+
+
+def _alpha_key(t: Term) -> str:
+    """``print_term(canonical(t))``, the one key under which terms equal up
+    to alpha are one.  canonical only renames binders and the variables
+    they bind, so a term with no binder prints as its canonical form and
+    is not canonicalised: a ``star(c)`` is printed at once, and any other
+    term with subterms is walked once to look for a binder."""
+    cls = type(t)
+    if cls is Star:
+        return "star(" + format_scalar(t.scalar) + ")"
+    if _CHILDREN[cls] and any(type(u) in _BINDERS for u in nodes(t)):
+        t = canonical(t)
+    return print_term(t)
+
+
+def alpha_eq(t: Term, u: Term) -> bool:
+    """Whether t and u are equal up to the names of their binders."""
+    return _alpha_key(t) == _alpha_key(u)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,21 @@ def test_a_type_past_the_denote_budget_is_one_error_line(
         "a node may have\n")
 
 
+# a scalar product of two 10^300 literals, past the largest float
+_F64_OVERFLOW = "scal(1" + "0" * 300 + ",scal(1" + "0" * 300 + ",star(1)))\n"
+
+
+@pytest.mark.parametrize("command", ["run", "distro", "denote", "soundness"])
+def test_an_f64_overflow_is_one_error_line(tmp_path, capsys, command):
+    p = tmp_path / "overflow.lsup"
+    p.write_text(_F64_OVERFLOW)
+    assert main([command, "--semiring", "f64", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: semiring f64 has no finite value for 1e+300 * 1e+300\n")
+
+
 def test_encode_then_apply(tmp_path, capsys):
     assert main(["encode", "--matrix", "[[1,2],[3,4]]",
                  "--from", "one & one", "--to", "one & one"]) == 0

@@ -1148,7 +1148,7 @@ def test_leaf_key_is_the_printed_canonical_form(corpus_entries):
                term("lam(x,lam(y,app(x,y)))"), term("pair(star(1),unit)")]
     assert any(type(u) in S._BINDERS for v in values for u in S.nodes(v))
     for v in values:
-        assert R._leaf_key(v) == S.print_term(S.canonical(v))
+        assert S._alpha_key(v) == S.print_term(S.canonical(v))
 
 
 _DISTRIBUTION_PINS = {

@@ -80,6 +80,18 @@ def test_embed_units():
     assert sc.embed(F(3, 4)).entries == [F(3, 4)]
 
 
+def test_f64_refuses_a_sum_or_product_that_is_not_finite():
+    big = sc.F64.from_literal(F(10) ** 300)
+    with pytest.raises(sc.SemiringError):
+        sc.F64.mul(big, big)
+    with pytest.raises(sc.SemiringError):
+        sc.F64.add(1.5e308, 1.5e308)
+    t = sc.parse_term("scal(1" + "0" * 300 + ",scal(1" + "0" * 300
+                      + ",star(1)))", sc.F64)
+    with pytest.raises(sc.SemiringError):
+        sc.normalize(t, sc.F64)
+
+
 def test_weight_pairs():
     assert sc.make_weight_pair(F(1, 2), F(1, 2), sc.QNN) == sc.WeightPair(F(1, 2), F(1, 2))
     assert sc.make_weight_pair(F(1), F(0), sc.QNN).p == F(1)

@@ -623,6 +623,12 @@ def test_canonical_binders_capture_no_free_name():
     assert len(sc.Distribution(((F(1), deep),)).aggregate(sc.QNN)) == 1
 
 
+# the fields that name a binder, per class, which the former alpha_eq
+# skipped and _binder_names reads
+_BINDER_FIELDS = {cls: {v for vs in S._BINDERS.get(cls, {}).values() for v in vs}
+                  for cls in S._TERM_CLASSES}
+
+
 def _former_alpha_eq(t, u):
     """alpha_eq as it was, copying both environments at every binder."""
     return _former_alpha(t, u, {}, {}, 0)
@@ -643,7 +649,7 @@ def _former_alpha(t, u, envt, envu, depth):
                 d += 1
             if not _former_alpha(a, b, et, eu, d):
                 return False
-        elif isinstance(a, str) and name in S._BINDER_FIELDS[type(t)]:
+        elif isinstance(a, str) and name in _BINDER_FIELDS[type(t)]:
             continue
         elif a != b:
             return False
@@ -736,6 +742,34 @@ def test_canonical_and_alpha_eq_are_linear_in_binder_depth(walk):
     assert best_of_three(8_000) < 8 * best_of_three(2_000)
 
 
+@pytest.mark.parametrize("nesting", ["right", "left"])
+def test_alpha_eq_holds_at_the_nesting_limit(nesting):
+    """Two parses of a MAX_NESTING-deep sum chain, whose bottom binders
+    are named apart, are alike; a free bottom variable tells them apart.
+    alpha_eq goes through canonical and the printer at every depth."""
+    def chain(bottom):
+        n = S.MAX_NESTING - 1
+        if nesting == "right":
+            return "sum(star(1)," * n + bottom + ")" * n
+        return "sum(" * n + bottom + ",star(1))" * n
+
+    a = sc.parse_term(chain("lam(x,x)"))
+    assert sc.alpha_eq(a, sc.parse_term(chain("lam(x,x)")))
+    assert sc.alpha_eq(a, sc.parse_term(chain("lam(y,y)")))
+    assert not sc.alpha_eq(a, sc.parse_term(chain("lam(y,x)")))
+
+
+def test_alpha_eq_holds_on_a_deep_chain_of_distinct_binders():
+    def chain(bottom):
+        for i in range(9000):
+            bottom = S.Lam(f"x{i}", bottom)
+        return bottom
+
+    t = chain(S.Var("x0"))
+    assert sc.alpha_eq(t, sc.canonical(t))
+    assert not sc.alpha_eq(chain(S.Var("y")), sc.canonical(t))
+
+
 def test_sup_is_distinct_from_with():
     assert S.Sup(S.One(), S.One()) != S.With(S.One(), S.One())
     assert sc.parse_prop("one (o) one") != sc.parse_prop("one & one")
@@ -758,7 +792,7 @@ def _prime(t):
 
 
 def _binder_names(t):
-    return {getattr(u, b) for u in S.nodes(t) for b in S._BINDER_FIELDS[type(u)]}
+    return {getattr(u, b) for u in S.nodes(t) for b in _BINDER_FIELDS[type(u)]}
 
 
 def _made_from(t):
