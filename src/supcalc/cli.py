@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("apply", "apply a function term file to a vector")
     p.add_argument("--vec", required=True, help='vector literal, e.g. "(5,6)"')
     p.add_argument("--from", dest="from_", default=None,
-                   help="domain proposition (default: inferred from the term); "
-                        "give both --from and --to, or neither")
+                   help="domain proposition; the term is checked at "
+                        "FROM -o TO (default: its declared or inferred "
+                        "type); give both --from and --to, or neither")
     p.add_argument("--to", dest="to", default=None)
 
     p = command("laws", "randomized structural law suite", file=False)
@@ -174,27 +175,24 @@ def _derivation_json(d: TC.Derivation) -> dict:
     return out
 
 
-def _typecheck_file(args, sr):
-    """The derivation of the file's term, with --ctx and --type overriding
-    its headers."""
-    term, ctx, declared = load_term_file(args.file, sr)
-    if args.ctx is not None:
+def _load(args, sr):
+    """The file's term, its context and its expected type.  --ctx and
+    --type override the file's headers on the commands that have them; a
+    command without --ctx refuses a file that declares a context."""
+    term, ctx, expected = load_term_file(args.file, sr)
+    if "ctx" not in args:
+        if ctx:
+            raise CliError(f"{args.command} expects a closed term", code=2)
+    elif args.ctx is not None:
         ctx = S.parse_context(args.ctx, sr)
-    expected = S.parse_prop(args.type_, sr) if args.type_ else declared
-    return TC.typecheck(ctx, term, expected, sr)
-
-
-def _load_closed(args, sr):
-    """The file's term and its declared type, refused with a usage error
-    if the file declares a context."""
-    term, ctx, declared = load_term_file(args.file, sr)
-    if ctx:
-        raise CliError(f"{args.command} expects a closed term", code=2)
-    return term, declared
+    if getattr(args, "type_", None):
+        expected = S.parse_prop(args.type_, sr)
+    return term, ctx, expected
 
 
 def _cmd_check(args, sr) -> int:
-    d = _typecheck_file(args, sr)
+    term, ctx, expected = _load(args, sr)
+    d = TC.typecheck(ctx, term, expected, sr)
     if args.emit_derivation:
         print(json.dumps(_derivation_json(d), indent=2))
     elif args.json:
@@ -205,13 +203,13 @@ def _cmd_check(args, sr) -> int:
 
 
 def _cmd_run(args, sr) -> int:
-    term, _ = _load_closed(args, sr)
+    term, _, _ = _load(args, sr)
     print(S.print_term(RW.normalize(term, sr)))
     return 0
 
 
 def _cmd_distro(args, sr) -> int:
-    term, _ = _load_closed(args, sr)
+    term, _, _ = _load(args, sr)
     dist = RW.distribution(term, sr)
     if args.json:
         print(json.dumps([{"weight": format_scalar(w),
@@ -223,7 +221,8 @@ def _cmd_distro(args, sr) -> int:
 
 
 def _cmd_denote(args, sr) -> int:
-    mat = _denote(_typecheck_file(args, sr), sr).matrix
+    term, ctx, expected = _load(args, sr)
+    mat = _denote(TC.typecheck(ctx, term, expected, sr), sr).matrix
     if args.json:
         print(json.dumps(_matrix_json(mat)))
     else:
@@ -234,8 +233,7 @@ def _cmd_denote(args, sr) -> int:
 
 
 def _cmd_soundness(args, sr) -> int:
-    term, declared = _load_closed(args, sr)
-    expected = S.parse_prop(args.type_, sr) if args.type_ else declared
+    term, _, expected = _load(args, sr)
     # holding the root's derivation lets both checks reuse it, and the
     # matrix the first check leaves on it
     root = TC.typecheck((), term, expected, sr)
@@ -279,20 +277,16 @@ def _parse_vec(text: str, sr):
 
 
 def _cmd_apply(args, sr) -> int:
-    term, declared = _load_closed(args, sr)
+    term, _, expected = _load(args, sr)
     if bool(args.from_) != bool(args.to):
         raise CliError("apply needs both --from and --to, or neither", code=2)
     if args.from_:
-        a = S.parse_prop(args.from_, sr)
-        b = S.parse_prop(args.to, sr)
-    else:
-        expected = declared
-        if expected is None:
-            d = TC.typecheck((), term, None, sr)
-            expected = d.prop
-        if not isinstance(expected, S.Lollipop):
-            raise CliError("apply needs a term of function type", code=2)
-        a, b = expected.left, expected.right
+        expected = S.Lollipop(S.parse_prop(args.from_, sr),
+                              S.parse_prop(args.to, sr))
+    fn = TC.typecheck((), term, expected, sr).prop
+    if not isinstance(fn, S.Lollipop):
+        raise CliError("apply needs a term of function type", code=2)
+    a, b = fn.left, fn.right
     entries = _parse_vec(args.vec, sr)
     vec = VC.SVector(tuple(entries), a)
     result = VC.to_vector(S.App(term, VC.from_vector(vec)), b, sr)

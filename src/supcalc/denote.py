@@ -84,6 +84,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional
 
 from . import matmodel as M
@@ -400,12 +401,21 @@ def _whole_term_check(t: Term, d: TC.Derivation, base: Mat,
 def check_global_soundness(t: Term, semiring: Semiring = QNN,
                            expected: Optional[Prop] = None) -> bool:
     """The matrix of a closed term equals the matrix of the weighted sum
-    of its run results; t's derivation, while held, is reused."""
+    of its run results; t's derivation, while held, is reused.
+
+    The sum's matrix is built by the ``scal`` and ``sum`` clauses applied
+    directly: each result's matrix, typed at t's type, scaled by its
+    weight and left-folded with ``M.add`` in the order
+    ``sum_of_distribution`` sums in.  So its stored values and their
+    order of summation are those of denoting the summed term, without a
+    derivation of the sum, whose depth grows with the number of results."""
     denoter = _Denoter(semiring)
     d = TC.typecheck((), t, expected, semiring)
-    dist = rewrite.distribution(t, semiring)
-    summed = rewrite.sum_of_distribution(dist)
-    return denoter.go(d).equal(denoter.matrix((), summed, d.prop))
+    summands = rewrite._summands(rewrite.distribution(t, semiring))
+    a = d.prop
+    summed = reduce(M.add, (M.scale(p.scalar, denoter.matrix((), p.body, a))
+                            for p in summands))
+    return denoter.go(d).equal(summed)
 
 
 # ---------------------------------------------------------------------------

@@ -484,10 +484,10 @@ def distribution(t: Term, semiring: Semiring = QNN,
 
 
 # the modes of a pending state (node, i, word, mode) of _shared_run:
-# check node's root first; go to child i; go to child i, whose segment has
-# just been run and counted; node is the contractum of a deterministic step
-# that a plug skipped, and the step is counted when the state is popped
-_CHECK, _NEXT, _RESUME, _CONTRACTED = range(4)
+# check node's root first; go to child i; node is the contractum of a
+# deterministic step that a plug skipped, and the step is counted when the
+# state is popped
+_CHECK, _NEXT, _CONTRACTED = range(3)
 
 
 def _shared_run(t: Term, semiring: Semiring, budget: int,
@@ -508,16 +508,17 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
     weight by weight through ``reduce(op, cell, word)``, which multiplies
     in path order in the first frame and appends in any other.  A finished
     frame leaves (root, [(word, result, rooted)], unshared steps)
-    in memo, keyed by id(root); rooted tells a contractum of the root from
-    a normal form.  Memo hits add their steps to the budget, which so
-    counts the unshared tree.  A budget below zero raises BudgetExceeded
-    at once.
+    in memo, keyed by id(root), and takes those steps back off the count;
+    rooted tells a contractum of the root from a normal form.  Every memo
+    hit, its own reader's too, adds the steps, so the budget counts the
+    unshared tree, and a count taken back and added again passed the
+    budget check before.  A budget below zero raises BudgetExceeded at once.
 
     Without forks, a root contraction with two entries raises
     SupBranchEncountered before its steps are counted, so a fork one step
     past the budget is reported as a fork.  The redex is the root of the
     innermost frame; its position is the child index of each enclosing
-    frame's pending _RESUME entry, outermost first.
+    frame's last pending entry, outermost first.
 
     A rooted result read back at child 0, the eliminated field of every
     shape, that makes node a deterministic redex is contracted there from
@@ -548,6 +549,7 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
             frames.pop()
             if root is not None:
                 memo[id(root)] = (root, out, used - start)
+                used = start
             continue
         node, i, word, mode = todo.pop()
         if mode == _CONTRACTED:
@@ -590,15 +592,14 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
             continue
         hit = memo.get(id(child))
         if hit is None:
-            todo.append((node, i, word, _RESUME))
+            todo.append((node, i, word, _NEXT))
             frames.append((child, [(child, 0, empty, _CHECK)], [], used,
                            join))
             continue
         _, results, steps = hit
-        if mode != _RESUME:
-            used += steps
-            if used > budget:
-                raise BudgetExceeded(message)
+        used += steps
+        if used > budget:
+            raise BudgetExceeded(message)
         # child 0 is the eliminated field of every shape
         shape = _SHAPES.get(type(node)) if i == 0 else None
         for cell, c, rooted in reversed(results):
@@ -619,18 +620,20 @@ def _shared_run(t: Term, semiring: Semiring, budget: int,
     return leaves
 
 
+def _summands(d: Distribution) -> list:
+    """The scal(weight, value) term of each element of a distribution, in
+    the order sum_of_distribution sums them: lexicographically by their
+    printed canonical form."""
+    if not d.items:
+        raise EmptyDistribution("cannot sum an empty distribution")
+    return sorted((S.Scal(w, v) for w, v in d.items), key=S._alpha_key)
+
+
 def sum_of_distribution(d: Distribution) -> Term:
     """The weighted-sum term of a distribution: each element contributes
     scal(weight, value); elements are ordered lexicographically by their
     printed form and summed left-associated."""
-    if not d.items:
-        raise EmptyDistribution("cannot sum an empty distribution")
-    pieces = [S.Scal(w, v) for w, v in d.items]
-    pieces.sort(key=S._alpha_key)
-    acc = pieces[0]
-    for piece in pieces[1:]:
-        acc = S.Sum(acc, piece)
-    return acc
+    return reduce(S.Sum, _summands(d))
 
 
 # ---------------------------------------------------------------------------
@@ -643,14 +646,14 @@ def mixed_equiv(t: Term, u: Term, a: S.Prop, semiring: Semiring = QNN) -> bool:
 
     Decidable on the semimodule fragment (one/& propositions), where it
     amounts to comparing the weighted sums of the value vectors, and on
-    top, where all terms collapse.
+    top, where all terms collapse.  Both terms are checked at a first.
     """
     from . import checker as TC
     from . import veccodec
 
+    TC.typecheck((), t, a, semiring)
+    TC.typecheck((), u, a, semiring)
     if isinstance(a, S.Top):
-        TC.typecheck((), t, a, semiring)
-        TC.typecheck((), u, a, semiring)
         return True
     if not veccodec.is_vprop(a):
         raise UnsupportedType(

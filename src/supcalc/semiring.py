@@ -25,6 +25,7 @@ unchanged.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite
@@ -270,6 +271,16 @@ def _f64_mul(a: float, b: float) -> float:
     raise SemiringError(f"semiring f64 has no finite value for {a!r} * {b!r}")
 
 
+def _f64_literal(f: Fraction) -> float:
+    """f as a float, refused where it is past the float range; the message
+    does not echo f, whose digits may run to hundreds."""
+    try:
+        return float(f)
+    except OverflowError:
+        raise LiteralError("semiring f64 has no scalar past "
+                           f"{sys.float_info.max:g} in magnitude") from None
+
+
 F64 = Semiring(
     name="f64",
     zero=0.0,
@@ -278,7 +289,7 @@ F64 = Semiring(
     mul=_f64_mul,
     eq=lambda a, b: abs(a - b) <= _F64_TOL,
     is_zero=lambda a: abs(a) <= _F64_TOL,
-    from_literal=lambda f: float(f),
+    from_literal=_f64_literal,
     test_pool=(0.0, 1.0, 0.5, 0.25, 0.75, 2.0, 3.0),
     weight_pool=((0.5, 0.5), (0.25, 0.75), (1.0, 0.0)),
     non_weight_pair=(0.5, 0.25),

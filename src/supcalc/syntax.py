@@ -818,7 +818,7 @@ class _Parser:
             raise self.error("zero denominator", i + 2) from None
         try:
             return self.sr.from_literal(lit), end
-        except (SemiringError, ArithmeticError) as exc:
+        except SemiringError as exc:
             raise self.error(str(exc), i) from None
 
     def ann(self, i: int) -> tuple[Optional[Prop], int]:

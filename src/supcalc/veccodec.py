@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import checker as TC
 from . import rewrite
 from . import syntax as S
 from .denote import denote_prop
@@ -122,9 +123,11 @@ def _encode(rows, a: Prop, b: Prop) -> Term:
 def extract_linear_map(t: Term, a: Prop, b: Prop,
                        semiring: Semiring = QNN) -> list[list]:
     """The matrix of a closed term of type a -o b, read off on basis
-    vectors; by linearity it represents the term on every input."""
+    vectors; by linearity it represents the term on every input.  The
+    term is checked at a -o b first."""
     sr = semiring
     n, m = dim_v(a), dim_v(b)
+    TC.typecheck((), t, S.Lollipop(a, b), sr)
     cols = []
     for j in range(n):
         basis = SVector(tuple(sr.one if i == j else sr.zero for i in range(n)), a)

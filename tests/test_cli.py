@@ -367,6 +367,35 @@ def test_apply_rejects_a_lone_from_or_to(flag, tmp_path, capsys):
     assert "both --from and --to" in captured.err
 
 
+@pytest.mark.parametrize("flags", [
+    [], ["--from", "one & one", "--to", "one & one"]])
+def test_apply_checks_the_term_at_the_type_it_reads(flags, tmp_path, capsys):
+    # the term has type one -o one, whether the type comes from the header
+    # or from --from and --to
+    p = tmp_path / "f.lsup"
+    p.write_text(("" if flags else "-- type: (one & one) -o (one & one)\n")
+                 + "lam{one}(x,scal(2,x))\n")
+    assert main(["apply", str(p), "--vec", "(1,2)", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("type error: ")
+
+
+@pytest.mark.parametrize("command", ["apply", "encode"])
+def test_an_f64_literal_past_the_float_range_is_one_usage_error(
+        command, tmp_path, capsys):
+    p = tmp_path / "f.lsup"
+    p.write_text("-- type: one -o one\nlam(x,x)\n")
+    argv = (["apply", str(p), "--vec", "(1e400)"] if command == "apply"
+            else ["encode", "--matrix", '[["1e400"]]', "--from", "one",
+                  "--to", "one"])
+    assert main([*argv, "--semiring", "f64"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "f64" in err
+
+
 def _sum_chain(depth, nesting):
     """A depth-deep chain of sums of star(1), nested to the right or left."""
     n = depth - 1

@@ -835,6 +835,53 @@ def test_global_soundness_whole_corpus(corpus_entries):
         assert sc.check_global_soundness(e.term, SR, expected=e.prop), e.name
 
 
+_FORK_WEIGHTS = ("1/2,1/2", "1/3,2/3", "1/4,3/4", "2/5,3/5")
+
+
+def _nested_forks(depth, weights=("1/2,1/2",), start=1):
+    """A depth-level tree of nested forks, sup_elim{w}(sup(T,T'),x.x,y.y)
+    with w drawn from weights by level, down to 2^depth distinct stars."""
+    if depth == 0:
+        return f"star({start})"
+    half = 1 << (depth - 1)
+    return (f"sup_elim{{{weights[depth % len(weights)]}}}(sup("
+            f"{_nested_forks(depth - 1, weights, start)},"
+            f"{_nested_forks(depth - 1, weights, start + half)}),x.x,y.y)")
+
+
+def test_global_soundness_holds_on_a_tree_of_8192_leaves():
+    # the summed term of 8192 leaves is a sum chain deeper than the
+    # checker recurses through; the sum's matrix is built without it
+    t = term(_nested_forks(13))
+    assert len(sc.distribution(t).items) == 8192
+    assert sc.check_global_soundness(t)
+
+
+def _former_global_matrix(t, sr, expected):
+    """The matrix of the summed term, which whole-run soundness compared
+    with before it applied the sum's clauses directly."""
+    d = sc.typecheck((), t, expected, sr)
+    summed = sc.sum_of_distribution(sc.distribution(t, sr))
+    return D._Denoter(sr).matrix((), summed, d.prop)
+
+
+@pytest.mark.parametrize("semiring", ["qnn", "q", "f64"])
+def test_global_soundness_sums_as_the_summed_term_denotes(monkeypatch,
+                                                          semiring):
+    sr = sc.get_semiring(semiring)
+    inputs = [(e.term, e.prop) for e in _corpus_in(sr)] + [
+        (sc.parse_term(_nested_forks(n, _FORK_WEIGHTS), sr), None)
+        for n in range(1, 7)]
+    compared = []
+    equal = M.Mat.equal
+    monkeypatch.setattr(M.Mat, "equal", lambda self, other: (
+        compared.append(other) or equal(self, other)))
+    for t, a in inputs:
+        assert sc.check_global_soundness(t, sr, a)
+        got = compared[-1]
+        assert _stored(got) == _stored(_former_global_matrix(t, sr, a))
+
+
 # ---------------------------------------------------------------------------
 # adequacy comparison
 

@@ -286,6 +286,17 @@ def test_mixed_equiv_unsupported_type():
                        sc.parse_prop("one -o one"))
 
 
+def test_mixed_equiv_checks_both_terms_at_the_type():
+    # x is unused, so the first term has no type, though it runs to the
+    # second
+    a = sc.parse_prop("one & one")
+    t = term("app(lam{one}(x,pair(star(1),star(2))),star(3))")
+    u = term("pair(star(1),star(2))")
+    for left, right in ((t, u), (u, t)):
+        with pytest.raises(sc.TypingError):
+            sc.mixed_equiv(left, right, a)
+
+
 def test_mixed_equiv_at_top():
     assert sc.mixed_equiv(term("unit"), term("scal(2,unit)"), S.Top())
 

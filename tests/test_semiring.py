@@ -117,6 +117,12 @@ def test_literal_rejections():
     assert sc.F64.from_literal(F(1, 2)) == 0.5
 
 
+def test_an_f64_literal_past_the_float_range_is_a_literal_error():
+    with pytest.raises(LiteralError, match="f64") as info:
+        sc.F64.from_literal(F(10) ** 400)
+    assert "0" * 300 not in str(info.value)
+
+
 def test_format_scalar_reparses():
     for sr in (sc.QNN, sc.Q, sc.F64, sc.BOOL):
         for v in sr.test_pool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import time
 from fractions import Fraction as F
@@ -727,19 +728,27 @@ def test_canonical_and_alpha_eq_match_the_former_definitions_on_shadowing(
 def test_canonical_and_alpha_eq_are_linear_in_binder_depth(walk):
     # copying an environment per binder would take time quadratic in the
     # depth of a chain of distinct binders: 4 times the depth would then
-    # take about 16 times as long
-    def best_of_three(depth):
+    # take about 16 times as long.  Both chains are built first and timed
+    # in turn, so that a change in the host's speed meets both, with the
+    # collector off during each timed walk.
+    def chain(depth):
         deep = S.Var("x0")
         for i in range(depth):
             deep = S.Lam(f"x{i}", deep)
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            walk(deep)
-            times.append(time.perf_counter() - start)
-        return min(times)
+        return deep
 
-    assert best_of_three(8_000) < 8 * best_of_three(2_000)
+    chains = [chain(depth) for depth in (2_000, 8_000)]
+    times = [[], []]
+    for _ in range(5):
+        for deep, spent in zip(chains, times):
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                walk(deep)
+                spent.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+    assert min(times[1]) < 8 * min(times[0])
 
 
 @pytest.mark.parametrize("nesting", ["right", "left"])

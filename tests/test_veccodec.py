@@ -151,6 +151,14 @@ def test_extract_identity_function():
     assert got == [[F(1), F(0)], [F(0), F(1)]]
 
 
+def test_extract_checks_the_term_at_the_given_type():
+    # lam{one}(x,scal(2,x)) has type one -o one, so it has no matrix at
+    # (one & one) -o (one & one) to read off
+    a = prop("one & one")
+    with pytest.raises(sc.TypingError):
+        sc.extract_linear_map(sc.parse_term("lam{one}(x,scal(2,x))"), a, a)
+
+
 def test_extract_agrees_with_denotation_via_uncurry():
     rng = random.Random(11)
     a, b = prop("one & one"), prop("(one & one) & one")
